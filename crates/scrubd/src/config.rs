@@ -549,6 +549,16 @@ mix = alpha:rate=40;beta:suite=kv-cache,scale=0.5
         );
     }
 
+    /// Write-ahead journals pin the fingerprint, so a changed canonical
+    /// string would make `--resume-fleet` refuse every journal an earlier
+    /// daemon wrote. This is the value earlier releases computed for
+    /// `GOOD`.
+    #[test]
+    fn fingerprint_matches_earlier_releases() {
+        let c: FleetConfig = GOOD.parse().expect("parses");
+        assert_eq!(c.fingerprint(), 0x9610_eb34_681d_f9e9);
+    }
+
     #[test]
     fn rejects_oversized_shards() {
         let text = GOOD
