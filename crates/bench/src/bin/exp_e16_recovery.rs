@@ -3,8 +3,8 @@
 //! a failure-free control fleet plus chaos fleets that panic a rotating
 //! shard every k ∈ {2, 4, 8} cadence rounds, and reports the repair
 //! bill — retries, replayed rounds, and MTTR — alongside the headline
-//! byte-identity differential. Accepts `--engine`; `SCRUB_QUICK=1` or
-//! `--quick` for the CI-sized fleet. Writes wall-clock, thread count,
+//! byte-identity differential. `SCRUB_QUICK=1` or `--quick` for the
+//! CI-sized fleet. Writes wall-clock, thread count,
 //! and per-cell metrics to `BENCH_e16.json`.
 
 fn main() {

@@ -116,7 +116,6 @@ fn run_one(scale: &Scale, policy: &PolicyKind, seed: u64, threads: usize) -> Sim
         .horizon_s(scale.horizon_s)
         .seed(seed)
         .threads(threads)
-        .engine(runner::engine())
         .fault_campaign(runner::fault_campaign().unwrap_or_else(|| default_campaign(scale)))
         .repair(RepairConfig::default())
         .ue_recovery(RecoveryConfig::default());

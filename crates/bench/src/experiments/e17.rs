@@ -193,7 +193,6 @@ fn run_one(
         .horizon_s(scale.horizon_s)
         .seed(seed)
         .threads(threads)
-        .engine(runner::engine())
         .fault_campaign(campaign.clone());
     let config = builder.build();
     match runner::checkpoint_every_s() {

@@ -55,8 +55,7 @@ pub(crate) fn run_sim(
         .traffic(traffic)
         .horizon_s(scale.horizon_s)
         .seed(seed)
-        .threads(threads)
-        .engine(crate::runner::engine());
+        .threads(threads);
     if let Some(spec) = crate::runner::fault_campaign() {
         builder.fault_campaign(spec);
     }

@@ -11,40 +11,13 @@
 //!    seconds, scale, and any headline metrics — next to the working
 //!    directory (stderr announces the path, keeping stdout diffable).
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
 use pcm_memsim::CampaignSpec;
-use scrub_core::EngineKind;
 use scrub_telemetry as tel;
 
 use crate::scale::Scale;
-
-/// The process-wide simulation core selected by `--engine` (0 = stepped,
-/// 1 = event). An atomic rather than a `OnceLock` because
-/// `--compare-engines` flips it between passes of the same process.
-static ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// The simulation core every simulation in this process should run under.
-pub fn engine() -> EngineKind {
-    match ENGINE.load(Ordering::Relaxed) {
-        0 => EngineKind::Stepped,
-        _ => EngineKind::Event,
-    }
-}
-
-/// Selects the process-wide simulation core (flag parsing does this;
-/// public so tests and `--compare-engines` can switch between passes).
-pub fn set_engine(kind: EngineKind) {
-    ENGINE.store(
-        match kind {
-            EngineKind::Stepped => 0,
-            EngineKind::Event => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
 
 /// The process-wide fault campaign installed by `--fault-campaign`.
 static FAULT_CAMPAIGN: OnceLock<CampaignSpec> = OnceLock::new();
@@ -102,8 +75,6 @@ struct Opts {
     telemetry_out: Option<String>,
     fault_campaign: Option<CampaignSpec>,
     checkpoint_every_s: Option<f64>,
-    engine: Option<EngineKind>,
-    compare_engines: bool,
     horizon_s: Option<f64>,
     scrub_iops: Option<f64>,
 }
@@ -123,13 +94,8 @@ fn usage(exp: &str) -> ! {
          \x20 --checkpoint-every SECS\n\
          \x20                    run each simulation as checkpoint/resume segments of this\n\
          \x20                    many simulated seconds (results are byte-identical)\n\
-         \x20 --engine E         simulation core: 'stepped' (cadence grid, default) or\n\
-         \x20                    'event' (priority-queue with idle fast-forward) —\n\
-         \x20                    results are identical, only wall-clock differs\n\
-         \x20 --compare-engines  run the experiment under both cores, verify the rendered\n\
-         \x20                    tables match, and report the wall-clock ratio\n\
          \x20 --horizon-s SECS   override the scale's simulated horizon (e.g. 31536000\n\
-         \x20                    for a 1-year run under --engine event)\n\
+         \x20                    for a 1-year run)\n\
          \x20 --scrub-iops N     token-bucket refill rate for budgeted tour policies\n\
          \x20                    (experiments that sweep budgets scale their sweep by it)"
     );
@@ -152,8 +118,6 @@ fn parse_opts(exp: &str) -> Opts {
         telemetry_out: None,
         fault_campaign: None,
         checkpoint_every_s: None,
-        engine: None,
-        compare_engines: false,
         horizon_s: None,
         scrub_iops: None,
     };
@@ -195,17 +159,6 @@ fn parse_opts(exp: &str) -> Opts {
                     ),
                 }
             }
-            "--engine" => {
-                let raw = value();
-                match EngineKind::parse(&raw) {
-                    Some(kind) => opts.engine = Some(kind),
-                    None => fail(
-                        exp,
-                        &format!("--engine must be 'stepped' or 'event', got {raw:?}"),
-                    ),
-                }
-            }
-            "--compare-engines" => opts.compare_engines = true,
             "--scrub-iops" => {
                 let raw = value();
                 match raw.parse::<f64>() {
@@ -228,9 +181,6 @@ fn parse_opts(exp: &str) -> Opts {
             }
             _ => usage(exp),
         }
-    }
-    if opts.engine.is_some() && opts.compare_engines {
-        fail(exp, "--engine and --compare-engines are mutually exclusive");
     }
     opts
 }
@@ -259,7 +209,6 @@ fn json_escape(s: &str) -> String {
 
 fn render_record(
     exp: &str,
-    engine: &str,
     threads: usize,
     wall_s: f64,
     scale: &Scale,
@@ -270,12 +219,11 @@ fn render_record(
         .map(|(k, v)| format!("    \"{}\": {}", json_escape(k), json_f64(*v)))
         .collect();
     format!(
-        "{{\n  \"experiment\": \"{}\",\n  \"engine\": \"{}\",\n  \"threads\": {},\n  \
+        "{{\n  \"experiment\": \"{}\",\n  \"threads\": {},\n  \
          \"wall_s\": {},\n  \"horizon_s\": {},\n  \
          \"scale\": {{\n    \"num_lines\": {},\n    \"horizon_s\": {},\n    \
          \"reps\": {},\n    \"mc_cells\": {}\n  }},\n  \"metrics\": {{\n{}\n  }}\n}}\n",
         json_escape(exp),
-        json_escape(engine),
         threads,
         json_f64(wall_s),
         json_f64(scale.horizon_s),
@@ -294,11 +242,10 @@ pub fn main(exp: &'static str, run: fn(Scale) -> String) {
 
 /// Runs an experiment binary whose closure also returns `(name, value)`
 /// headline metrics for the JSON record (computed in the same pass as the
-/// rendered tables — never by re-running the experiment). `Fn`, not
-/// `FnOnce`: `--compare-engines` runs the experiment once per core.
+/// rendered tables — never by re-running the experiment).
 pub fn main_with<F>(exp: &'static str, run: F)
 where
-    F: Fn(Scale) -> (String, Vec<(String, f64)>),
+    F: FnOnce(Scale) -> (String, Vec<(String, f64)>),
 {
     let opts = parse_opts(exp);
     // Validate the environment up front: a malformed SCRUBSIM_THREADS
@@ -315,9 +262,6 @@ where
     if let Some(every_s) = opts.checkpoint_every_s {
         set_checkpoint_every_s(every_s);
     }
-    if let Some(kind) = opts.engine {
-        set_engine(kind);
-    }
     if let Some(iops) = opts.scrub_iops {
         set_scrub_iops(iops);
     }
@@ -329,14 +273,6 @@ where
     if opts.telemetry_out.is_some() {
         tel::install(tel::Config::default());
         tel::set_meta("experiment", exp);
-        tel::set_meta(
-            "engine",
-            if opts.compare_engines {
-                "compare"
-            } else {
-                engine().label()
-            },
-        );
         tel::set_meta("threads", &threads.to_string());
         tel::set_meta("num_lines", &scale.num_lines.to_string());
         tel::set_meta("horizon_s", &format!("{}", scale.horizon_s));
@@ -345,46 +281,14 @@ where
             tel::set_meta("fault_campaign", &spec.to_string());
         }
     }
-    let timed_pass = |kind: EngineKind| {
-        set_engine(kind);
-        let started = Instant::now();
-        let result = {
-            let _scope = tel::phase(&format!("exp.{exp}.{}", kind.label()));
-            run(scale)
-        };
-        (result, started.elapsed().as_secs_f64())
+    let started = Instant::now();
+    let (output, metrics) = {
+        let _scope = tel::phase(&format!("exp.{exp}"));
+        run(scale)
     };
-    let (output, mut metrics, wall_s, engine_label);
-    if opts.compare_engines {
-        let ((stepped_out, stepped_metrics), stepped_s) = timed_pass(EngineKind::Stepped);
-        let ((event_out, event_metrics), event_s) = timed_pass(EngineKind::Event);
-        if stepped_out != event_out || stepped_metrics != event_metrics {
-            eprintln!("[{exp}] ENGINE MISMATCH: stepped and event cores rendered different output");
-            println!("{stepped_out}");
-            println!("{event_out}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "[{exp}] engines: stepped {stepped_s:.2}s, event {event_s:.2}s ({:.2}x); \
-             outputs identical",
-            stepped_s / event_s.max(1e-9)
-        );
-        output = event_out;
-        metrics = event_metrics;
-        metrics.push(("engine_stepped_wall_s".to_string(), stepped_s));
-        metrics.push(("engine_event_wall_s".to_string(), event_s));
-        metrics.push(("engine_speedup".to_string(), stepped_s / event_s.max(1e-9)));
-        wall_s = stepped_s + event_s;
-        engine_label = "compare";
-    } else {
-        let ((out, m), secs) = timed_pass(engine());
-        output = out;
-        metrics = m;
-        wall_s = secs;
-        engine_label = engine().label();
-    }
+    let wall_s = started.elapsed().as_secs_f64();
     println!("{output}");
-    let record = render_record(exp, engine_label, threads, wall_s, &scale, &metrics);
+    let record = render_record(exp, threads, wall_s, &scale, &metrics);
     let path = opts
         .bench_out
         .unwrap_or_else(|| format!("BENCH_{exp}.json"));
@@ -416,14 +320,16 @@ mod tests {
         let scale = Scale::quick();
         let rec = render_record(
             "e6",
-            "event",
             4,
             1.25,
             &scale,
             &[("ue_reduction_pct".to_string(), 96.5)],
         );
         assert!(rec.contains("\"experiment\": \"e6\""));
-        assert!(rec.contains("\"engine\": \"event\""));
+        assert!(
+            !rec.contains("engine"),
+            "one simulation core: no engine field"
+        );
         assert!(rec.contains("\"threads\": 4"));
         assert!(rec.contains(&format!("\"horizon_s\": {}", scale.horizon_s)));
         assert!(rec.contains("\"ue_reduction_pct\": 96.5"));

@@ -40,8 +40,9 @@ fn resume_and_finish(name: &str, policy: PolicyKind) {
     let bytes = std::fs::read(format!("{dir}/{name}.ckpt")).expect("fixture checkpoint");
     let expected =
         std::fs::read_to_string(format!("{dir}/{name}.report.txt")).expect("fixture report");
-    let sim = Simulation::resume(config(policy), &bytes)
-        .unwrap_or_else(|e| panic!("{name}: the earlier build's checkpoint no longer resumes: {e}"));
+    let sim = Simulation::resume(config(policy), &bytes).unwrap_or_else(|e| {
+        panic!("{name}: the earlier build's checkpoint no longer resumes: {e}")
+    });
     assert_eq!(sim.clock_s(), 5400.0, "{name}: snapshot clock");
     let report = sim.finish();
     assert_eq!(

@@ -1,41 +1,46 @@
-//! The stepped-vs-event differential harness: both simulation cores must
-//! be observationally identical. For every scrub mechanism, under an
-//! active fault campaign and demand traffic, the event engine's report,
-//! CSV row, telemetry counters, and sim-event multiset must match the
-//! stepped engine's exactly — continuous, split at k checkpoints, and
-//! resumed *across* engines (a snapshot taken under one core finished
-//! under the other).
+//! The simulation loop against a slot-by-slot reference.
 //!
-//! Campaign boundary markers are emitted at end-of-segment by the stepped
-//! core and at heap-pop time by the event core, so the journal *order*
-//! differs while the (time, payload) multiset is identical — comparisons
-//! here sort events and ignore sequence numbers.
+//! `Simulation::run` takes two shortcuts through the scrub-slot grid: idle
+//! skip-ahead (a policy bounds its idle stretch with
+//! `ScrubPolicy::idle_until` and the slot clock jumps past it) and batched
+//! sweeps (`ScrubPolicy::plan_batch` hands the slots before the next
+//! demand op to `Memory::scrub_sweep`). The [`reference`] loop takes
+//! neither: it merges the demand trace with the slot grid and executes
+//! every slot through `ScrubEngine::step`, using public calls only. For
+//! every mechanism, under an active fault campaign, with demand traffic
+//! and without, the run must match the reference exactly — report,
+//! telemetry counters, and the multiset of write-back decision events —
+//! and split runs must match the straight run.
+//!
+//! Events are compared as sorted multisets: a batched sweep emits its
+//! decisions bank by bank rather than slot by slot, and sequence numbers
+//! and worker ids are scheduling artifacts, not results.
 //!
 //! The telemetry recorder is process-global, so everything lives in ONE
 //! test function — this file being its own integration-test binary
 //! guarantees a fresh process.
 
+use pcm_memsim::{Memory, OpKind, SimTime, TraceSource};
 use scrub_bench::experiments::e13;
 use scrub_core::{
-    set_skewed_fast_forward_for_test, DemandTraffic, EngineKind, PolicyKind, SimConfig, SimReport,
+    set_skewed_fast_forward_for_test, DemandTraffic, PolicyKind, ScrubEngine, SimConfig, SimReport,
     Simulation,
 };
 use scrub_telemetry as tel;
 
-/// The run under test: demand traffic (pending ops interleave with scrub
-/// slots), a campaign with SEU-window, intermittent-period, and burst
-/// boundaries (the burst lands exactly on the k=1 checkpoint boundary to
-/// pin the half-open segment semantics), and the repair hierarchy.
-fn config(policy: &PolicyKind, engine: EngineKind) -> SimConfig {
+/// The run under test: a campaign with SEU-window, intermittent-period,
+/// and burst boundaries (the burst lands exactly on the k=1 checkpoint
+/// boundary to pin the half-open segment semantics), the repair
+/// hierarchy, and UE recovery, under `traffic`.
+fn config(policy: &PolicyKind, traffic: &DemandTraffic) -> SimConfig {
     let mut b = SimConfig::builder();
     b.num_lines(1024)
         .code(pcm_ecc::CodeSpec::bch_line(6))
         .policy(policy.clone())
-        .traffic(DemandTraffic::suite(pcm_workloads::WorkloadId::KvCache))
+        .traffic(traffic.clone())
         .horizon_s(3.0 * 3600.0)
         .seed(77)
         .threads(1)
-        .engine(engine)
         .fault_campaign(
             "seed=7;stuck=lines:32,cells:3;seu=lines:128,count:2,window:3600;\
              intermittent=lines:4,cells:2,period:600;burst=lines:2,bits:5,at:5400"
@@ -47,34 +52,121 @@ fn config(policy: &PolicyKind, engine: EngineKind) -> SimConfig {
     b.build()
 }
 
-/// Order-independent event fingerprint: (time bits, payload), sorted.
-/// Sequence numbers and worker ids are scheduling artifacts, not results.
-fn event_multiset(docs: &[tel::Document]) -> Vec<(u64, String)> {
+/// The slot-by-slot reference: memory, policy, and trace built as
+/// `Simulation::new` builds them, demand ops and scrub slots merged in
+/// time order (demand first on ties), every slot stepped. Labels come
+/// from `run`, since the loop never touches them.
+fn reference(config: &SimConfig, run: &SimReport) -> SimReport {
+    let geometry = config.geometry;
+    let mut mem = Memory::new(
+        geometry,
+        config.device.clone(),
+        config.code.clone(),
+        config.seed,
+    );
+    mem.attach_campaign(config.fault_campaign.as_ref().expect("campaign"));
+    mem.enable_repair(config.repair.expect("repair"));
+    mem.enable_ue_recovery(config.ue_recovery.expect("recovery"));
+    let policy = config
+        .policy
+        .build(geometry.num_lines(), geometry.banks(), config.seed)
+        .expect("every roster policy scrubs");
+    let mut engine = ScrubEngine::new(policy);
+    let mut trace: Option<Box<dyn TraceSource>> = match &config.traffic {
+        DemandTraffic::Idle => None,
+        DemandTraffic::Suite { id, rate_scale } => Some(Box::new(id.build(
+            mem.demand_lines(),
+            *rate_scale,
+            config.seed.wrapping_add(0x9E37_79B9),
+        ))),
+        other => unreachable!("the harness runs suite or idle traffic, not {other:?}"),
+    };
+    let horizon = SimTime::from_secs(config.horizon_s);
+    let mut pending = trace.as_mut().and_then(|t| t.next_op());
+    loop {
+        let slot = engine.next_slot();
+        match pending.filter(|op| op.at <= slot) {
+            Some(op) if op.at <= horizon => {
+                match op.kind {
+                    OpKind::Read => {
+                        mem.demand_read(op.addr, op.at);
+                        engine.notify_demand_read(op.addr, op.at);
+                    }
+                    OpKind::Write => {
+                        mem.demand_write(op.addr, op.at);
+                        engine.notify_demand_write(op.addr, op.at);
+                    }
+                }
+                pending = trace.as_mut().and_then(|t| t.next_op());
+            }
+            None if slot <= horizon => engine.step(&mut mem),
+            _ => break,
+        }
+    }
+    let window_ns = config.horizon_s * 1e9;
+    let bw = mem.bandwidth();
+    SimReport {
+        workload: run.workload.clone(),
+        policy: run.policy.clone(),
+        code: mem.code().name().to_string(),
+        horizon_s: config.horizon_s,
+        num_lines: geometry.num_lines(),
+        stats: mem.stats(),
+        engine: *engine.stats(),
+        scrub_energy_uj: mem.energy().scrub_total_pj() / 1e6,
+        demand_energy_uj: mem.energy().demand_total_pj() / 1e6,
+        mean_wear: mem.mean_wear(),
+        max_wear: mem.max_wear(),
+        worn_cells: mem.total_worn_cells(),
+        scrub_utilization: bw.scrub_utilization(window_ns),
+        demand_read_latency_ns: bw.demand_read_latency_ns(mem.timing().read_ns, window_ns),
+        measured_read_latency_ns: mem.measured_demand_read_latency_ns(),
+        first_unrepairable_s: mem.first_unrepairable_s(),
+        degraded_banks: mem.degraded_banks(),
+    }
+}
+
+/// What only `Simulation` emits, not the loop: the report mirrors and the
+/// campaign markers (the split runs below check the markers).
+fn is_report_level(name: &str) -> bool {
+    name.starts_with("report_") || name == "campaign_boundaries"
+}
+
+/// Order-independent event fingerprint: (time bits, payload), sorted,
+/// optionally restricted to write-back decisions.
+fn event_multiset(docs: &[tel::Document], decisions_only: bool) -> Vec<(u64, String)> {
     let mut v: Vec<(u64, String)> = docs
         .iter()
         .flat_map(|d| d.events.iter())
+        .filter(|e| !decisions_only || matches!(e.kind, tel::EventKind::WritebackDecision { .. }))
         .map(|e| (e.t_s.to_bits(), format!("{:?}", e.kind)))
         .collect();
     v.sort();
     v
 }
 
-/// Runs one simulation under `engine`, split at `k` evenly spaced
-/// checkpoints with a full serialize/deserialize round-trip at each.
-/// Returns the final report and the per-segment telemetry documents.
-fn run_split(policy: &PolicyKind, engine: EngineKind, k: u32) -> (SimReport, Vec<tel::Document>) {
-    let cfg = config(policy, engine);
-    let cadence_s = cfg.horizon_s / (k + 1) as f64;
+/// Whether a batched sweep ran: it journals its decisions bank by bank,
+/// so some event is journaled after a later-timed one.
+fn journal_shows_batches(doc: &tel::Document) -> bool {
+    doc.events
+        .windows(2)
+        .any(|w| w[0].worker == w[1].worker && w[0].seq > w[1].seq)
+}
+
+/// Runs `config` split at `k` evenly spaced checkpoints with a full
+/// serialize/deserialize round-trip at each. Returns the final report
+/// and the per-segment telemetry documents.
+fn run_split(config: &SimConfig, k: u32) -> (SimReport, Vec<tel::Document>) {
+    let cadence_s = config.horizon_s / (k + 1) as f64;
     let mut docs = Vec::new();
     tel::reset();
-    let mut sim = Simulation::new(cfg);
+    let mut sim = Simulation::new(config.clone());
     for i in 1..=k {
         sim.run_to(i as f64 * cadence_s);
         let bytes = sim.checkpoint().expect("checkpoint");
-        let cfg = sim.config().clone();
         docs.push(tel::snapshot());
         tel::reset();
-        sim = Simulation::resume(cfg, &bytes).expect("resume");
+        sim = Simulation::resume(config.clone(), &bytes).expect("resume");
     }
     let report = sim.finish();
     docs.push(tel::snapshot());
@@ -82,109 +174,92 @@ fn run_split(policy: &PolicyKind, engine: EngineKind, k: u32) -> (SimReport, Vec
 }
 
 #[test]
-fn event_engine_is_observationally_identical_to_stepped() {
+fn simulation_matches_the_slot_by_slot_reference() {
     scrub_exec::set_default_threads(1);
     tel::install(tel::Config {
-        journal_capacity: 4096,
-        event_mask: tel::EventClass::Sim.bit(),
+        journal_capacity: 1 << 16,
+        event_mask: tel::EventClass::Sim.bit() | tel::EventClass::Decision.bit(),
     });
 
-    let mut total_idle_skipped = 0u64;
+    let traffics = [
+        DemandTraffic::suite(pcm_workloads::WorkloadId::KvCache),
+        DemandTraffic::Idle,
+    ];
+    let mut batched = false;
     for (label, policy) in e13::roster() {
-        // Continuous runs under both cores.
-        tel::reset();
-        let stepped = Simulation::new(config(&policy, EngineKind::Stepped)).run();
-        let stepped_doc = tel::snapshot();
-        tel::reset();
-        let event = Simulation::new(config(&policy, EngineKind::Event)).run();
-        let event_doc = tel::snapshot();
-
-        assert_eq!(event, stepped, "{label}: report diverged across engines");
-        assert_eq!(
-            event.csv_row(),
-            stepped.csv_row(),
-            "{label}: CSV row diverged across engines"
-        );
-        assert_eq!(
-            event_doc.counters, stepped_doc.counters,
-            "{label}: telemetry counters diverged across engines"
-        );
-        assert_eq!(
-            event_multiset(std::slice::from_ref(&event_doc)),
-            event_multiset(std::slice::from_ref(&stepped_doc)),
-            "{label}: sim-event multiset diverged across engines"
-        );
-        assert!(
-            event_doc.counters.get("campaign_boundaries").copied() > Some(0),
-            "{label}: no campaign boundaries crossed; the harness is not \
-             exercising marker emission"
-        );
-        total_idle_skipped += event_doc
-            .counters
-            .get("engine_idle_slots")
-            .copied()
-            .unwrap_or(0);
-
-        // Split runs under the event core must land on the same stepped
-        // report, and their merged telemetry on the same multiset.
-        for k in 1..=2u32 {
-            let (report, docs) = run_split(&policy, EngineKind::Event, k);
-            assert_eq!(
-                report, stepped,
-                "{label}: event-engine split run diverged at k={k}"
-            );
-            assert_eq!(
-                event_multiset(&docs),
-                event_multiset(std::slice::from_ref(&stepped_doc)),
-                "{label}: split-run event multiset diverged at k={k}"
-            );
-        }
-
-        // Cross-engine resume: a snapshot is engine-agnostic, so a run
-        // checkpointed under one core and finished under the other must
-        // still match — in both directions.
-        for (from, to) in [
-            (EngineKind::Stepped, EngineKind::Event),
-            (EngineKind::Event, EngineKind::Stepped),
-        ] {
+        for traffic in &traffics {
+            let case = format!("{label}/{traffic:?}");
+            let cfg = config(&policy, traffic);
             tel::reset();
-            let mut sim = Simulation::new(config(&policy, from));
-            sim.run_to(5400.0);
-            let bytes = sim.checkpoint().expect("checkpoint");
-            let mut cfg = sim.config().clone();
-            cfg.engine = to;
-            let report = Simulation::resume(cfg, &bytes).expect("resume").finish();
+            let run = Simulation::new(cfg.clone()).run();
+            let run_doc = tel::snapshot();
+            tel::reset();
+            let expected = reference(&cfg, &run);
+            let ref_doc = tel::snapshot();
+
+            assert_eq!(run, expected, "{case}: report diverged from the reference");
+            let loop_counters = |doc: &tel::Document| {
+                let mut c = doc.counters.clone();
+                c.retain(|name, _| !is_report_level(name));
+                c
+            };
             assert_eq!(
-                report,
-                stepped,
-                "{label}: {}-to-{} cross-engine resume diverged",
-                from.label(),
-                to.label()
+                loop_counters(&run_doc),
+                loop_counters(&ref_doc),
+                "{case}: telemetry counters diverged from the reference"
             );
+            assert_eq!(run_doc.events_dropped, 0, "{case}: journal overflowed");
+            assert_eq!(
+                event_multiset(std::slice::from_ref(&run_doc), true),
+                event_multiset(std::slice::from_ref(&ref_doc), true),
+                "{case}: decision-event multiset diverged from the reference"
+            );
+            assert!(
+                run_doc.counters["campaign_boundaries"] > 0,
+                "{case}: no campaign boundaries crossed; the harness is not \
+                 exercising marker emission"
+            );
+            batched |= journal_shows_batches(&run_doc);
+
+            // Split runs land on the same report, and their merged
+            // telemetry on the same simulation and decision events.
+            for k in 1..=2u32 {
+                let (report, docs) = run_split(&cfg, k);
+                assert_eq!(report, run, "{case}: split run diverged at k={k}");
+                assert_eq!(
+                    event_multiset(&docs, false),
+                    event_multiset(std::slice::from_ref(&run_doc), false),
+                    "{case}: split-run event multiset diverged at k={k}"
+                );
+            }
         }
     }
     assert!(
-        total_idle_skipped > 0,
-        "no engine idle slots recorded anywhere; the fast-forward path \
-         is not being exercised"
+        batched,
+        "no journal shows a batched sweep; the batch path is not being exercised"
     );
 
     // Tripwire: the harness must be able to fail. A deliberately skewed
-    // fast-forward (overshoots each idle skip by one slot) must produce a
-    // diverging report for a mechanism that uses idle_until.
+    // fast-forward (overshoots each idle skip by one slot) must diverge
+    // from the reference for a mechanism that uses idle_until — which
+    // also shows the skip-ahead path runs.
     tel::set_enabled(false);
     let policy = PolicyKind::combined_default(900.0);
-    let stepped = Simulation::new(config(&policy, EngineKind::Stepped)).run();
+    let cfg = config(&policy, &traffics[0]);
+    let expected = reference(&cfg, &Simulation::new(cfg.clone()).run());
     set_skewed_fast_forward_for_test(true);
-    let skewed = Simulation::new(config(&policy, EngineKind::Event)).run();
+    let skewed = Simulation::new(cfg.clone()).run();
     set_skewed_fast_forward_for_test(false);
     assert_ne!(
-        skewed, stepped,
-        "a skewed fast-forward still matched the stepped engine — the \
-         differential harness cannot detect an incorrect skip-ahead"
+        skewed, expected,
+        "a skewed fast-forward still matched the reference — the harness \
+         cannot detect an incorrect skip-ahead"
     );
-    // And with the skew cleared the event core matches again, pinning the
-    // divergence on the skew rather than on ambient state.
-    let event = Simulation::new(config(&policy, EngineKind::Event)).run();
-    assert_eq!(event, stepped, "event engine diverged after skew cleared");
+    // With the skew cleared the run matches again, pinning the divergence
+    // on the skew rather than on ambient state.
+    let cleared = Simulation::new(cfg).run();
+    assert_eq!(
+        cleared, expected,
+        "run diverged from the reference after skew cleared"
+    );
 }

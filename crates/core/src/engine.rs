@@ -2,6 +2,8 @@
 //! time, or whole batches of slots executed bank-parallel when the policy
 //! can commit to them in advance.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use pcm_memsim::{LineAddr, Memory, SimTime, SweepPlan};
 use scrub_checkpoint::{CheckpointError, Reader, Writer};
 use scrub_telemetry as tel;
@@ -14,6 +16,18 @@ use crate::tick;
 /// randomness is keyed to its line's bank stream), so the cap is purely a
 /// memory-footprint knob.
 const MAX_BATCH_SLOTS: usize = 1 << 16;
+
+/// Test-only tripwire: when set, the idle fast-forward overshoots by one
+/// slot — it skips a slot the policy should have been consulted at. The
+/// differential harness flips this to prove it detects a skewed
+/// fast-forward rather than vacuously passing.
+static SKEW_FAST_FORWARD: AtomicBool = AtomicBool::new(false);
+
+/// Enables/disables the deliberate fast-forward skew. Test-only.
+#[doc(hidden)]
+pub fn set_skewed_fast_forward_for_test(on: bool) {
+    SKEW_FAST_FORWARD.store(on, Ordering::Relaxed);
+}
 
 /// Engine-side counters (memory-side counters live in
 /// [`pcm_memsim::MemStats`]).
@@ -243,7 +257,7 @@ impl ScrubEngine {
     /// Returns the number of slots skipped.
     ///
     /// Capping at `stop` keeps the post-segment `next_slot_tick` — and
-    /// therefore checkpoint bytes — identical to stepped execution,
+    /// therefore checkpoint bytes — identical to slot-by-slot stepping,
     /// which never advances the slot clock past the first slot beyond a
     /// segment boundary.
     pub fn skip_idle_slots_before(&mut self, due: SimTime, stop: SimTime, mem: &Memory) -> u64 {
@@ -278,7 +292,7 @@ impl ScrubEngine {
                 break;
             }
         }
-        if k > 0 && crate::event::skew_fast_forward() {
+        if k > 0 && SKEW_FAST_FORWARD.load(Ordering::Relaxed) {
             // Deliberately skip one slot too many: the differential
             // harness proves this divergence is caught, not absorbed.
             k += 1;

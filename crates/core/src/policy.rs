@@ -94,7 +94,7 @@ pub trait ScrubPolicy: fmt::Debug + Send {
     /// (age-skipped), for policies that track skip counters.
     fn on_batch_idle(&mut self, _skipped: u64) {}
 
-    /// Idle fast-forward bound for the event engine: `Some(t)` promises
+    /// Idle fast-forward bound for the simulation loop: `Some(t)` promises
     /// that every slot strictly before `t` would return
     /// [`ScrubAction::Idle`] from [`ScrubPolicy::next_action`] *without
     /// mutating any policy state*, regardless of interleaved demand

@@ -1156,6 +1156,8 @@ impl Memory {
         let times = plan.times;
         let min_age_s = plan.min_age_s;
         let rule = plan.rule;
+        // One decision event per probe, as slot-by-slot stepping emits.
+        let decisions = tel::enabled();
         let mut work: Vec<(&mut BankShard, Vec<u32>, SweepOutcome)> = self
             .shards
             .iter_mut()
@@ -1175,14 +1177,27 @@ impl Memory {
                 }
                 out.probe_slots += 1;
                 let result = ctx.scrub_probe(shard, slot, addr as u32, now);
-                if result.outcome.is_uncorrectable() {
+                let forced = result.outcome.is_uncorrectable();
+                let fired = forced || rule.fires(&result);
+                if forced {
                     // Data restored from higher-level redundancy; the line
                     // itself must be rewritten either way.
                     out.forced_writebacks += 1;
                     ctx.scrub_writeback(shard, slot, addr as u32, now);
-                } else if rule.fires(&result) {
+                } else if fired {
                     out.policy_writebacks += 1;
                     ctx.scrub_writeback(shard, slot, addr as u32, now);
+                }
+                if decisions {
+                    tel::event(
+                        now.secs(),
+                        tel::EventKind::WritebackDecision {
+                            addr: addr as u32,
+                            observed_bits: result.persistent_bits,
+                            fired,
+                            forced,
+                        },
+                    );
                 }
             }
         });

@@ -15,7 +15,6 @@
 //! horizon-s = 3600
 //! cadence-s = 600       # telemetry roll-up / control-poll cadence
 //! policy = combined@900 # NAME@SWEEP_INTERVAL_S, or "none"
-//! engine = event        # stepped | event
 //! threads = 0           # shard fan-out workers (0 = auto)
 //!
 //! [tenants]
@@ -37,7 +36,7 @@
 use std::str::FromStr;
 
 use pcm_workloads::TenantMixSpec;
-use scrub_core::{DemandTraffic, EngineKind, PolicyKind, SimConfig};
+use scrub_core::{DemandTraffic, PolicyKind, SimConfig};
 
 use crate::health::SupervisorConfig;
 
@@ -60,8 +59,6 @@ pub struct FleetConfig {
     pub policy: PolicyKind,
     /// Canonical `NAME@INTERVAL` form of `policy`, for status output.
     pub policy_spec: String,
-    /// Simulation core (stepped vs. event).
-    pub engine: EngineKind,
     /// Worker threads for the shard fan-out (0 = auto).
     pub threads: usize,
     /// The open-loop tenant mix driving demand.
@@ -115,8 +112,7 @@ impl FleetConfig {
             })
             .horizon_s(self.horizon_s)
             .seed(self.shard_seed(shard))
-            .threads(1)
-            .engine(self.engine);
+            .threads(1);
         b.build()
     }
 
@@ -135,8 +131,12 @@ impl FleetConfig {
     /// a different fleet. Thread count is deliberately excluded — it
     /// never changes results.
     pub fn fingerprint(&self) -> u64 {
+        // `engine=Event` stays a literal: earlier daemons hashed their
+        // engine selector here, `Event` being the fleet default, so the
+        // journals they wrote keep resuming now that there is one
+        // simulation core.
         let canon = format!(
-            "banks={} lpb={} shards={} seed={} horizon={} cadence={} policy={} engine={:?} \
+            "banks={} lpb={} shards={} seed={} horizon={} cadence={} policy={} engine=Event \
              tenants={:?} retries={} gens={} ckpt_every={}",
             self.banks,
             self.lines_per_bank,
@@ -145,7 +145,6 @@ impl FleetConfig {
             self.horizon_s,
             self.cadence_s,
             self.policy_spec,
-            self.engine,
             self.tenants,
             self.supervisor.max_retries,
             self.supervisor.generations,
@@ -197,14 +196,6 @@ fn parse_policy(s: &str) -> Result<PolicyKind, String> {
     }
 }
 
-fn parse_engine(s: &str) -> Result<EngineKind, String> {
-    match s {
-        "stepped" => Ok(EngineKind::Stepped),
-        "event" => Ok(EngineKind::Event),
-        other => Err(format!("engine must be stepped|event, got {other:?}")),
-    }
-}
-
 impl FromStr for FleetConfig {
     type Err = String;
 
@@ -219,7 +210,6 @@ impl FromStr for FleetConfig {
         let mut horizon_s: Option<f64> = None;
         let mut cadence_s: Option<f64> = None;
         let mut policy_spec = "combined@900".to_string();
-        let mut engine = EngineKind::Event;
         let mut threads: usize = 0;
         let mut mix: Option<TenantMixSpec> = None;
         let mut supervisor = SupervisorConfig::default();
@@ -277,7 +267,6 @@ impl FromStr for FleetConfig {
                 ("fleet", "horizon-s") => horizon_s = Some(num("horizon-s")?),
                 ("fleet", "cadence-s") => cadence_s = Some(num("cadence-s")?),
                 ("fleet", "policy") => policy_spec = value.to_string(),
-                ("fleet", "engine") => engine = parse_engine(value)?,
                 ("fleet", "threads") => {
                     threads = value
                         .parse()
@@ -379,7 +368,6 @@ impl FromStr for FleetConfig {
             cadence_s,
             policy,
             policy_spec,
-            engine,
             threads,
             tenants,
             supervisor,
@@ -401,7 +389,6 @@ seed = 7
 horizon-s = 1200
 cadence-s = 300
 policy = combined@900
-engine = event
 
 [tenants]
 mix = alpha:rate=40;beta:suite=kv-cache,scale=0.5
@@ -414,7 +401,6 @@ mix = alpha:rate=40;beta:suite=kv-cache,scale=0.5
         assert_eq!(c.shards, 4);
         assert_eq!(c.banks_per_shard(), 2);
         assert_eq!(c.shard_lines(), 64);
-        assert_eq!(c.engine, EngineKind::Event);
         assert_eq!(c.tenants.tenants.len(), 2);
         assert_eq!(c.policy, PolicyKind::combined_default(900.0));
     }
@@ -474,8 +460,11 @@ mix = alpha:rate=40;beta:suite=kv-cache,scale=0.5
                 "NAME@INTERVAL_S",
             ),
             (
-                GOOD.replace("engine = event", "engine = quantum"),
-                "stepped|event",
+                GOOD.replace(
+                    "policy = combined@900",
+                    "policy = combined@900\nengine = event",
+                ),
+                "unknown key \"engine\"",
             ),
             (GOOD.replace("[tenants]", "[folks]"), "unknown section"),
             (
@@ -539,7 +528,10 @@ mix = alpha:rate=40;beta:suite=kv-cache,scale=0.5
         assert_ne!(c.fingerprint(), reseeded.fingerprint());
 
         let rethreaded: FleetConfig = GOOD
-            .replace("engine = event", "engine = event\nthreads = 3")
+            .replace(
+                "policy = combined@900",
+                "policy = combined@900\nthreads = 3",
+            )
             .parse()
             .expect("parses");
         assert_eq!(

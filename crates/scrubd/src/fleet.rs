@@ -775,7 +775,6 @@ mod tests {
          horizon-s = 900\n\
          cadence-s = 300\n\
          policy = basic@300\n\
-         engine = event\n\
          threads = 2\n\
          [tenants]\n\
          mix = alpha:rate=40;beta:rate=10,read=0.5\n"

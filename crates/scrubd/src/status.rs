@@ -262,7 +262,7 @@ mod tests {
     fn tiny_fleet() -> Fleet {
         let config: FleetConfig = "[fleet]\n\
              banks = 4\nlines-per-bank = 32\nshards = 2\nseed = 3\n\
-             horizon-s = 600\ncadence-s = 300\npolicy = basic@300\nengine = stepped\n\
+             horizon-s = 600\ncadence-s = 300\npolicy = basic@300\n\
              [tenants]\nmix = alpha:rate=30\n"
             .parse()
             .expect("valid");

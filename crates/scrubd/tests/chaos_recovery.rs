@@ -29,7 +29,6 @@ const CONFIG: &str = "[fleet]\n\
     horizon-s = 1200\n\
     cadence-s = 300\n\
     policy = basic@300\n\
-    engine = event\n\
     threads = 2\n\
     [tenants]\n\
     mix = alpha:rate=40;beta:rate=10,read=0.5\n";

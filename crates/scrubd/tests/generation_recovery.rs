@@ -164,7 +164,6 @@ fn resume_over_an_exhausted_store_quarantines_the_shard() {
          horizon-s = 600\n\
          cadence-s = 300\n\
          policy = basic@300\n\
-         engine = event\n\
          [tenants]\n\
          mix = alpha:rate=20\n"
         .parse()

@@ -15,7 +15,6 @@ fn config() -> FleetConfig {
      horizon-s = 1500\n\
      cadence-s = 300\n\
      policy = threshold@300\n\
-     engine = event\n\
      threads = 3\n\
      [tenants]\n\
      mix = alpha:rate=50,read=0.8;beta:rate=25,read=0.2;gamma:rate=5\n"

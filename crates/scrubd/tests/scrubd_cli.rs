@@ -36,7 +36,6 @@ const GOOD_CONFIG: &str = "[fleet]\n\
     horizon-s = 600\n\
     cadence-s = 300\n\
     policy = basic@300\n\
-    engine = event\n\
     threads = 2\n\
     [tenants]\n\
     mix = alpha:rate=40;beta:rate=10,read=0.5\n";
@@ -142,8 +141,8 @@ fn rejects_malformed_fleet_configs() {
             "finite and positive",
         ),
         (
-            &GOOD_CONFIG.replace("engine = event", "engine = quantum"),
-            "engine",
+            &GOOD_CONFIG.replace("threads = 2", "engine = event\nthreads = 2"),
+            "unknown key \"engine\"",
         ),
     ];
     for (i, (text, needle)) in cases.iter().enumerate() {

@@ -3,7 +3,7 @@
 //! ```bash
 //! scrubsim [--lines N] [--code secded|bch-T] [--policy NAME] \
 //!          [--workload NAME|idle] [--hours H] [--interval SECS] [--seed S] \
-//!          [--threads N] [--engine stepped|event] [--fault-campaign SPEC] \
+//!          [--threads N] [--fault-campaign SPEC] \
 //!          [--resume SNAP] [--checkpoint-out SNAP --checkpoint-every SECS] \
 //!          [--bench-out JSON]
 //! ```
@@ -36,8 +36,6 @@ struct Args {
     /// Bank-sweep workers; 0 = auto ($SCRUBSIM_THREADS or all cores).
     /// Results are bit-identical for every value.
     threads: usize,
-    /// Simulation core; both produce byte-identical output.
-    engine: EngineKind,
     campaign: Option<CampaignSpec>,
     resume: Option<String>,
     checkpoint_out: Option<String>,
@@ -67,8 +65,6 @@ fn usage() -> ! {
          \x20               [--workload NAME|idle] [--hours H] [--interval SECS] [--seed S]\n\
          \x20               [--threads N]   (default: $SCRUBSIM_THREADS or all cores;\n\
          \x20                                results are identical for every N)\n\
-         \x20               [--engine stepped|event]  simulation core (default stepped;\n\
-         \x20                                the event core skip-aheads idle time, same output)\n\
          \x20               [--fault-campaign SPEC]  deterministic fault campaign, e.g.\n\
          \x20                                'seed=1;stuck=lines:8,cells:6'\n\
          \x20               [--resume SNAP]          continue from a snapshot file\n\
@@ -141,7 +137,6 @@ fn parse_args() -> Args {
         interval_s: 900.0,
         seed: 0,
         threads: 0,
-        engine: EngineKind::Stepped,
         campaign: None,
         resume: None,
         checkpoint_out: None,
@@ -214,14 +209,6 @@ fn parse_args() -> Args {
                         "--threads must be a positive integer, got {raw:?}"
                     )),
                 }
-            }
-            "--engine" => {
-                let raw = value();
-                args.engine = EngineKind::parse(&raw).unwrap_or_else(|| {
-                    fail(&format!(
-                        "--engine must be 'stepped' or 'event', got {raw:?}"
-                    ))
-                });
             }
             "--fault-campaign" => {
                 let raw = value();
@@ -392,8 +379,7 @@ fn main() {
         .traffic(traffic)
         .horizon_s(args.hours * 3600.0)
         .seed(args.seed)
-        .threads(threads)
-        .engine(args.engine);
+        .threads(threads);
     if let Some(spec) = args.campaign {
         builder.fault_campaign(spec);
     }

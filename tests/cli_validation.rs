@@ -1,4 +1,4 @@
-//! Negative-path coverage for the tour/budget CLI flags.
+//! Negative-path coverage for the tour/budget CLI flags and removed flags.
 //!
 //! Every malformed invocation must die with exit code 2 and a one-line
 //! stderr naming the offending flag — the same contract the campaign and
@@ -39,6 +39,21 @@ fn assert_rejected(args: &[&str], needle: &str) {
         out.stdout.is_empty(),
         "{args:?} must not start simulating before validation"
     );
+}
+
+/// There is one simulation core, so `--engine` is an unknown flag: the
+/// usage text and exit 2, before any simulation starts.
+#[test]
+fn removed_engine_flag_is_rejected() {
+    let out = scrubsim(&["--engine", "event"]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: scrubsim"));
+    assert!(out.stdout.is_empty(), "must not start simulating");
 }
 
 #[test]
