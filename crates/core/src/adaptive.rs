@@ -142,21 +142,6 @@ impl RegionScheduler {
         self.active = None;
     }
 
-    /// Earliest time any region's next pass may begin, or `None` while a
-    /// pass is active (slots then probe/skip lines, mutating state).
-    /// While no pass is active and `next_due() > now`, every slot is an
-    /// Idle that touches nothing — the idle fast-forward guarantee
-    /// behind [`crate::ScrubPolicy::idle_until`].
-    pub fn next_due(&self) -> Option<SimTime> {
-        if self.active.is_some() {
-            return None;
-        }
-        self.regions
-            .iter()
-            .map(|r| r.next_due)
-            .min_by(|a, b| a.partial_cmp(b).expect("times are finite"))
-    }
-
     /// Records a probe result for the active pass's statistics.
     pub fn record_probe(&mut self, addr: LineAddr, persistent_bits: u32) {
         // The probe belongs to whichever region contains the address; the
@@ -326,10 +311,6 @@ impl ScrubPolicy for AdaptiveScrub {
     }
 
     fn on_demand_write(&mut self, _addr: LineAddr, _now: SimTime) {}
-
-    fn idle_until(&self, _now: SimTime) -> Option<SimTime> {
-        self.sched.next_due()
-    }
 
     fn save_state(&self, w: &mut Writer) {
         self.sched.save_state(w);

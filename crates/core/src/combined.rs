@@ -116,12 +116,6 @@ impl ScrubPolicy for CombinedScrub {
 
     fn on_demand_write(&mut self, _addr: LineAddr, _now: SimTime) {}
 
-    fn idle_until(&self, _now: SimTime) -> Option<SimTime> {
-        // Only between passes: during an active pass, Idle slots are age
-        // skips that mutate `skipped` and the region statistics.
-        self.sched.next_due()
-    }
-
     fn save_state(&self, w: &mut Writer) {
         self.sched.save_state(w);
         w.put_u64(self.skipped);

@@ -2,8 +2,6 @@
 //! time, or whole batches of slots executed bank-parallel when the policy
 //! can commit to them in advance.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use pcm_memsim::{LineAddr, Memory, SimTime, SweepPlan};
 use scrub_checkpoint::{CheckpointError, Reader, Writer};
 use scrub_telemetry as tel;
@@ -16,18 +14,6 @@ use crate::tick;
 /// randomness is keyed to its line's bank stream), so the cap is purely a
 /// memory-footprint knob.
 const MAX_BATCH_SLOTS: usize = 1 << 16;
-
-/// Test-only tripwire: when set, the idle fast-forward overshoots by one
-/// slot — it skips a slot the policy should have been consulted at. The
-/// differential harness flips this to prove it detects a skewed
-/// fast-forward rather than vacuously passing.
-static SKEW_FAST_FORWARD: AtomicBool = AtomicBool::new(false);
-
-/// Enables/disables the deliberate fast-forward skew. Test-only.
-#[doc(hidden)]
-pub fn set_skewed_fast_forward_for_test(on: bool) {
-    SKEW_FAST_FORWARD.store(on, Ordering::Relaxed);
-}
 
 /// Engine-side counters (memory-side counters live in
 /// [`pcm_memsim::MemStats`]).
@@ -247,60 +233,6 @@ impl ScrubEngine {
         self.policy.on_batch_idle(outcome.idle_slots);
         self.next_slot_tick = tk;
         true
-    }
-
-    /// Idle fast-forward: skips every slot that is both strictly before
-    /// `due` (the policy's [`crate::ScrubPolicy::idle_until`] bound) and
-    /// at most `stop`, in O(1) per-slot cost — the engine only counts
-    /// them idle and advances the tick grid; no policy or memory state
-    /// is touched, exactly as the equivalent sequence of Idle `step`s.
-    /// Returns the number of slots skipped.
-    ///
-    /// Capping at `stop` keeps the post-segment `next_slot_tick` — and
-    /// therefore checkpoint bytes — identical to slot-by-slot stepping,
-    /// which never advances the slot clock past the first slot beyond a
-    /// segment boundary.
-    pub fn skip_idle_slots_before(&mut self, due: SimTime, stop: SimTime, mem: &Memory) -> u64 {
-        let now = self.next_slot();
-        let gap = {
-            let ctx = ScrubContext { now, mem };
-            self.policy.probe_gap_s(&ctx)
-        };
-        let g = tick::gap_to_ticks(gap);
-        let t0 = self.next_slot_tick;
-        // Jump near the answer arithmetically, then settle exactly on the
-        // tick grid (f64 division may land ±1 slot off).
-        let bound_s = due.secs().min(stop.secs() + gap);
-        let est = ((bound_s - tick::secs_from_ticks(t0)) / gap).floor();
-        let mut k = if est.is_finite() && est > 2.0 {
-            (est as u64).saturating_sub(2)
-        } else {
-            0
-        };
-        while k > 0 {
-            let t = tick::time_from_ticks(t0 + (k - 1) * g);
-            if t < due && t <= stop {
-                break;
-            }
-            k -= 1;
-        }
-        loop {
-            let t = tick::time_from_ticks(t0 + k * g);
-            if t < due && t <= stop {
-                k += 1;
-            } else {
-                break;
-            }
-        }
-        if k > 0 && SKEW_FAST_FORWARD.load(Ordering::Relaxed) {
-            // Deliberately skip one slot too many: the differential
-            // harness proves this divergence is caught, not absorbed.
-            k += 1;
-        }
-        self.next_slot_tick = t0 + k * g;
-        self.stats.idle_slots += k;
-        tel::counter_add(tel::Counter::EngineIdleSlots, k);
-        k
     }
 
     /// Serializes the engine's mutable state: the policy's name (as an

@@ -94,17 +94,6 @@ pub trait ScrubPolicy: fmt::Debug + Send {
     /// (age-skipped), for policies that track skip counters.
     fn on_batch_idle(&mut self, _skipped: u64) {}
 
-    /// Idle fast-forward bound for the simulation loop: `Some(t)` promises
-    /// that every slot strictly before `t` would return
-    /// [`ScrubAction::Idle`] from [`ScrubPolicy::next_action`] *without
-    /// mutating any policy state*, regardless of interleaved demand
-    /// traffic — so the engine may skip those slots in O(1), counting
-    /// them idle. `None` (the default) makes no promise and keeps
-    /// slot-at-a-time stepping.
-    fn idle_until(&self, _now: SimTime) -> Option<SimTime> {
-        None
-    }
-
     /// Serializes the policy's *mutable* state (cursors, feedback windows,
     /// region schedules) for checkpointing. Configuration parameters are
     /// not written: a resume rebuilds the policy from the run config and

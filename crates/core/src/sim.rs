@@ -400,12 +400,11 @@ impl Simulation {
     ///
     /// The event loop merges the demand-trace stream with scrub slots in
     /// timestamp order, so policies see a realistic interleaving of
-    /// drift-clock resets and probes. Idle stretches the policy can bound
-    /// ([`crate::ScrubPolicy::idle_until`]) are skipped in one step, and
-    /// runs of scrub slots with no demand op in between are executed as
-    /// bank-parallel batches (on `config.threads` workers) when the policy
-    /// supports batch planning — both bit-identical to executing every
-    /// slot through [`ScrubEngine::step`].
+    /// drift-clock resets and probes. Runs of scrub slots with no demand
+    /// op in between are executed as bank-parallel batches (on
+    /// `config.threads` workers) when the policy supports batch planning
+    /// — bit-identical to executing every slot through
+    /// [`ScrubEngine::step`].
     pub fn run(self) -> SimReport {
         self.finish()
     }
@@ -753,25 +752,15 @@ impl Simulation {
         self.pending = self.trace.as_mut().and_then(|t| t.next_op());
     }
 
-    /// Executes the scrub slot at the engine's clock. When the policy can
-    /// bound its idle stretch ([`crate::ScrubPolicy::idle_until`]), the
-    /// slot clock jumps straight to the next due slot: per-line error
-    /// state needs no walking either way, since drift fast-forwards
-    /// analytically on next touch. Otherwise the slots before the next
-    /// demand op run as one bank-parallel batch if the policy can plan
-    /// one, else this one slot steps.
+    /// Executes the scrub slot at the engine's clock: the slots before the
+    /// next demand op run as one bank-parallel batch if the policy can
+    /// plan one, else this one slot steps.
     fn exec_scrub_slot(&mut self, stop: SimTime) {
         let demand_due = self.pending.map(|op| op.at);
         let engine = self
             .engine
             .as_mut()
             .expect("a due scrub slot implies an engine");
-        let now = engine.next_slot();
-        if let Some(due) = engine.policy().idle_until(now).filter(|&due| due > now) {
-            if engine.skip_idle_slots_before(due, stop, &self.memory) > 0 {
-                return;
-            }
-        }
         let threads = self.config.threads.max(1);
         if !engine.step_batch(&mut self.memory, stop, demand_due, threads) {
             engine.step(&mut self.memory);
