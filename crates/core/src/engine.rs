@@ -59,6 +59,10 @@ pub struct ScrubEngine {
     /// drifts one ulp per slot.
     next_slot_tick: u64,
     stats: EngineStats,
+    /// The policy declined a batch plan, so it never batches: later slots
+    /// skip laying out the slot grid up to the next demand op, which
+    /// costs up to `MAX_BATCH_SLOTS` steps per slot.
+    batches_declined: bool,
 }
 
 impl ScrubEngine {
@@ -68,6 +72,7 @@ impl ScrubEngine {
             policy,
             next_slot_tick: 0,
             stats: EngineStats::default(),
+            batches_declined: false,
         }
     }
 
@@ -180,7 +185,7 @@ impl ScrubEngine {
         threads: usize,
     ) -> bool {
         let now = self.next_slot();
-        if now > horizon || demand_due.is_some_and(|d| now >= d) {
+        if self.batches_declined || now > horizon || demand_due.is_some_and(|d| now >= d) {
             return false;
         }
         // Batchable policies have a constant, context-independent gap
@@ -203,6 +208,7 @@ impl ScrubEngine {
         // Only consult the policy once the batch extent is known:
         // plan_batch commits cursor state for exactly `times.len()` slots.
         let Some(plan) = self.policy.plan_batch(times.len() as u64) else {
+            self.batches_declined = true;
             return false;
         };
         let outcome = mem.scrub_sweep(

@@ -85,7 +85,8 @@ pub trait ScrubPolicy: fmt::Debug + Send {
     /// cursors past them, and describes the batch for parallel execution.
     /// Policies whose decisions depend on cross-line state (adaptive
     /// region scheduling, energy budgets) return `None` — the default —
-    /// and keep the sequential slot path.
+    /// and keep the sequential slot path. The answer must not change over
+    /// a policy's life: after one `None` the engine stops asking.
     fn plan_batch(&mut self, _slots: u64) -> Option<BatchPlan> {
         None
     }
