@@ -20,7 +20,10 @@
 
 use pcm_memsim::{Memory, OpKind, SimTime, TraceSource};
 use scrub_bench::experiments::e13;
-use scrub_core::{DemandTraffic, PolicyKind, ScrubEngine, SimConfig, SimReport, Simulation};
+use scrub_core::{
+    set_skewed_batch_for_test, DemandTraffic, PolicyKind, ScrubEngine, SimConfig, SimReport,
+    Simulation,
+};
 use scrub_telemetry as tel;
 
 /// The run under test: a campaign with SEU-window, intermittent-period,
@@ -242,5 +245,27 @@ fn simulation_matches_the_slot_by_slot_reference() {
     assert!(
         batched,
         "no journal shows a batched sweep; the batch path is not being exercised"
+    );
+
+    // Tripwire: the harness must be able to fail. A deliberately skewed
+    // batch (leaves the slot clock one slot late) must diverge from the
+    // reference for a batching mechanism.
+    tel::set_enabled(false);
+    let cfg = config(&PolicyKind::Basic { interval_s: 900.0 }, &traffics[0]);
+    let expected = reference(&cfg, &Simulation::new(cfg.clone()).run());
+    set_skewed_batch_for_test(true);
+    let skewed = Simulation::new(cfg.clone()).run();
+    set_skewed_batch_for_test(false);
+    assert_ne!(
+        skewed, expected,
+        "a skewed batch still matched the reference — the harness cannot \
+         detect an incorrect batch"
+    );
+    // With the skew cleared the run matches again, pinning the divergence
+    // on the skew rather than on ambient state.
+    let cleared = Simulation::new(cfg).run();
+    assert_eq!(
+        cleared, expected,
+        "run diverged from the reference after the skew cleared"
     );
 }

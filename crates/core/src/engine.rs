@@ -2,6 +2,8 @@
 //! time, or whole batches of slots executed bank-parallel when the policy
 //! can commit to them in advance.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use pcm_memsim::{LineAddr, Memory, SimTime, SweepPlan};
 use scrub_checkpoint::{CheckpointError, Reader, Writer};
 use scrub_telemetry as tel;
@@ -14,6 +16,18 @@ use crate::tick;
 /// randomness is keyed to its line's bank stream), so the cap is purely a
 /// memory-footprint knob.
 const MAX_BATCH_SLOTS: usize = 1 << 16;
+
+/// Test-only tripwire: when set, each batch leaves the slot clock one
+/// slot late — it skips a slot that slot-by-slot stepping executes. The
+/// differential harness flips this to prove it detects a skewed batch
+/// rather than vacuously passing.
+static SKEW_BATCH: AtomicBool = AtomicBool::new(false);
+
+/// Enables/disables the deliberate batch skew. Test-only.
+#[doc(hidden)]
+pub fn set_skewed_batch_for_test(on: bool) {
+    SKEW_BATCH.store(on, Ordering::Relaxed);
+}
 
 /// Engine-side counters (memory-side counters live in
 /// [`pcm_memsim::MemStats`]).
@@ -238,6 +252,9 @@ impl ScrubEngine {
         }
         self.policy.on_batch_idle(outcome.idle_slots);
         self.next_slot_tick = tk;
+        if SKEW_BATCH.load(Ordering::Relaxed) {
+            self.next_slot_tick += gap_ticks;
+        }
         true
     }
 

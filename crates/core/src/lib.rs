@@ -58,7 +58,7 @@ pub use budget::BudgetScrub;
 pub use checkpoint::{run_split, SplitRunOutcome};
 pub use combined::CombinedScrub;
 pub use config::PolicyKind;
-pub use engine::{EngineStats, ScrubEngine};
+pub use engine::{set_skewed_batch_for_test, EngineStats, ScrubEngine};
 pub use policy::{BatchPlan, ScrubAction, ScrubContext, ScrubPolicy, SweepCursor};
 pub use profiled::{ProfileParams, ProfiledScrub};
 pub use report::SimReport;
