@@ -11,14 +11,14 @@
 //! * **`RepairTriggered`** — every detection triggers the repair chain in
 //!   the same step; no detected-but-unrepaired line ever persists.
 //!
-//! The model is a tiny abstraction of `scrub_core::TourScrub`: integer
-//! token bucket, one abstract slot per transition, and an *adversary*
-//! that both drains demand tokens and injects corruptions, explored
-//! exhaustively by BFS over the full reachable state space. Each
-//! property also has a deliberately broken scheduler variant (a
-//! *tripwire*) proving the harness can catch a seeded violation; the
-//! stateful proptests in `scrub-core` check the same properties against
-//! the real implementation.
+//! The model is a tiny abstraction of the tour policy
+//! (`scrub_core::ScrubPolicy::tour`): integer token bucket, one abstract
+//! slot per transition, and an *adversary* that both drains demand
+//! tokens and injects corruptions, explored exhaustively by BFS over the
+//! full reachable state space. Each property also has a deliberately
+//! broken scheduler variant (a *tripwire*) proving the harness can catch
+//! a seeded violation; the stateful proptests in `scrub-core` check the
+//! same properties against the real implementation.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -91,7 +91,7 @@ impl Property {
 /// the deliberately broken tripwire variants the harness must catch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
-    /// The faithful abstraction of `TourScrub`. All properties hold.
+    /// The faithful abstraction of the tour policy. All properties hold.
     Fair,
     /// Anti-starvation boost disabled: demand at 100% of budget starves
     /// the tour forever. Violates `ScrubProgress` (and therefore

@@ -10,7 +10,7 @@ use pcm_ecc::{BchCode, BitBuf, CodeSpec, GfTable, LineCode, SecdedLine};
 use pcm_memsim::{FaultEngine, LineAddr, MemGeometry, Memory, SimTime};
 use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
-use scrub_core::{BasicScrub, CombinedScrub, ScrubEngine};
+use scrub_core::{ScrubEngine, ScrubPolicy};
 
 fn bench_gf_arith(c: &mut Criterion) {
     let gf = GfTable::new(10);
@@ -113,7 +113,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
                     CodeSpec::secded_line(),
                     4,
                 );
-                let engine = ScrubEngine::new(Box::new(BasicScrub::new(4096.0, 4096)));
+                let engine = ScrubEngine::new(ScrubPolicy::basic(4096.0, 4096));
                 (mem, engine)
             },
             |(mut mem, mut engine)| {
@@ -134,8 +134,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
                     CodeSpec::bch_line(6),
                     5,
                 );
-                let engine =
-                    ScrubEngine::new(Box::new(CombinedScrub::new(4096.0, 4096, 5, 16, 600.0)));
+                let engine = ScrubEngine::new(ScrubPolicy::combined(4096.0, 4096, 5, 16, 600.0));
                 (mem, engine)
             },
             |(mut mem, mut engine)| {

@@ -140,14 +140,17 @@ fn run_one(scale: &Scale, policy: &PolicyKind, seed: u64, threads: usize) -> Sim
 /// Computes the budget table without rendering.
 pub fn compute(scale: Scale) -> Vec<BudgetRow> {
     let threads = scrub_exec::default_threads();
+    let roster = roster(&scale);
     if tel::enabled() {
-        // The run-time bound CI checks `starvation_max_lag` against.
-        tel::set_value(
-            "e14.progress_bound_slots",
-            scale.num_lines as f64 * (MAX_DEFER as f64 + 1.0),
-        );
+        // The run-time bound CI checks `starvation_max_lag` against, from
+        // the policy the budgeted rows run.
+        let bound = roster
+            .iter()
+            .find_map(|(_, _, kind)| kind.build(scale.num_lines, 8, 0)?.progress_bound_slots())
+            .expect("the roster has budgeted tour rows");
+        tel::set_value("e14.progress_bound_slots", bound as f64);
     }
-    roster(&scale)
+    roster
         .into_iter()
         .map(|(label, iops, policy)| {
             let (outer, inner) = super::split_threads(threads, scale.reps as usize);

@@ -31,10 +31,7 @@ use pcm_ecc::CodeSpec;
 use pcm_memsim::CampaignSpec;
 use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
-use scrub_core::{
-    DemandTraffic, PolicyKind, ProfileParams, ProfiledScrub, SimConfig, SimReport, Simulation,
-    TourBudget,
-};
+use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport, Simulation};
 use scrub_telemetry as tel;
 
 use crate::runner;
@@ -193,7 +190,7 @@ fn run_one(
         .horizon_s(scale.horizon_s)
         .seed(seed)
         .threads(threads)
-        .fault_campaign(campaign.clone());
+        .fault_campaign(*campaign);
     let config = builder.build();
     match runner::checkpoint_every_s() {
         Some(every_s) => {
@@ -238,25 +235,10 @@ pub fn compute(scale: Scale) -> E17Results {
     if tel::enabled() {
         // The run-time progress bound for the profiled policy, the
         // shadow of the tour's model-checked ScrubProgress property.
-        let bound = ProfiledScrub::new(
-            INTERVAL_S,
-            scale.num_lines,
-            8,
-            THETA,
-            TourBudget {
-                iops: nominal_iops(&scale),
-                burst: BURST_TOKENS,
-                max_defer: MAX_DEFER,
-            },
-            ProfileParams {
-                capacity: profile_capacity(&scale),
-                hot_stride: HOT_STRIDE,
-                stretch: STRETCH,
-                risk: RISK,
-            },
-            0,
-        )
-        .progress_bound_slots();
+        let bound = profiled_kind(&scale, THETA, BUDGET_FACTOR)
+            .build(scale.num_lines, 8, 0)
+            .and_then(|p| p.progress_bound_slots())
+            .expect("the profiled policy is budgeted");
         tel::set_value("e17.progress_bound_slots", bound as f64);
     }
     let bch = CodeSpec::bch_line(6);

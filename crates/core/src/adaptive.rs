@@ -1,15 +1,14 @@
-//! Adaptive-rate scrub: per-region sweep intervals that respond to
-//! observed error pressure, trading soft-error risk against the hard-error
-//! wear and energy of scrubbing too eagerly.
+//! The `Regions` schedule of the adaptive and combined policies:
+//! per-region sweep intervals that respond to observed error pressure,
+//! trading soft-error risk against the hard-error wear and energy of
+//! scrubbing too eagerly. Regions that stay clean are scrubbed up to 4×
+//! less often; regions under error pressure up to 4× more often.
 
-use pcm_memsim::{AccessResult, LineAddr, SimTime};
+use pcm_memsim::{LineAddr, SimTime};
 use scrub_checkpoint::{CheckpointError, Reader, Writer};
 use scrub_telemetry as tel;
 
-use crate::policy::{ScrubAction, ScrubContext, ScrubPolicy};
-use crate::threshold::ThresholdScrub;
-
-/// Per-region sweep state shared by the adaptive policies.
+/// Per-region sweep state.
 #[derive(Debug, Clone)]
 pub(crate) struct RegionState {
     /// First line of the region.
@@ -47,24 +46,23 @@ pub(crate) struct RegionScheduler {
 }
 
 impl RegionScheduler {
+    /// Splits `num_lines` into at most `num_regions` contiguous regions
+    /// of `⌈num_lines / min(num_regions, num_lines)⌉` lines each; the last
+    /// region takes the remainder, and trailing regions that would start
+    /// past the last line are dropped, so every region is non-empty.
     pub fn new(num_lines: u32, num_regions: u32, base_interval_s: f64, theta: u32) -> Self {
-        assert!(
-            num_regions >= 1 && num_regions <= num_lines,
-            "bad region count"
-        );
-        let region_size = num_lines.div_ceil(num_regions);
-        let regions = (0..num_regions)
-            .map(|r| {
-                let start = r * region_size;
-                RegionState {
-                    start,
-                    end: ((r + 1) * region_size).min(num_lines),
-                    cursor: start,
-                    next_due: SimTime::ZERO,
-                    mult: 1.0,
-                    pass_probes: 0,
-                    pass_errors: 0,
-                }
+        assert!(num_lines >= 1 && num_regions >= 1, "bad region count");
+        let region_size = num_lines.div_ceil(num_regions.min(num_lines));
+        let regions = (0..num_lines)
+            .step_by(region_size as usize)
+            .map(|start| RegionState {
+                start,
+                end: (start + region_size).min(num_lines),
+                cursor: start,
+                next_due: SimTime::ZERO,
+                mult: 1.0,
+                pass_probes: 0,
+                pass_errors: 0,
             })
             .collect();
         Self {
@@ -156,11 +154,6 @@ impl RegionScheduler {
         }
     }
 
-    /// Mean interval multiplier across regions (diagnostic).
-    pub fn mean_mult(&self) -> f64 {
-        self.regions.iter().map(|r| r.mult).sum::<f64>() / self.regions.len() as f64
-    }
-
     /// Serializes the scheduler's mutable state: per-region cursors, due
     /// times, AIMD multipliers, pass statistics, and the active region.
     pub fn save_state(&self, w: &mut Writer) {
@@ -234,104 +227,37 @@ impl RegionScheduler {
     }
 }
 
-/// Adaptive-rate scrub: regions that stay clean get scrubbed up to 4×
-/// less often; regions under error pressure get scrubbed up to 4× more
-/// often. Combined with the lazy write-back threshold.
-///
-/// # Examples
-///
-/// ```
-/// use scrub_core::AdaptiveScrub;
-/// let p = AdaptiveScrub::new(900.0, 65_536, 5, 64);
-/// assert_eq!(p.num_regions(), 64);
-/// ```
-#[derive(Debug, Clone)]
-pub struct AdaptiveScrub {
-    sched: RegionScheduler,
-    num_lines: u32,
-    theta: u32,
-}
-
-impl AdaptiveScrub {
-    /// Creates an adaptive scrubber with `num_regions` independently paced
-    /// regions over a base sweep interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if parameters are degenerate (zero lines/regions/theta,
-    /// non-positive interval, or more regions than lines).
-    pub fn new(base_interval_s: f64, num_lines: u32, theta: u32, num_regions: u32) -> Self {
-        assert!(base_interval_s > 0.0, "scrub interval must be positive");
-        assert!(num_lines > 0, "need at least one line");
-        assert!(theta >= 1, "theta must be >= 1");
-        Self {
-            sched: RegionScheduler::new(num_lines, num_regions, base_interval_s, theta),
-            num_lines,
-            theta,
-        }
-    }
-
-    /// Number of independently paced regions.
-    pub fn num_regions(&self) -> u32 {
-        self.sched.regions.len() as u32
-    }
-
-    /// Mean region interval multiplier (1.0 = base rate; >1 = relaxed).
-    pub fn mean_interval_multiplier(&self) -> f64 {
-        self.sched.mean_mult()
-    }
-}
-
-impl ScrubPolicy for AdaptiveScrub {
-    fn name(&self) -> &str {
-        "adaptive"
-    }
-
-    fn probe_gap_s(&self, _ctx: &ScrubContext<'_>) -> f64 {
-        // Slot pacing stays at the base rate; adaptation works by letting
-        // regions go idle (Idle slots consume no memory bandwidth).
-        self.sched.base_interval_s / self.num_lines as f64
-    }
-
-    fn next_action(&mut self, ctx: &ScrubContext<'_>) -> ScrubAction {
-        match self.sched.next_line(ctx.now) {
-            Some(addr) => ScrubAction::Probe(addr),
-            None => ScrubAction::Idle,
-        }
-    }
-
-    fn wants_writeback(
-        &mut self,
-        addr: LineAddr,
-        result: &AccessResult,
-        _ctx: &ScrubContext<'_>,
-    ) -> bool {
-        self.sched.record_probe(addr, result.persistent_bits);
-        ThresholdScrub::threshold_rule(self.theta, result)
-    }
-
-    fn on_demand_write(&mut self, _addr: LineAddr, _now: SimTime) {}
-
-    fn save_state(&self, w: &mut Writer) {
-        self.sched.save_state(w);
-    }
-
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        self.sched.load_state(r)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn regions_partition_lines() {
-        let s = RegionScheduler::new(100, 7, 900.0, 4);
-        assert_eq!(s.regions.first().expect("nonempty").start, 0);
-        assert_eq!(s.regions.last().expect("nonempty").end, 100);
-        for w in s.regions.windows(2) {
-            assert_eq!(w[0].end, w[1].start);
+    proptest! {
+        /// Regions are non-empty, contiguous, and cover every line, for
+        /// any line and region count — including fewer lines than
+        /// regions, and counts where `regions` equal-size regions would
+        /// leave trailing ones empty. Wherever the plain
+        /// `regions × ⌈lines/regions⌉` split already had no empty region,
+        /// the partition is exactly that split.
+        #[test]
+        fn regions_partition_lines(lines in 1u32..=5000, regions in 1u32..=128) {
+            let s = RegionScheduler::new(lines, regions, 900.0, 4);
+            prop_assert_eq!(s.regions.first().expect("nonempty").start, 0);
+            prop_assert_eq!(s.regions.last().expect("nonempty").end, lines);
+            for r in &s.regions {
+                prop_assert!(r.start < r.end, "empty region {}..{}", r.start, r.end);
+            }
+            for w in s.regions.windows(2) {
+                prop_assert_eq!(w[0].end, w[1].start);
+            }
+            let size = lines.div_ceil(regions);
+            if regions <= lines && (regions - 1) * size < lines {
+                let plain: Vec<(u32, u32)> = (0..regions)
+                    .map(|r| (r * size, ((r + 1) * size).min(lines)))
+                    .collect();
+                let got: Vec<(u32, u32)> = s.regions.iter().map(|r| (r.start, r.end)).collect();
+                prop_assert_eq!(got, plain);
+            }
         }
     }
 

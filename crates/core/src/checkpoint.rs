@@ -114,12 +114,6 @@ mod tests {
                 theta: 4,
                 min_age_s: 600.0,
             },
-            PolicyKind::Budget {
-                interval_s: 900.0,
-                theta: 4,
-                target_ue_per_gib_day: 1e-2,
-                window_s: 1800.0,
-            },
             PolicyKind::Adaptive {
                 interval_s: 900.0,
                 theta: 4,

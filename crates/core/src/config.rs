@@ -1,14 +1,9 @@
 //! Declarative policy configuration, so experiments can enumerate
 //! mechanisms as data.
 
-use crate::adaptive::AdaptiveScrub;
-use crate::age_aware::AgeAwareScrub;
-use crate::basic::BasicScrub;
-use crate::combined::CombinedScrub;
 use crate::policy::ScrubPolicy;
-use crate::profiled::{ProfileParams, ProfiledScrub};
-use crate::threshold::ThresholdScrub;
-use crate::tour::{TourBudget, TourScrub};
+use crate::profiled::ProfileParams;
+use crate::tour::TourBudget;
 
 /// A scrub mechanism plus its parameters, as plain data.
 ///
@@ -54,18 +49,6 @@ pub enum PolicyKind {
         /// Number of independently paced regions.
         regions: u32,
     },
-    /// Feedback controller servoing the sweep interval onto a UE budget
-    /// (extension mechanism).
-    Budget {
-        /// Initial sweep interval (seconds).
-        interval_s: f64,
-        /// Write-back threshold (bit errors).
-        theta: u32,
-        /// Target uncorrectable errors per GiB-day.
-        target_ue_per_gib_day: f64,
-        /// Controller adjustment window (seconds).
-        window_s: f64,
-    },
     /// IOPS-budgeted tour with randomized per-bank origins: scrub shares
     /// a token bucket with demand traffic, with an anti-starvation boost
     /// bounding every tour at `num_lines * (max_defer + 1)` slots
@@ -85,7 +68,7 @@ pub enum PolicyKind {
     /// Profiling-guided budgeted tour: a bounded per-line risk table
     /// accumulated from probe syndromes steers a hot-line interleave,
     /// quiet-line probe stretching, and a lazy-plus write-back threshold
-    /// (extension mechanism; see [`crate::ProfiledScrub`]).
+    /// (extension mechanism; see [`ScrubPolicy::profiled`]).
     Profiled {
         /// Unthrottled tour period (seconds); sets the slot cadence.
         interval_s: f64,
@@ -156,49 +139,32 @@ impl PolicyKind {
     /// `banks` banks; `None` yields no policy. `seed` feeds policies with
     /// randomized-but-deterministic structure (tour origins); the other
     /// kinds ignore it.
-    pub fn build(&self, num_lines: u32, banks: u32, seed: u64) -> Option<Box<dyn ScrubPolicy>> {
-        let _ = (banks, seed);
+    pub fn build(&self, num_lines: u32, banks: u32, seed: u64) -> Option<ScrubPolicy> {
         match *self {
             PolicyKind::None => None,
-            PolicyKind::Basic { interval_s } => {
-                Some(Box::new(BasicScrub::new(interval_s, num_lines)))
-            }
+            PolicyKind::Basic { interval_s } => Some(ScrubPolicy::basic(interval_s, num_lines)),
             PolicyKind::Threshold { interval_s, theta } => {
-                Some(Box::new(ThresholdScrub::new(interval_s, num_lines, theta)))
+                Some(ScrubPolicy::threshold(interval_s, num_lines, theta))
             }
             PolicyKind::AgeAware {
                 interval_s,
                 theta,
                 min_age_s,
-            } => Some(Box::new(AgeAwareScrub::new(
+            } => Some(ScrubPolicy::age_aware(
                 interval_s, num_lines, theta, min_age_s,
-            ))),
+            )),
             PolicyKind::Adaptive {
                 interval_s,
                 theta,
                 regions,
-            } => Some(Box::new(AdaptiveScrub::new(
-                interval_s, num_lines, theta, regions,
-            ))),
-            PolicyKind::Budget {
-                interval_s,
-                theta,
-                target_ue_per_gib_day,
-                window_s,
-            } => Some(Box::new(crate::budget::BudgetScrub::new(
-                interval_s,
-                num_lines,
-                theta,
-                target_ue_per_gib_day,
-                window_s,
-            ))),
+            } => Some(ScrubPolicy::adaptive(interval_s, num_lines, theta, regions)),
             PolicyKind::Tour {
                 interval_s,
                 theta,
                 iops,
                 burst,
                 max_defer,
-            } => Some(Box::new(TourScrub::new(
+            } => Some(ScrubPolicy::tour(
                 interval_s,
                 num_lines,
                 banks,
@@ -209,7 +175,7 @@ impl PolicyKind {
                     max_defer,
                 },
                 seed,
-            ))),
+            )),
             PolicyKind::Profiled {
                 interval_s,
                 theta,
@@ -220,7 +186,7 @@ impl PolicyKind {
                 hot_stride,
                 stretch,
                 risk,
-            } => Some(Box::new(ProfiledScrub::new(
+            } => Some(ScrubPolicy::profiled(
                 interval_s,
                 num_lines,
                 banks,
@@ -237,15 +203,15 @@ impl PolicyKind {
                     risk,
                 },
                 seed,
-            ))),
+            )),
             PolicyKind::Combined {
                 interval_s,
                 theta,
                 regions,
                 min_age_s,
-            } => Some(Box::new(CombinedScrub::new(
+            } => Some(ScrubPolicy::combined(
                 interval_s, num_lines, theta, regions, min_age_s,
-            ))),
+            )),
         }
     }
 
@@ -267,14 +233,6 @@ impl PolicyKind {
                 theta,
                 regions,
             } => format!("adaptive(i={interval_s}s,th={theta},r={regions})"),
-            PolicyKind::Budget {
-                interval_s,
-                theta,
-                target_ue_per_gib_day,
-                window_s,
-            } => format!(
-                "budget(i={interval_s}s,th={theta},target={target_ue_per_gib_day}/GiB-day,w={window_s}s)"
-            ),
             PolicyKind::Tour {
                 interval_s,
                 theta,
@@ -329,12 +287,6 @@ mod tests {
                 theta: 3,
                 regions: 8,
             },
-            PolicyKind::Budget {
-                interval_s: 900.0,
-                theta: 3,
-                target_ue_per_gib_day: 10.0,
-                window_s: 3600.0,
-            },
             PolicyKind::Tour {
                 interval_s: 900.0,
                 theta: 3,
@@ -350,7 +302,6 @@ mod tests {
             "threshold",
             "age-aware",
             "adaptive",
-            "budget",
             "tour",
             "profiled",
             "combined",

@@ -48,7 +48,7 @@ pub struct EngineStats {
 /// # Examples
 ///
 /// ```
-/// use scrub_core::{BasicScrub, ScrubEngine};
+/// use scrub_core::{ScrubEngine, ScrubPolicy};
 /// use pcm_memsim::{Memory, MemGeometry, SimTime};
 /// use pcm_ecc::CodeSpec;
 /// use pcm_model::DeviceConfig;
@@ -59,7 +59,7 @@ pub struct EngineStats {
 ///     CodeSpec::secded_line(),
 ///     0,
 /// );
-/// let mut engine = ScrubEngine::new(Box::new(BasicScrub::new(64.0, 64)));
+/// let mut engine = ScrubEngine::new(ScrubPolicy::basic(64.0, 64));
 /// while engine.next_slot() <= SimTime::from_secs(128.0) {
 ///     engine.step(&mut mem);
 /// }
@@ -67,7 +67,9 @@ pub struct EngineStats {
 /// ```
 #[derive(Debug)]
 pub struct ScrubEngine {
-    policy: Box<dyn ScrubPolicy>,
+    policy: ScrubPolicy,
+    /// The policy's constant slot gap on the tick grid.
+    gap_ticks: u64,
     /// Next slot on the integer nanosecond grid (see [`crate::tick`]);
     /// scheduling by tick addition is exact where f64 accumulation
     /// drifts one ulp per slot.
@@ -81,8 +83,14 @@ pub struct ScrubEngine {
 
 impl ScrubEngine {
     /// Wraps a policy; the first slot fires at time zero.
-    pub fn new(policy: Box<dyn ScrubPolicy>) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy's slot gap is not a positive, finite number
+    /// of seconds the tick clock can hold.
+    pub fn new(policy: ScrubPolicy) -> Self {
         Self {
+            gap_ticks: tick::gap_to_ticks(policy.slot_gap_s()),
             policy,
             next_slot_tick: 0,
             stats: EngineStats::default(),
@@ -106,8 +114,8 @@ impl ScrubEngine {
     }
 
     /// The policy being driven.
-    pub fn policy(&self) -> &dyn ScrubPolicy {
-        self.policy.as_ref()
+    pub fn policy(&self) -> &ScrubPolicy {
+        &self.policy
     }
 
     /// Forwards a demand-write notification to the policy.
@@ -175,11 +183,7 @@ impl ScrubEngine {
                 tel::counter_add(tel::Counter::EngineIdleSlots, 1);
             }
         }
-        let gap = {
-            let ctx = ScrubContext { now, mem };
-            self.policy.probe_gap_s(&ctx)
-        };
-        self.next_slot_tick += tick::gap_to_ticks(gap);
+        self.next_slot_tick += self.gap_ticks;
     }
 
     /// Executes every slot from [`ScrubEngine::next_slot`] up to `horizon`
@@ -202,13 +206,7 @@ impl ScrubEngine {
         if self.batches_declined || now > horizon || demand_due.is_some_and(|d| now >= d) {
             return false;
         }
-        // Batchable policies have a constant, context-independent gap
-        // (interval / num_lines); sample it once.
-        let gap = {
-            let ctx = ScrubContext { now, mem };
-            self.policy.probe_gap_s(&ctx)
-        };
-        let gap_ticks = tick::gap_to_ticks(gap);
+        let gap_ticks = self.gap_ticks;
         // Slot times on the same tick grid slot-at-a-time stepping walks,
         // so batch timestamps match `step` bit-for-bit.
         let mut times: Vec<SimTime> = Vec::new();
@@ -303,9 +301,6 @@ impl ScrubEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::age_aware::AgeAwareScrub;
-    use crate::basic::BasicScrub;
-    use crate::threshold::ThresholdScrub;
     use pcm_ecc::CodeSpec;
     use pcm_memsim::MemGeometry;
     use pcm_model::DeviceConfig;
@@ -322,7 +317,7 @@ mod tests {
     #[test]
     fn slots_advance_by_gap() {
         let mut m = mem(CodeSpec::bch_line(4), 10, 81);
-        let mut e = ScrubEngine::new(Box::new(BasicScrub::new(100.0, 10)));
+        let mut e = ScrubEngine::new(ScrubPolicy::basic(100.0, 10));
         assert_eq!(e.next_slot(), SimTime::ZERO);
         e.step(&mut m);
         assert!((e.next_slot().secs() - 10.0).abs() < 1e-9);
@@ -333,7 +328,7 @@ mod tests {
         let mut m = mem(CodeSpec::secded_line(), 32, 82);
         // A sweep "interval" of 32 weeks makes each slot land a week after
         // the previous one, so every probed line is ancient by its slot.
-        let mut e = ScrubEngine::new(Box::new(BasicScrub::new(604_800.0 * 32.0, 32)));
+        let mut e = ScrubEngine::new(ScrubPolicy::basic(604_800.0 * 32.0, 32));
         for _ in 0..32 {
             e.step(&mut m);
         }
@@ -349,7 +344,7 @@ mod tests {
 
     #[test]
     fn threshold_engine_writes_less_than_basic() {
-        let run = |policy: Box<dyn ScrubPolicy>, seed: u64| -> (u64, u64) {
+        let run = |policy: ScrubPolicy, seed: u64| -> (u64, u64) {
             let mut m = mem(CodeSpec::bch_line(6), 64, seed);
             let mut e = ScrubEngine::new(policy);
             // 20 sweeps at 2h each over 64 lines.
@@ -358,8 +353,8 @@ mod tests {
             }
             (m.stats().scrub_writebacks, m.stats().scrub_probes)
         };
-        let (basic_wb, basic_probes) = run(Box::new(BasicScrub::new(7200.0, 64)), 83);
-        let (lazy_wb, lazy_probes) = run(Box::new(ThresholdScrub::new(7200.0, 64, 5)), 83);
+        let (basic_wb, basic_probes) = run(ScrubPolicy::basic(7200.0, 64), 83);
+        let (lazy_wb, lazy_probes) = run(ScrubPolicy::threshold(7200.0, 64, 5), 83);
         assert_eq!(basic_probes, lazy_probes);
         assert!(
             lazy_wb * 3 < basic_wb.max(3),
@@ -372,21 +367,21 @@ mod tests {
     /// policy, and counters bit-identical to slot-at-a-time stepping.
     #[test]
     fn step_batch_matches_sequential_steps_exactly() {
-        let policies: Vec<Box<dyn Fn() -> Box<dyn ScrubPolicy>>> = vec![
-            Box::new(|| Box::new(BasicScrub::new(7200.0, 64))),
-            Box::new(|| Box::new(ThresholdScrub::new(7200.0, 64, 4))),
-            Box::new(|| Box::new(AgeAwareScrub::new(7200.0, 64, 4, 1800.0))),
+        let policies = [
+            ScrubPolicy::basic(7200.0, 64),
+            ScrubPolicy::threshold(7200.0, 64, 4),
+            ScrubPolicy::age_aware(7200.0, 64, 4, 1800.0),
         ];
         let horizon = SimTime::from_secs(30.0 * 3600.0);
-        for make in &policies {
+        for policy in &policies {
             let mut seq_mem = mem(CodeSpec::bch_line(6), 64, 90);
-            let mut seq = ScrubEngine::new(make());
+            let mut seq = ScrubEngine::new(policy.clone());
             while seq.next_slot() <= horizon {
                 seq.step(&mut seq_mem);
             }
             for threads in [1usize, 8] {
                 let mut bat_mem = mem(CodeSpec::bch_line(6), 64, 90);
-                let mut bat = ScrubEngine::new(make());
+                let mut bat = ScrubEngine::new(policy.clone());
                 while bat.next_slot() <= horizon {
                     assert!(bat.step_batch(&mut bat_mem, horizon, None, threads));
                 }
@@ -408,7 +403,7 @@ mod tests {
     #[test]
     fn step_batch_respects_demand_due_and_tie_priority() {
         let mut m = mem(CodeSpec::bch_line(4), 16, 91);
-        let mut e = ScrubEngine::new(Box::new(BasicScrub::new(160.0, 16)));
+        let mut e = ScrubEngine::new(ScrubPolicy::basic(160.0, 16));
         // Slots at t = 0, 10, 20, ...; demand due exactly at t = 30 (a tie
         // goes to demand, so slot 30 must NOT run).
         let due = Some(SimTime::from_secs(30.0));
@@ -422,33 +417,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-positive probe gap")]
     fn rejects_bad_gap() {
-        #[derive(Debug)]
-        struct BadPolicy;
-        impl ScrubPolicy for BadPolicy {
-            fn name(&self) -> &str {
-                "bad"
-            }
-            fn probe_gap_s(&self, _: &ScrubContext<'_>) -> f64 {
-                0.0
-            }
-            fn next_action(&mut self, _: &ScrubContext<'_>) -> ScrubAction {
-                ScrubAction::Idle
-            }
-            fn wants_writeback(
-                &mut self,
-                _: LineAddr,
-                _: &pcm_memsim::AccessResult,
-                _: &ScrubContext<'_>,
-            ) -> bool {
-                false
-            }
-            fn save_state(&self, _: &mut Writer) {}
-            fn load_state(&mut self, _: &mut Reader<'_>) -> Result<(), CheckpointError> {
-                Ok(())
-            }
-        }
-        let mut m = mem(CodeSpec::bch_line(2), 4, 84);
-        let mut e = ScrubEngine::new(Box::new(BadPolicy));
-        e.step(&mut m);
+        // An unbounded interval leaves no slot gap the tick clock can hold.
+        ScrubEngine::new(ScrubPolicy::basic(f64::INFINITY, 4));
     }
 }

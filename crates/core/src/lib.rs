@@ -8,14 +8,20 @@
 //!
 //! ## Mechanisms
 //!
-//! | Policy | Idea |
-//! |--------|------|
-//! | [`BasicScrub`] | DRAM-style baseline: sweep + write back on any error |
-//! | [`ThresholdScrub`] | lightweight detection, lazy write-back at θ errors |
-//! | [`AgeAwareScrub`] | skip lines too young to have drifted |
-//! | [`AdaptiveScrub`] | per-region AIMD sweep pacing |
-//! | [`CombinedScrub`] | all of the above (the paper's proposal) |
-//! | [`ProfiledScrub`] | per-line risk profiling over the budgeted tour |
+//! Every mechanism is one [`ScrubPolicy`], composed of a schedule (which
+//! line next), a gate (may we probe now), a write-back rule (what a
+//! detection triggers), and an optional risk profile; each
+//! [`PolicyKind`] is one constructor (table on [`ScrubPolicy`]).
+//!
+//! | Kind | Idea |
+//! |------|------|
+//! | [`ScrubPolicy::basic`] | DRAM-style baseline: sweep + write back on any error |
+//! | [`ScrubPolicy::threshold`] | lightweight detection, lazy write-back at θ errors |
+//! | [`ScrubPolicy::age_aware`] | skip lines too young to have drifted |
+//! | [`ScrubPolicy::adaptive`] | per-region AIMD sweep pacing |
+//! | [`ScrubPolicy::combined`] | all of the above (the paper's proposal) |
+//! | [`ScrubPolicy::tour`] | IOPS-budgeted tour sharing a token bucket with demand |
+//! | [`ScrubPolicy::profiled`] | per-line risk profiling over the budgeted tour |
 //!
 //! ## Running an experiment
 //!
@@ -37,10 +43,7 @@
 
 mod adaptive;
 mod age_aware;
-mod basic;
-mod budget;
 mod checkpoint;
-mod combined;
 mod config;
 mod engine;
 mod policy;
@@ -51,17 +54,11 @@ mod threshold;
 pub mod tick;
 mod tour;
 
-pub use adaptive::AdaptiveScrub;
-pub use age_aware::AgeAwareScrub;
-pub use basic::BasicScrub;
-pub use budget::BudgetScrub;
 pub use checkpoint::{run_split, SplitRunOutcome};
-pub use combined::CombinedScrub;
 pub use config::PolicyKind;
 pub use engine::{set_skewed_batch_for_test, EngineStats, ScrubEngine};
 pub use policy::{BatchPlan, ScrubAction, ScrubContext, ScrubPolicy, SweepCursor};
-pub use profiled::{ProfileParams, ProfiledScrub};
+pub use profiled::{ProfileParams, RiskProfile};
 pub use report::SimReport;
 pub use sim::{DemandTraffic, SimConfig, SimConfigBuilder, Simulation};
-pub use threshold::ThresholdScrub;
-pub use tour::{TourBudget, TourScrub};
+pub use tour::{TokenBucket, TourBudget, TourCursor};

@@ -2,10 +2,10 @@
 //! error-prone and redistributes probe effort toward them.
 //!
 //! The paper's mechanisms pace scrubbing from *global* knobs (interval,
-//! threshold, region feedback). `ProfiledScrub` instead accumulates a
-//! bounded per-line *risk profile* from probe-history syndromes — the
-//! correctable-error counts every probe reports anyway — and uses it
-//! three ways:
+//! threshold, region feedback). The profiled policy instead accumulates a
+//! bounded per-line *risk profile* ([`RiskProfile`]) from probe-history
+//! syndromes — the correctable-error counts every probe reports anyway —
+//! and uses it three ways:
 //!
 //! * **hot interleave** — every `hot_stride`-th granted slot probes a
 //!   line whose score is at or above `risk`, round-robin, on top of its
@@ -19,11 +19,13 @@
 //!   profiled lines use `θ`, lengthening the accumulate/write cycle
 //!   exactly where the drift evidence is weakest.
 //!
-//! Probe scheduling spends from the same demand-shared token bucket as
-//! [`TourScrub`](crate::TourScrub) (PR 7), anti-starvation boost
-//! included, so a `profiled` shard composes with `tour` accounting and
-//! inherits the `ScrubProgress`-style bound: no line can go unprobed for
-//! more than [`ProfiledScrub::progress_bound_slots`] slots.
+//! The profile rides on the tour's schedule and gate: probes spend from
+//! the same demand-shared token bucket ([`crate::TokenBucket`]),
+//! anti-starvation boost included, so a `profiled` shard composes with
+//! `tour` accounting and inherits the `ScrubProgress`-style bound: no
+//! line can go unprobed for more than
+//! [`ScrubPolicy::progress_bound_slots`](crate::ScrubPolicy::progress_bound_slots)
+//! slots.
 //!
 //! The table is bounded (`capacity` entries); at overflow the
 //! lowest-score entry is evicted (smallest address on ties), so the
@@ -32,13 +34,9 @@
 
 use std::collections::BTreeMap;
 
-use pcm_memsim::{AccessResult, LineAddr, SimTime};
+use pcm_memsim::{splitmix64, AccessResult, LineAddr};
 use scrub_checkpoint::{CheckpointError, Reader, Writer};
 use scrub_telemetry as tel;
-
-use crate::policy::{ScrubAction, ScrubContext, ScrubPolicy};
-use crate::threshold::ThresholdScrub;
-use crate::tour::TourBudget;
 
 /// Scores saturate here; one UE bump is 64, so the cap is far above any
 /// plausible accumulation but keeps checkpoint validation meaningful.
@@ -80,56 +78,19 @@ impl Default for ProfileParams {
     }
 }
 
-/// SplitMix64 (same finalizer as the tour's origin derivation), used for
-/// per-bank origins and the quiet-stretch phase stripes.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Profiling-guided budgeted scrub.
-///
-/// # Examples
-///
-/// ```
-/// use scrub_core::{ProfileParams, ProfiledScrub, TourBudget};
-/// let p = ProfiledScrub::new(
-///     900.0,
-///     65_536,
-///     8,
-///     4,
-///     TourBudget { iops: 200.0, burst: 64.0, max_defer: 8 },
-///     ProfileParams::default(),
-///     7,
-/// );
-/// assert!(p.progress_bound_slots() >= 2 * 65_536 * 9);
-/// ```
+/// The risk profile: a bounded per-line score table learned from probe
+/// syndromes, which steers a tour (hot interleave, quiet stretch) and
+/// tells the write-back rule which lines are quiet.
 #[derive(Debug, Clone)]
-pub struct ProfiledScrub {
+pub struct RiskProfile {
     // --- configuration (rebuilt from the run config on resume) ---
-    interval_s: f64,
-    num_lines: u32,
-    banks: u32,
-    theta: u32,
-    budget: TourBudget,
     params: ProfileParams,
+    /// Run seed; the quiet-stretch phase stripes derive from it.
     seed: u64,
-    origins: Vec<u32>,
     /// Test-only tripwire: drop the risk table on checkpoint load, so a
     /// restored twin diverges from the original. Never serialized.
     forgetful: bool,
     // --- mutable state (checkpointed) ---
-    pos: u32,
-    tours_completed: u64,
-    tokens: f64,
-    last_refill: SimTime,
-    defer_streak: u32,
-    throttled_slots: u64,
-    forced_probes: u64,
-    slots_this_tour: u64,
-    max_tour_slots: u64,
     /// Granted probe slots (tour + hot), drives the hot interleave.
     granted: u64,
     /// Round-robin cursor over the hot subset of the table.
@@ -144,66 +105,17 @@ pub struct ProfiledScrub {
     hot_probes: u64,
 }
 
-impl ProfiledScrub {
-    /// Creates a profiling-guided scrubber. `interval_s`, `theta`,
-    /// `budget`, and `seed` behave exactly as in
-    /// [`TourScrub::new`](crate::TourScrub::new); `params` tunes the
-    /// profiler.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the tour's invalid inputs, plus `capacity == 0`,
-    /// `hot_stride < 2`, `stretch == 0`, or `risk == 0`.
-    pub fn new(
-        interval_s: f64,
-        num_lines: u32,
-        banks: u32,
-        theta: u32,
-        budget: TourBudget,
-        params: ProfileParams,
-        seed: u64,
-    ) -> Self {
-        assert!(interval_s > 0.0, "interval must be positive");
-        assert!(num_lines > 0, "need at least one line");
-        assert!(banks > 0 && banks <= num_lines, "need 1..=num_lines banks");
-        assert!(theta >= 1, "theta must be >= 1");
-        assert!(
-            budget.iops.is_finite() && budget.iops > 0.0,
-            "iops must be positive"
-        );
-        assert!(
-            budget.burst.is_finite() && budget.burst >= 1.0,
-            "burst must be at least one token"
-        );
+impl RiskProfile {
+    /// An empty profile.
+    pub(crate) fn new(params: ProfileParams, seed: u64) -> Self {
         assert!(params.capacity >= 1, "profile capacity must be >= 1");
         assert!(params.hot_stride >= 2, "hot stride must be >= 2");
         assert!(params.stretch >= 1, "stretch must be >= 1");
         assert!(params.risk >= 1, "risk threshold must be >= 1");
-        let origins = (0..banks)
-            .map(|b| {
-                let count = Self::bank_line_count(num_lines, banks, b);
-                (splitmix64(seed ^ 0x0070_5246 ^ u64::from(b)) % u64::from(count)) as u32
-            })
-            .collect();
         Self {
-            interval_s,
-            num_lines,
-            banks,
-            theta,
-            budget,
             params,
             seed,
-            origins,
             forgetful: false,
-            pos: 0,
-            tours_completed: 0,
-            tokens: budget.burst,
-            last_refill: SimTime::ZERO,
-            defer_streak: 0,
-            throttled_slots: 0,
-            forced_probes: 0,
-            slots_this_tour: 0,
-            max_tour_slots: 0,
             granted: 0,
             hot_cursor: 0,
             table: BTreeMap::new(),
@@ -216,35 +128,8 @@ impl ProfiledScrub {
         }
     }
 
-    fn bank_line_count(num_lines: u32, banks: u32, b: u32) -> u32 {
-        num_lines / banks + u32::from(b < num_lines % banks)
-    }
-
-    /// The profiled analogue of the tour's `ScrubProgress` bound: every
-    /// line is probed at least once per `stretch` tours, each tour needs
-    /// at most `num_lines` cursor advances plus the hot interleave's
-    /// stolen grants, and each grant costs at most `max_defer + 1` slots.
-    pub fn progress_bound_slots(&self) -> u64 {
-        let lines = u64::from(self.num_lines);
-        let hot_steals = lines.div_ceil(u64::from(self.params.hot_stride) - 1) + 1;
-        u64::from(self.params.stretch)
-            * (u64::from(self.budget.max_defer) + 1)
-            * (lines + hot_steals)
-    }
-
-    /// Tour position (next line index in tour order).
-    pub fn position(&self) -> u32 {
-        self.pos
-    }
-
-    /// Completed tours.
-    pub fn tours_completed(&self) -> u64 {
-        self.tours_completed
-    }
-
-    /// Tokens currently in the bucket.
-    pub fn tokens(&self) -> f64 {
-        self.tokens
+    pub(crate) fn params(&self) -> &ProfileParams {
+        &self.params
     }
 
     /// Lines currently resident in the risk table.
@@ -252,9 +137,9 @@ impl ProfiledScrub {
         self.table.len()
     }
 
-    /// Configured profile capacity.
-    pub fn capacity(&self) -> u32 {
-        self.params.capacity
+    /// Current score of `addr`, zero if unprofiled.
+    pub fn score(&self, addr: LineAddr) -> u32 {
+        self.table.get(&addr.0).copied().unwrap_or(0)
     }
 
     /// Probes of profiled lines that found persistent errors.
@@ -277,62 +162,40 @@ impl ProfiledScrub {
         self.hot_probes
     }
 
-    /// All probes this policy has inspected, and the dirty subset.
-    pub fn probe_mix(&self) -> (u64, u64) {
-        (self.probes_seen, self.dirty_probes)
-    }
-
-    /// Current score of `addr`, zero if unprofiled.
-    pub fn score(&self, addr: LineAddr) -> u32 {
-        self.table.get(&addr.0).copied().unwrap_or(0)
-    }
-
-    /// Test-only tripwire: makes checkpoint restore drop the learned
-    /// risk table, so the restored twin schedules differently from the
-    /// original. The profiled proptests prove the harness catches this.
-    #[doc(hidden)]
-    pub fn set_forgetful_for_test(&mut self, forgetful: bool) {
+    pub(crate) fn set_forgetful(&mut self, forgetful: bool) {
         self.forgetful = forgetful;
     }
 
-    /// The line the tour visits at position `p` (same interleaving as
-    /// the tour policy, under this policy's own origins).
-    fn addr_at(&self, p: u32) -> LineAddr {
-        let b = p % self.banks;
-        let j = p / self.banks;
-        let count = Self::bank_line_count(self.num_lines, self.banks, b);
-        LineAddr(b + ((self.origins[b as usize] + j) % count) * self.banks)
+    /// The hot line this grant probes, if the grant is the interleave's
+    /// turn (every `hot_stride`-th) and a line at or above `risk` exists.
+    pub(crate) fn hot_turn(&mut self) -> Option<LineAddr> {
+        if !(self.granted + 1).is_multiple_of(u64::from(self.params.hot_stride)) {
+            return None;
+        }
+        let addr = self.next_hot()?;
+        self.hot_probes += 1;
+        if tel::enabled() {
+            tel::counter_add(tel::Counter::ProfilerHotProbes, 1);
+        }
+        Some(addr)
     }
 
-    /// The quiet-stretch phase stripe of `addr`: the line is due on
-    /// tours where `tours_completed ≡ phase (mod stretch)`.
+    /// Counts a granted probe slot.
+    pub(crate) fn on_grant(&mut self) {
+        self.granted += 1;
+    }
+
+    /// Whether the quiet stretch skips `addr` on tour number `tour`: an
+    /// unprofiled line is due only on tours where
+    /// `tour ≡ phase(addr) (mod stretch)`.
+    pub(crate) fn skips(&self, addr: LineAddr, tour: u64) -> bool {
+        let stretch = u64::from(self.params.stretch);
+        stretch > 1 && !self.table.contains_key(&addr.0) && self.phase(addr.0) != tour % stretch
+    }
+
+    /// The quiet-stretch phase stripe of `addr`.
     fn phase(&self, addr: u32) -> u64 {
         splitmix64(self.seed ^ 0x7052_4f46 ^ u64::from(addr)) % u64::from(self.params.stretch)
-    }
-
-    fn refill(&mut self, now: SimTime) {
-        let elapsed = now.since(self.last_refill).max(0.0);
-        self.tokens = (self.tokens + self.budget.iops * elapsed).min(self.budget.burst);
-        self.last_refill = now;
-    }
-
-    fn charge_demand(&mut self, now: SimTime) {
-        self.refill(now);
-        self.tokens = (self.tokens - 1.0).max(0.0);
-    }
-
-    fn advance(&mut self) {
-        self.pos += 1;
-        if self.pos == self.num_lines {
-            self.pos = 0;
-            self.tours_completed += 1;
-            self.max_tour_slots = self.max_tour_slots.max(self.slots_this_tour);
-            if tel::enabled() {
-                tel::counter_add(tel::Counter::ToursCompleted, 1);
-                tel::gauge_max(tel::Gauge::StarvationMaxLag, self.slots_this_tour);
-            }
-            self.slots_this_tour = 0;
-        }
     }
 
     /// Next hot line (score >= risk) after the round-robin cursor, if
@@ -354,105 +217,10 @@ impl ProfiledScrub {
         Some(LineAddr(next))
     }
 
-    /// Adds `inc` to `addr`'s score, inserting and evicting as needed.
-    fn bump(&mut self, addr: u32, inc: u32) {
-        let is_new = !self.table.contains_key(&addr);
-        let e = self.table.entry(addr).or_insert(0);
-        *e = e.saturating_add(inc).min(SCORE_CAP);
-        if is_new && self.table.len() as u32 > self.params.capacity {
-            let victim = self
-                .table
-                .iter()
-                .min_by_key(|&(&a, &s)| (s, a))
-                .map(|(&a, _)| a)
-                .expect("table is non-empty past capacity");
-            self.table.remove(&victim);
-            self.evictions += 1;
-            if tel::enabled() {
-                tel::counter_add(tel::Counter::ProfilerEvictions, 1);
-            }
-        }
-        if tel::enabled() {
-            tel::gauge_max(tel::Gauge::ProfilerOccupancy, self.table.len() as u64);
-        }
-    }
-
-    /// Halves `addr`'s score (clean probe or demand rewrite), dropping
-    /// the entry once it reaches zero.
-    fn decay(&mut self, addr: u32) {
-        if let Some(s) = self.table.get_mut(&addr) {
-            *s /= 2;
-            if *s == 0 {
-                self.table.remove(&addr);
-            }
-        }
-    }
-}
-
-impl ScrubPolicy for ProfiledScrub {
-    fn name(&self) -> &str {
-        "profiled"
-    }
-
-    fn probe_gap_s(&self, _ctx: &ScrubContext<'_>) -> f64 {
-        self.interval_s / self.num_lines as f64
-    }
-
-    fn next_action(&mut self, ctx: &ScrubContext<'_>) -> ScrubAction {
-        self.refill(ctx.now);
-        self.slots_this_tour += 1;
-        let forced = self.tokens < 1.0 && self.defer_streak >= self.budget.max_defer;
-        if self.tokens < 1.0 && !forced {
-            self.defer_streak += 1;
-            self.throttled_slots += 1;
-            tel::counter_add(tel::Counter::BudgetThrottled, 1);
-            return ScrubAction::Idle;
-        }
-        // A grant is available. Hot interleave first: every
-        // `hot_stride`-th granted probe goes to a profiled hot line.
-        if (self.granted + 1) % u64::from(self.params.hot_stride) == 0 {
-            if let Some(addr) = self.next_hot() {
-                self.granted += 1;
-                self.hot_probes += 1;
-                if tel::enabled() {
-                    tel::counter_add(tel::Counter::ProfilerHotProbes, 1);
-                }
-                if forced {
-                    self.forced_probes += 1;
-                    tel::counter_add(tel::Counter::BudgetForcedProbes, 1);
-                } else {
-                    self.tokens -= 1.0;
-                }
-                self.defer_streak = 0;
-                return ScrubAction::Probe(addr);
-            }
-        }
-        // Tour step, with the quiet stretch: an unprofiled line that is
-        // not due this tour is skipped without spending a token.
-        let addr = self.addr_at(self.pos);
-        let due_tour = self.tours_completed % u64::from(self.params.stretch);
-        self.advance();
-        let quiet = !self.table.contains_key(&addr.0);
-        if quiet && self.params.stretch > 1 && self.phase(addr.0) != due_tour {
-            return ScrubAction::Idle;
-        }
-        self.granted += 1;
-        if forced {
-            self.forced_probes += 1;
-            tel::counter_add(tel::Counter::BudgetForcedProbes, 1);
-        } else {
-            self.tokens -= 1.0;
-        }
-        self.defer_streak = 0;
-        ScrubAction::Probe(addr)
-    }
-
-    fn wants_writeback(
-        &mut self,
-        addr: LineAddr,
-        result: &AccessResult,
-        _ctx: &ScrubContext<'_>,
-    ) -> bool {
+    /// Learns from a probe result of `addr`: dirty results raise its
+    /// score, clean ones decay it. Returns whether the line was profiled
+    /// before this probe.
+    pub(crate) fn observe(&mut self, addr: LineAddr, result: &AccessResult) -> bool {
         let dirty = result.persistent_bits > 0 || result.outcome.is_uncorrectable();
         let was_profiled = self.table.contains_key(&addr.0);
         self.probes_seen += 1;
@@ -493,33 +261,50 @@ impl ScrubPolicy for ProfiledScrub {
         } else if was_profiled {
             self.decay(addr.0);
         }
-        // Lazy-plus: quiet lines stretch the write-back threshold by one
-        // error; profiled lines pay at theta.
-        let theta = self.theta + u32::from(!was_profiled);
-        ThresholdScrub::threshold_rule(theta, result)
+        was_profiled
     }
 
-    fn on_demand_write(&mut self, addr: LineAddr, now: SimTime) {
-        self.charge_demand(now);
-        // The rewrite reset the drift clock; the history is half as
-        // relevant now.
+    /// A demand rewrite reset `addr`'s drift clock; its history is half
+    /// as relevant now.
+    pub(crate) fn on_demand_write(&mut self, addr: LineAddr) {
         self.decay(addr.0);
     }
 
-    fn on_demand_read(&mut self, _addr: LineAddr, now: SimTime) {
-        self.charge_demand(now);
+    /// Adds `inc` to `addr`'s score, inserting and evicting as needed.
+    fn bump(&mut self, addr: u32, inc: u32) {
+        let is_new = !self.table.contains_key(&addr);
+        let e = self.table.entry(addr).or_insert(0);
+        *e = e.saturating_add(inc).min(SCORE_CAP);
+        if is_new && self.table.len() as u32 > self.params.capacity {
+            let victim = self
+                .table
+                .iter()
+                .min_by_key(|&(&a, &s)| (s, a))
+                .map(|(&a, _)| a)
+                .expect("table is non-empty past capacity");
+            self.table.remove(&victim);
+            self.evictions += 1;
+            if tel::enabled() {
+                tel::counter_add(tel::Counter::ProfilerEvictions, 1);
+            }
+        }
+        if tel::enabled() {
+            tel::gauge_max(tel::Gauge::ProfilerOccupancy, self.table.len() as u64);
+        }
     }
 
-    fn save_state(&self, w: &mut Writer) {
-        w.put_u32(self.pos);
-        w.put_u64(self.tours_completed);
-        w.put_f64(self.tokens);
-        w.put_f64(self.last_refill.secs());
-        w.put_u32(self.defer_streak);
-        w.put_u64(self.throttled_slots);
-        w.put_u64(self.forced_probes);
-        w.put_u64(self.slots_this_tour);
-        w.put_u64(self.max_tour_slots);
+    /// Halves `addr`'s score (clean probe or demand rewrite), dropping
+    /// the entry once it reaches zero.
+    fn decay(&mut self, addr: u32) {
+        if let Some(s) = self.table.get_mut(&addr) {
+            *s /= 2;
+            if *s == 0 {
+                self.table.remove(&addr);
+            }
+        }
+    }
+
+    pub(crate) fn save_state(&self, w: &mut Writer) {
         w.put_u64(self.granted);
         w.put_u32(self.hot_cursor);
         w.put_u64(self.probes_seen);
@@ -533,41 +318,14 @@ impl ScrubPolicy for ProfiledScrub {
             w.put_u32(addr);
             w.put_u32(score);
         }
-        // Origins are derived from the run config; serialized as an
-        // identity check like the tour's.
-        for &o in &self.origins {
-            w.put_u32(o);
-        }
     }
 
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        let pos = r.u32()?;
-        if pos >= self.num_lines {
-            return Err(CheckpointError::Malformed(format!(
-                "profiled position {pos} out of range ({} lines)",
-                self.num_lines
-            )));
-        }
-        let tours_completed = r.u64()?;
-        let tokens = r.finite_f64("profiled tokens")?;
-        if !(0.0..=self.budget.burst).contains(&tokens) {
-            return Err(CheckpointError::Malformed(format!(
-                "profiled tokens {tokens} outside bucket [0, {}]",
-                self.budget.burst
-            )));
-        }
-        let last_refill = r.time_f64("profiled last refill")?;
-        let defer_streak = r.u32()?;
-        if defer_streak > self.budget.max_defer {
-            return Err(CheckpointError::Malformed(format!(
-                "profiled defer streak {defer_streak} exceeds max_defer {}",
-                self.budget.max_defer
-            )));
-        }
-        let throttled_slots = r.u64()?;
-        let forced_probes = r.u64()?;
-        let slots_this_tour = r.u64()?;
-        let max_tour_slots = r.u64()?;
+    /// Restores the profile of a policy over `num_lines` lines.
+    pub(crate) fn load_state(
+        &mut self,
+        r: &mut Reader<'_>,
+        num_lines: u32,
+    ) -> Result<(), CheckpointError> {
         let granted = r.u64()?;
         let hot_cursor = r.u32()?;
         let probes_seen = r.u64()?;
@@ -588,10 +346,9 @@ impl ScrubPolicy for ProfiledScrub {
         for _ in 0..len {
             let addr = r.u32()?;
             let score = r.u32()?;
-            if addr >= self.num_lines {
+            if addr >= num_lines {
                 return Err(CheckpointError::Malformed(format!(
-                    "profiled entry {addr} out of range ({} lines)",
-                    self.num_lines
+                    "profiled entry {addr} out of range ({num_lines} lines)"
                 )));
             }
             if prev.is_some_and(|p| addr <= p) {
@@ -607,23 +364,6 @@ impl ScrubPolicy for ProfiledScrub {
             prev = Some(addr);
             table.insert(addr, score);
         }
-        for (b, &want) in self.origins.iter().enumerate() {
-            let got = r.u32()?;
-            if got != want {
-                return Err(CheckpointError::Malformed(format!(
-                    "profiled origin mismatch on bank {b}: snapshot has {got}, config derives {want}"
-                )));
-            }
-        }
-        self.pos = pos;
-        self.tours_completed = tours_completed;
-        self.tokens = tokens;
-        self.last_refill = SimTime::from_secs(last_refill);
-        self.defer_streak = defer_streak;
-        self.throttled_slots = throttled_slots;
-        self.forced_probes = forced_probes;
-        self.slots_this_tour = slots_this_tour;
-        self.max_tour_slots = max_tour_slots;
         self.granted = granted;
         self.hot_cursor = hot_cursor;
         self.probes_seen = probes_seen;
@@ -644,8 +384,10 @@ impl ScrubPolicy for ProfiledScrub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{ScrubAction, ScrubContext, ScrubPolicy};
+    use crate::tour::TourBudget;
     use pcm_ecc::{ClassifyOutcome, CodeSpec};
-    use pcm_memsim::{MemGeometry, Memory};
+    use pcm_memsim::{MemGeometry, Memory, SimTime};
     use pcm_model::DeviceConfig;
     use std::collections::HashSet;
 
@@ -690,8 +432,8 @@ mod tests {
         }
     }
 
-    fn mk(lines: u32, banks: u32, p: ProfileParams) -> ProfiledScrub {
-        ProfiledScrub::new(
+    fn mk(lines: u32, banks: u32, p: ProfileParams) -> ScrubPolicy {
+        ScrubPolicy::profiled(
             lines as f64 * 10.0,
             lines,
             banks,
@@ -702,13 +444,23 @@ mod tests {
         )
     }
 
+    fn profile(p: &ScrubPolicy) -> &RiskProfile {
+        p.profile().expect("profiled policy")
+    }
+
     /// With no profile and stretch 1, one tour visits every line once —
     /// the cold profiler degrades to a plain tour.
     #[test]
     fn cold_stretch1_tour_is_a_permutation() {
         for (lines, banks) in [(64u32, 8u32), (60, 8), (17, 3)] {
-            let p = mk(lines, banks, params(16, 1000, 1, 2));
-            let visited: HashSet<u32> = (0..lines).map(|i| p.addr_at(i).0).collect();
+            let m = mem(lines, banks);
+            let mut p = mk(lines, banks, params(16, 1000, 1, 2));
+            let visited: HashSet<u32> = (0..lines)
+                .filter_map(|s| match p.next_action(&ctx(s as f64, &m)) {
+                    ScrubAction::Probe(a) => Some(a.0),
+                    ScrubAction::Idle => None,
+                })
+                .collect();
             assert_eq!(visited.len(), lines as usize);
         }
     }
@@ -724,7 +476,7 @@ mod tests {
         let mut probed: Vec<HashSet<u32>> = vec![HashSet::new(); stretch as usize];
         let mut t = 0.0;
         for _ in 0..3 * lines {
-            let tour = p.tours_completed() as usize;
+            let tour = p.tour_cursor().expect("tour").tours_completed() as usize;
             if let ScrubAction::Probe(a) = p.next_action(&ctx(t, &m)) {
                 probed[tour % stretch as usize].insert(a.0);
             }
@@ -755,7 +507,7 @@ mod tests {
             &res(3, ClassifyOutcome::Corrected { bits: 3 }),
             &ctx(0.0, &m),
         );
-        assert!(p.score(LineAddr(5)) >= 2);
+        assert!(profile(&p).score(LineAddr(5)) >= 2);
         let mut hits_on_5 = 0;
         for s in 0..256 {
             if let ScrubAction::Probe(a) = p.next_action(&ctx(s as f64, &m)) {
@@ -767,7 +519,7 @@ mod tests {
         // 256 slots = 4 tours; the tour alone would probe line 5 four
         // times, the interleave adds roughly one probe per 4 grants.
         assert!(hits_on_5 > 10, "hot line only probed {hits_on_5} times");
-        assert!(p.hot_probes() > 0);
+        assert!(profile(&p).hot_probes() > 0);
     }
 
     /// The table never exceeds capacity; overflow evicts lowest-score.
@@ -781,9 +533,9 @@ mod tests {
                 &res(1 + a % 3, ClassifyOutcome::Corrected { bits: 1 }),
                 &ctx(0.0, &m),
             );
-            assert!(p.table_len() <= 4, "table grew past capacity");
+            assert!(profile(&p).table_len() <= 4, "table grew past capacity");
         }
-        assert!(p.evictions() > 0);
+        assert!(profile(&p).evictions() > 0);
     }
 
     /// Clean probes decay scores and eventually forget the line; demand
@@ -797,15 +549,15 @@ mod tests {
             &res(4, ClassifyOutcome::Corrected { bits: 4 }),
             &ctx(0.0, &m),
         );
-        let s0 = p.score(LineAddr(9));
+        let s0 = profile(&p).score(LineAddr(9));
         assert!(s0 >= 4);
         p.on_demand_write(LineAddr(9), SimTime::from_secs(1.0));
-        assert_eq!(p.score(LineAddr(9)), s0 / 2);
-        while p.score(LineAddr(9)) > 0 {
+        assert_eq!(profile(&p).score(LineAddr(9)), s0 / 2);
+        while profile(&p).score(LineAddr(9)) > 0 {
             p.wants_writeback(LineAddr(9), &res(0, ClassifyOutcome::Clean), &ctx(2.0, &m));
         }
-        assert_eq!(p.table_len(), 0);
-        assert!(p.misses() > 0);
+        assert_eq!(profile(&p).table_len(), 0);
+        assert!(profile(&p).misses() > 0);
     }
 
     /// Quiet lines write back at theta+1, profiled lines at theta; UEs
@@ -845,7 +597,8 @@ mod tests {
     #[test]
     fn starved_bucket_throttles_then_forces() {
         let m = mem(8, 2);
-        let mut p = ProfiledScrub::new(8.0, 8, 2, 4, budget(1e-9, 1.0, 3), params(4, 4, 1, 2), 5);
+        let mut p =
+            ScrubPolicy::profiled(8.0, 8, 2, 4, budget(1e-9, 1.0, 3), params(4, 4, 1, 2), 5);
         p.on_demand_read(LineAddr(0), SimTime::ZERO);
         let mut pattern = Vec::new();
         for s in 0..8 {
@@ -856,8 +609,9 @@ mod tests {
             pattern,
             [false, false, false, true, false, false, false, true]
         );
-        assert_eq!(p.forced_probes, 2);
-        assert_eq!(p.throttled_slots, 6);
+        let bucket = p.bucket().expect("budgeted");
+        assert_eq!(bucket.forced_probes(), 2);
+        assert_eq!(bucket.throttled_slots(), 6);
     }
 
     /// save/load round-trips the full profiler state byte-for-byte; the
@@ -867,7 +621,7 @@ mod tests {
     fn checkpoint_roundtrip_forgetful_and_validation() {
         let m = mem(64, 8);
         let p0 = params(8, 4, 2, 2);
-        let mk0 = || ProfiledScrub::new(640.0, 64, 8, 4, budget(0.5, 4.0, 3), p0, 11);
+        let mk0 = || ScrubPolicy::profiled(640.0, 64, 8, 4, budget(0.5, 4.0, 3), p0, 11);
         let mut p = mk0();
         for s in 0..61 {
             p.on_demand_read(LineAddr(0), SimTime::from_secs(9.9 * s as f64));
@@ -881,7 +635,10 @@ mod tests {
                 p.wants_writeback(a, &res(bits, outcome), &ctx(10.0 * s as f64, &m));
             }
         }
-        assert!(p.table_len() > 0, "exercise the table serialization");
+        assert!(
+            profile(&p).table_len() > 0,
+            "exercise the table serialization"
+        );
         let mut w = Writer::new();
         p.save_state(&mut w);
         let bytes = w.into_bytes();
@@ -890,9 +647,10 @@ mod tests {
         let mut r = Reader::new(&bytes);
         q.load_state(&mut r).expect("roundtrip");
         r.finish().expect("all bytes consumed");
-        assert_eq!(q.position(), p.position());
-        assert_eq!(q.table_len(), p.table_len());
-        assert_eq!(q.hits(), p.hits());
+        let position = |p: &ScrubPolicy| p.tour_cursor().expect("tour").position();
+        assert_eq!(position(&q), position(&p));
+        assert_eq!(profile(&q).table_len(), profile(&p).table_len());
+        assert_eq!(profile(&q).hits(), profile(&p).hits());
         let mut w2 = Writer::new();
         q.save_state(&mut w2);
         assert_eq!(w2.into_bytes(), bytes, "byte-identical re-serialization");
@@ -903,7 +661,11 @@ mod tests {
         let mut rf = Reader::new(&bytes);
         f.load_state(&mut rf).expect("forgetful load still parses");
         rf.finish().expect("all bytes consumed");
-        assert_eq!(f.table_len(), 0, "tripwire must forget the profile");
+        assert_eq!(
+            profile(&f).table_len(),
+            0,
+            "tripwire must forget the profile"
+        );
 
         // A tampered table length (past capacity) is rejected.
         let mut evil = bytes.clone();
@@ -919,7 +681,7 @@ mod tests {
         ));
 
         // A snapshot from a different seed fails the origin check.
-        let mut diff = ProfiledScrub::new(640.0, 64, 8, 4, budget(0.5, 4.0, 3), p0, 12);
+        let mut diff = ScrubPolicy::profiled(640.0, 64, 8, 4, budget(0.5, 4.0, 3), p0, 12);
         let mut rd = Reader::new(&bytes);
         assert!(diff.load_state(&mut rd).is_err());
     }

@@ -1,8 +1,9 @@
-//! Tour scrub: an IOPS-budgeted sweep that shares its token bucket with
-//! demand traffic, modeled on kimberlite's `Scrubbing.tla`.
+//! The `Tour` schedule and the `Bucket` gate: an IOPS-budgeted sweep
+//! that shares its token bucket with demand traffic, modeled on
+//! kimberlite's `Scrubbing.tla`.
 //!
 //! A *tour* visits every line exactly once. Unlike the paper's policies,
-//! which assume scrub probes are free to schedule, the tour scheduler
+//! which assume scrub probes are free to schedule, a budgeted policy
 //! spends from a token bucket refilled at `iops` tokens/second; demand
 //! reads and writes drain the same bucket, so a busy machine naturally
 //! slows its scrub — but never stalls it: after `max_defer` consecutive
@@ -18,14 +19,11 @@
 //! (derived deterministically from the run seed), so a fleet of machines
 //! booted together does not synchronize its scrub storms.
 
-use pcm_memsim::{AccessResult, LineAddr, SimTime};
+use pcm_memsim::{splitmix64, LineAddr, SimTime};
 use scrub_checkpoint::{CheckpointError, Reader, Writer};
 use scrub_telemetry as tel;
 
-use crate::policy::{ScrubAction, ScrubContext, ScrubPolicy};
-use crate::threshold::ThresholdScrub;
-
-/// The token-bucket parameters of a [`TourScrub`], as plain data.
+/// The token-bucket parameters of a budgeted policy, as plain data.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TourBudget {
     /// Bucket refill rate (tokens per second); every probe, demand read,
@@ -37,51 +35,148 @@ pub struct TourBudget {
     pub max_defer: u32,
 }
 
-/// SplitMix64: the standard 64-bit finalizer-style PRNG step, used here
-/// only to derive per-bank tour origins from the run seed.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// IOPS-budgeted tour scrub with randomized per-bank origins and lazy
-/// write-back at `theta` errors.
-///
-/// # Examples
-///
-/// ```
-/// use scrub_core::{TourBudget, TourScrub};
-/// let p = TourScrub::new(
-///     900.0,
-///     65_536,
-///     8,
-///     4,
-///     TourBudget { iops: 200.0, burst: 64.0, max_defer: 8 },
-///     7,
-/// );
-/// assert_eq!(p.progress_bound_slots(), 65_536 * 9);
-/// ```
+/// The `Tour` schedule: banks interleave low-order (tour position `p`
+/// maps to bank `p % banks`), and each bank walks its own lines from a
+/// seeded origin. Tours interleave over at most `num_lines` banks, so
+/// every bank owns at least one line.
 #[derive(Debug, Clone)]
-pub struct TourScrub {
+pub struct TourCursor {
     // --- configuration (rebuilt from the run config on resume) ---
-    interval_s: f64,
     num_lines: u32,
     banks: u32,
-    theta: u32,
-    budget: TourBudget,
     /// Per-bank tour origin: bank `b` visits its `j`-th line as
     /// `b + ((origins[b] + j) % count_b) * banks`.
     origins: Vec<u32>,
+    // --- mutable state (checkpointed) ---
+    /// Tour position in `0..num_lines`.
+    pos: u32,
+    tours_completed: u64,
+}
+
+impl TourCursor {
+    /// A tour over `num_lines` lines in `min(banks, num_lines)` banks,
+    /// with origins derived from `origin_seed`.
+    pub(crate) fn new(num_lines: u32, banks: u32, origin_seed: u64) -> Self {
+        assert!(num_lines > 0, "need at least one line");
+        assert!(banks > 0, "need at least one bank");
+        let banks = banks.min(num_lines);
+        let origins = (0..banks)
+            .map(|b| {
+                let count = Self::bank_line_count(num_lines, banks, b);
+                (splitmix64(origin_seed ^ u64::from(b)) % u64::from(count)) as u32
+            })
+            .collect();
+        Self {
+            num_lines,
+            banks,
+            origins,
+            pos: 0,
+            tours_completed: 0,
+        }
+    }
+
+    /// Lines owned by bank `b` under low-order interleaving.
+    fn bank_line_count(num_lines: u32, banks: u32, b: u32) -> u32 {
+        num_lines / banks + u32::from(b < num_lines % banks)
+    }
+
+    /// Tour position (the next line index in tour order).
+    pub fn position(&self) -> u32 {
+        self.pos
+    }
+
+    /// Completed tours.
+    pub fn tours_completed(&self) -> u64 {
+        self.tours_completed
+    }
+
+    /// Per-bank tour origins (derived from the run seed).
+    pub fn origins(&self) -> &[u32] {
+        &self.origins
+    }
+
+    /// The line the tour visits at position `p`.
+    fn addr_at(&self, p: u32) -> LineAddr {
+        let b = p % self.banks;
+        let j = p / self.banks;
+        let count = Self::bank_line_count(self.num_lines, self.banks, b);
+        LineAddr(b + ((self.origins[b as usize] + j) % count) * self.banks)
+    }
+
+    /// Returns the line at the current position and advances, reporting
+    /// whether this step completed a tour.
+    pub(crate) fn advance(&mut self) -> (LineAddr, bool) {
+        let addr = self.addr_at(self.pos);
+        self.pos += 1;
+        if self.pos < self.num_lines {
+            return (addr, false);
+        }
+        self.pos = 0;
+        self.tours_completed += 1;
+        tel::counter_add(tel::Counter::ToursCompleted, 1);
+        (addr, true)
+    }
+
+    pub(crate) fn save_state(&self, w: &mut Writer) {
+        w.put_u32(self.pos);
+        w.put_u64(self.tours_completed);
+    }
+
+    pub(crate) fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+        let pos = r.u32()?;
+        if pos >= self.num_lines {
+            return Err(CheckpointError::Malformed(format!(
+                "tour position {pos} out of range ({} lines)",
+                self.num_lines
+            )));
+        }
+        self.pos = pos;
+        self.tours_completed = r.u64()?;
+        Ok(())
+    }
+
+    /// Origins are derived from the run config; they are serialized
+    /// anyway, last, as an identity check so a snapshot resumed under a
+    /// different seed fails loudly instead of silently re-origining.
+    pub(crate) fn save_origins(&self, w: &mut Writer) {
+        for &o in &self.origins {
+            w.put_u32(o);
+        }
+    }
+
+    pub(crate) fn check_origins(&self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+        for (b, &want) in self.origins.iter().enumerate() {
+            let got = r.u32()?;
+            if got != want {
+                return Err(CheckpointError::Malformed(format!(
+                    "tour origin mismatch on bank {b}: snapshot has {got}, config derives {want}"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// How the bucket admitted a slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Grant {
+    /// A token is available.
+    Token,
+    /// The bucket is empty but the anti-starvation boost fires.
+    Forced,
+}
+
+/// The `Bucket` gate: a token bucket shared with demand traffic, with the
+/// anti-starvation boost and the per-tour lag counters that measure
+/// `ScrubProgress`.
+#[derive(Debug, Clone)]
+pub struct TokenBucket {
+    // --- configuration (rebuilt from the run config on resume) ---
+    budget: TourBudget,
     /// Test-only: disable the anti-starvation boost, making the scheduler
     /// deliberately unfair. Never serialized.
     unfair: bool,
     // --- mutable state (checkpointed) ---
-    /// Tour position in `0..num_lines`; position `p` maps to bank
-    /// `p % banks`, per-bank index `p / banks`.
-    pos: u32,
-    tours_completed: u64,
     /// Tokens currently in the bucket, `0.0..=burst`.
     tokens: f64,
     last_refill: SimTime,
@@ -92,35 +187,13 @@ pub struct TourScrub {
     /// Slots spent in the tour in progress.
     slots_this_tour: u64,
     /// Longest completed tour, in slots (the measured `ScrubProgress`
-    /// lag; must stay within [`TourScrub::progress_bound_slots`]).
+    /// lag; must stay within the policy's progress bound).
     max_tour_slots: u64,
 }
 
-impl TourScrub {
-    /// Creates a tour scrubber.
-    ///
-    /// * `interval_s` — unthrottled tour period (sets the slot cadence
-    ///   `interval_s / num_lines`; contention stretches real tours).
-    /// * `theta` — lazy write-back threshold.
-    /// * `budget` — token-bucket parameters shared with demand traffic.
-    /// * `seed` — run seed; per-bank origins derive from it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-positive interval/iops/burst, zero lines/banks, or
-    /// `theta == 0`.
-    pub fn new(
-        interval_s: f64,
-        num_lines: u32,
-        banks: u32,
-        theta: u32,
-        budget: TourBudget,
-        seed: u64,
-    ) -> Self {
-        assert!(interval_s > 0.0, "interval must be positive");
-        assert!(num_lines > 0, "need at least one line");
-        assert!(banks > 0 && banks <= num_lines, "need 1..=num_lines banks");
-        assert!(theta >= 1, "theta must be >= 1");
+impl TokenBucket {
+    /// A full bucket.
+    pub(crate) fn new(budget: TourBudget) -> Self {
         assert!(
             budget.iops.is_finite() && budget.iops > 0.0,
             "iops must be positive"
@@ -129,22 +202,9 @@ impl TourScrub {
             budget.burst.is_finite() && budget.burst >= 1.0,
             "burst must be at least one token"
         );
-        let origins = (0..banks)
-            .map(|b| {
-                let count = Self::bank_line_count(num_lines, banks, b);
-                (splitmix64(seed ^ 0x0074_5552 ^ u64::from(b)) % u64::from(count)) as u32
-            })
-            .collect();
         Self {
-            interval_s,
-            num_lines,
-            banks,
-            theta,
             budget,
-            origins,
             unfair: false,
-            pos: 0,
-            tours_completed: 0,
             tokens: budget.burst,
             last_refill: SimTime::ZERO,
             defer_streak: 0,
@@ -155,36 +215,13 @@ impl TourScrub {
         }
     }
 
-    /// Lines owned by bank `b` under low-order interleaving.
-    fn bank_line_count(num_lines: u32, banks: u32, b: u32) -> u32 {
-        num_lines / banks + u32::from(b < num_lines % banks)
-    }
-
-    /// The `ScrubProgress` bound: no tour — and therefore no gap between
-    /// consecutive probes of any one line — can exceed this many slots,
-    /// however hard demand traffic drains the bucket.
-    pub fn progress_bound_slots(&self) -> u64 {
-        u64::from(self.num_lines) * (u64::from(self.budget.max_defer) + 1)
-    }
-
-    /// Tour position (the next line index in tour order).
-    pub fn position(&self) -> u32 {
-        self.pos
+    pub(crate) fn budget(&self) -> &TourBudget {
+        &self.budget
     }
 
     /// Tokens currently in the bucket.
     pub fn tokens(&self) -> f64 {
         self.tokens
-    }
-
-    /// Completed tours.
-    pub fn tours_completed(&self) -> u64 {
-        self.tours_completed
-    }
-
-    /// Longest completed tour, in slots.
-    pub fn max_tour_slots(&self) -> u64 {
-        self.max_tour_slots
     }
 
     /// Slots throttled by an empty bucket.
@@ -197,27 +234,13 @@ impl TourScrub {
         self.forced_probes
     }
 
-    /// Per-bank tour origins (derived from the run seed).
-    pub fn origins(&self) -> &[u32] {
-        &self.origins
+    /// Longest completed tour, in slots.
+    pub fn max_tour_slots(&self) -> u64 {
+        self.max_tour_slots
     }
 
-    /// Test-only tripwire: disables the anti-starvation boost so
-    /// saturating demand starves the tour. The starvation proptest
-    /// proves the harness catches this deliberately unfair variant.
-    #[doc(hidden)]
-    pub fn set_unfair_for_test(&mut self, unfair: bool) {
+    pub(crate) fn set_unfair(&mut self, unfair: bool) {
         self.unfair = unfair;
-    }
-
-    /// The line the tour visits at position `p`: banks interleave
-    /// low-order (`bank = p % banks`), and bank `b` walks its own lines
-    /// from its randomized origin.
-    fn addr_at(&self, p: u32) -> LineAddr {
-        let b = p % self.banks;
-        let j = p / self.banks;
-        let count = Self::bank_line_count(self.num_lines, self.banks, b);
-        LineAddr(b + ((self.origins[b as usize] + j) % count) * self.banks)
     }
 
     /// Refills the bucket for the time elapsed since the last charge.
@@ -228,82 +251,53 @@ impl TourScrub {
     }
 
     /// Charges one demand operation against the shared bucket.
-    fn charge_demand(&mut self, now: SimTime) {
+    pub(crate) fn charge_demand(&mut self, now: SimTime) {
         self.refill(now);
         self.tokens = (self.tokens - 1.0).max(0.0);
     }
 
-    /// Advances the tour cursor, closing out a completed tour.
-    fn advance(&mut self) {
-        self.pos += 1;
-        if self.pos == self.num_lines {
-            self.pos = 0;
-            self.tours_completed += 1;
-            self.max_tour_slots = self.max_tour_slots.max(self.slots_this_tour);
-            if tel::enabled() {
-                tel::counter_add(tel::Counter::ToursCompleted, 1);
-                tel::gauge_max(tel::Gauge::StarvationMaxLag, self.slots_this_tour);
-            }
-            self.slots_this_tour = 0;
-        }
-    }
-}
-
-impl ScrubPolicy for TourScrub {
-    fn name(&self) -> &str {
-        "tour"
-    }
-
-    fn probe_gap_s(&self, _ctx: &ScrubContext<'_>) -> f64 {
-        self.interval_s / self.num_lines as f64
-    }
-
-    fn next_action(&mut self, ctx: &ScrubContext<'_>) -> ScrubAction {
-        self.refill(ctx.now);
+    /// Opens a slot: refills, counts the slot against the tour in
+    /// progress, and decides whether it may probe. `None` throttles the
+    /// slot.
+    pub(crate) fn admit(&mut self, now: SimTime) -> Option<Grant> {
+        self.refill(now);
         self.slots_this_tour += 1;
         if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            self.defer_streak = 0;
-            let addr = self.addr_at(self.pos);
-            self.advance();
-            return ScrubAction::Probe(addr);
+            return Some(Grant::Token);
         }
         if !self.unfair && self.defer_streak >= self.budget.max_defer {
-            // Anti-starvation boost: the probe runs even with an empty
-            // bucket (going into debt is modeled as clamping at zero).
-            self.defer_streak = 0;
-            self.forced_probes += 1;
-            tel::counter_add(tel::Counter::BudgetForcedProbes, 1);
-            let addr = self.addr_at(self.pos);
-            self.advance();
-            return ScrubAction::Probe(addr);
+            return Some(Grant::Forced);
         }
         self.defer_streak += 1;
         self.throttled_slots += 1;
         tel::counter_add(tel::Counter::BudgetThrottled, 1);
-        ScrubAction::Idle
+        None
     }
 
-    fn wants_writeback(
-        &mut self,
-        _addr: LineAddr,
-        result: &AccessResult,
-        _ctx: &ScrubContext<'_>,
-    ) -> bool {
-        ThresholdScrub::threshold_rule(self.theta, result)
+    /// Pays for a probe the slot issued under `grant`. A forced probe
+    /// runs with an empty bucket (going into debt is modeled as clamping
+    /// at zero).
+    pub(crate) fn spend(&mut self, grant: Grant) {
+        match grant {
+            Grant::Token => self.tokens -= 1.0,
+            Grant::Forced => {
+                self.forced_probes += 1;
+                tel::counter_add(tel::Counter::BudgetForcedProbes, 1);
+            }
+        }
+        self.defer_streak = 0;
     }
 
-    fn on_demand_write(&mut self, _addr: LineAddr, now: SimTime) {
-        self.charge_demand(now);
+    /// Closes out a completed tour's lag window.
+    pub(crate) fn end_tour(&mut self) {
+        self.max_tour_slots = self.max_tour_slots.max(self.slots_this_tour);
+        if tel::enabled() {
+            tel::gauge_max(tel::Gauge::StarvationMaxLag, self.slots_this_tour);
+        }
+        self.slots_this_tour = 0;
     }
 
-    fn on_demand_read(&mut self, _addr: LineAddr, now: SimTime) {
-        self.charge_demand(now);
-    }
-
-    fn save_state(&self, w: &mut Writer) {
-        w.put_u32(self.pos);
-        w.put_u64(self.tours_completed);
+    pub(crate) fn save_state(&self, w: &mut Writer) {
         w.put_f64(self.tokens);
         w.put_f64(self.last_refill.secs());
         w.put_u32(self.defer_streak);
@@ -311,23 +305,9 @@ impl ScrubPolicy for TourScrub {
         w.put_u64(self.forced_probes);
         w.put_u64(self.slots_this_tour);
         w.put_u64(self.max_tour_slots);
-        // Origins are derived from the run config; they are serialized
-        // anyway as an identity check so a snapshot resumed under a
-        // different seed fails loudly instead of silently re-origining.
-        for &o in &self.origins {
-            w.put_u32(o);
-        }
     }
 
-    fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        let pos = r.u32()?;
-        if pos >= self.num_lines {
-            return Err(CheckpointError::Malformed(format!(
-                "tour position {pos} out of range ({} lines)",
-                self.num_lines
-            )));
-        }
-        let tours_completed = r.u64()?;
+    pub(crate) fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
         let tokens = r.finite_f64("tour tokens")?;
         if !(0.0..=self.budget.burst).contains(&tokens) {
             return Err(CheckpointError::Malformed(format!(
@@ -343,27 +323,13 @@ impl ScrubPolicy for TourScrub {
                 self.budget.max_defer
             )));
         }
-        let throttled_slots = r.u64()?;
-        let forced_probes = r.u64()?;
-        let slots_this_tour = r.u64()?;
-        let max_tour_slots = r.u64()?;
-        for (b, &want) in self.origins.iter().enumerate() {
-            let got = r.u32()?;
-            if got != want {
-                return Err(CheckpointError::Malformed(format!(
-                    "tour origin mismatch on bank {b}: snapshot has {got}, config derives {want}"
-                )));
-            }
-        }
-        self.pos = pos;
-        self.tours_completed = tours_completed;
         self.tokens = tokens;
         self.last_refill = SimTime::from_secs(last_refill);
         self.defer_streak = defer_streak;
-        self.throttled_slots = throttled_slots;
-        self.forced_probes = forced_probes;
-        self.slots_this_tour = slots_this_tour;
-        self.max_tour_slots = max_tour_slots;
+        self.throttled_slots = r.u64()?;
+        self.forced_probes = r.u64()?;
+        self.slots_this_tour = r.u64()?;
+        self.max_tour_slots = r.u64()?;
         Ok(())
     }
 }
@@ -371,6 +337,7 @@ impl ScrubPolicy for TourScrub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{ScrubAction, ScrubContext, ScrubPolicy};
     use pcm_ecc::CodeSpec;
     use pcm_memsim::{MemGeometry, Memory};
     use pcm_model::DeviceConfig;
@@ -382,6 +349,10 @@ mod tests {
             burst,
             max_defer,
         }
+    }
+
+    fn tour(interval_s: f64, lines: u32, banks: u32, b: TourBudget, seed: u64) -> ScrubPolicy {
+        ScrubPolicy::tour(interval_s, lines, banks, 4, b, seed)
     }
 
     fn mem(lines: u32, banks: u32) -> Memory {
@@ -400,14 +371,26 @@ mod tests {
         }
     }
 
+    fn bucket(p: &ScrubPolicy) -> &TokenBucket {
+        p.bucket().expect("budgeted policy")
+    }
+
     /// One tour visits every line exactly once, for bank counts that do
-    /// and do not divide the line count.
+    /// and do not divide the line count, and for more banks than lines.
     #[test]
     fn tour_is_a_permutation_of_all_lines() {
-        for (lines, banks) in [(64u32, 8u32), (60, 8), (17, 3), (5, 5)] {
+        for (lines, banks) in [
+            (64u32, 8u32),
+            (60, 8),
+            (17, 3),
+            (5, 5),
+            (4, 8),
+            (1, 8),
+            (7, 8),
+        ] {
             for seed in [0u64, 1, 99] {
-                let p = TourScrub::new(900.0, lines, banks, 4, budget(1e6, 1e6, 4), seed);
-                let visited: HashSet<u32> = (0..lines).map(|i| p.addr_at(i).0).collect();
+                let t = TourCursor::new(lines, banks, seed);
+                let visited: HashSet<u32> = (0..lines).map(|i| t.addr_at(i).0).collect();
                 assert_eq!(visited.len(), lines as usize, "{lines}x{banks} seed {seed}");
                 assert!(visited.iter().all(|&a| a < lines));
             }
@@ -418,15 +401,16 @@ mod tests {
     /// banks, but are identical for identical seeds.
     #[test]
     fn origins_are_seeded_and_deterministic() {
-        let a = TourScrub::new(900.0, 4096, 8, 4, budget(100.0, 10.0, 4), 1);
-        let b = TourScrub::new(900.0, 4096, 8, 4, budget(100.0, 10.0, 4), 1);
-        let c = TourScrub::new(900.0, 4096, 8, 4, budget(100.0, 10.0, 4), 2);
-        assert_eq!(a.origins(), b.origins());
-        assert_ne!(a.origins(), c.origins(), "different seed, different tour");
+        let origins = |seed| {
+            let p = tour(900.0, 4096, 8, budget(100.0, 10.0, 4), seed);
+            p.tour_cursor().expect("tour").origins().to_vec()
+        };
+        let (a, b, c) = (origins(1), origins(1), origins(2));
+        assert_eq!(a, b);
+        assert_ne!(a, c, "different seed, different tour");
         assert!(
-            a.origins().iter().collect::<HashSet<_>>().len() > 1,
-            "banks should not all share one origin: {:?}",
-            a.origins()
+            a.iter().collect::<HashSet<_>>().len() > 1,
+            "banks should not all share one origin: {a:?}"
         );
     }
 
@@ -434,7 +418,7 @@ mod tests {
     #[test]
     fn unthrottled_tour_probes_every_slot() {
         let m = mem(16, 2);
-        let mut p = TourScrub::new(160.0, 16, 2, 4, budget(1.0, 16.0, 4), 3);
+        let mut p = tour(160.0, 16, 2, budget(1.0, 16.0, 4), 3);
         let mut probes = 0;
         for s in 0..16 {
             match p.next_action(&ctx(10.0 * s as f64, &m)) {
@@ -443,8 +427,8 @@ mod tests {
             }
         }
         assert_eq!(probes, 16);
-        assert_eq!(p.tours_completed(), 1);
-        assert_eq!(p.max_tour_slots(), 16);
+        assert_eq!(p.tour_cursor().expect("tour").tours_completed(), 1);
+        assert_eq!(bucket(&p).max_tour_slots(), 16);
     }
 
     /// An empty bucket throttles, and the anti-starvation boost forces a
@@ -453,7 +437,7 @@ mod tests {
     fn starved_bucket_throttles_then_forces() {
         let m = mem(8, 2);
         // iops so small the bucket never meaningfully refills.
-        let mut p = TourScrub::new(8.0, 8, 2, 4, budget(1e-9, 1.0, 3), 5);
+        let mut p = tour(8.0, 8, 2, budget(1e-9, 1.0, 3), 5);
         // Drain the single token.
         p.on_demand_read(LineAddr(0), SimTime::ZERO);
         let mut pattern = Vec::new();
@@ -466,8 +450,8 @@ mod tests {
             pattern,
             [false, false, false, true, false, false, false, true]
         );
-        assert_eq!(p.forced_probes(), 2);
-        assert_eq!(p.throttled_slots(), 6);
+        assert_eq!(bucket(&p).forced_probes(), 2);
+        assert_eq!(bucket(&p).throttled_slots(), 6);
     }
 
     /// The unfair variant starves forever — the tripwire the starvation
@@ -475,24 +459,24 @@ mod tests {
     #[test]
     fn unfair_variant_never_forces() {
         let m = mem(8, 2);
-        let mut p = TourScrub::new(8.0, 8, 2, 4, budget(1e-9, 1.0, 3), 5);
+        let mut p = tour(8.0, 8, 2, budget(1e-9, 1.0, 3), 5);
         p.set_unfair_for_test(true);
         p.on_demand_read(LineAddr(0), SimTime::ZERO);
         for s in 0..100 {
             assert_eq!(p.next_action(&ctx(s as f64, &m)), ScrubAction::Idle);
         }
-        assert_eq!(p.forced_probes(), 0);
+        assert_eq!(bucket(&p).forced_probes(), 0);
     }
 
     /// Demand traffic drains the same bucket the scrubber spends from.
     #[test]
     fn demand_charges_shared_bucket() {
         let m = mem(8, 2);
-        let mut p = TourScrub::new(8.0, 8, 2, 4, budget(1e-9, 4.0, 10), 5);
-        assert_eq!(p.tokens(), 4.0);
+        let mut p = tour(8.0, 8, 2, budget(1e-9, 4.0, 10), 5);
+        assert_eq!(bucket(&p).tokens(), 4.0);
         p.on_demand_read(LineAddr(0), SimTime::ZERO);
         p.on_demand_write(LineAddr(1), SimTime::ZERO);
-        assert_eq!(p.tokens(), 2.0);
+        assert_eq!(bucket(&p).tokens(), 2.0);
         // Two probes spend the rest; the third slot throttles.
         assert!(matches!(
             p.next_action(&ctx(0.0, &m)),
@@ -508,17 +492,17 @@ mod tests {
     /// The bucket refills at `iops` and caps at `burst`.
     #[test]
     fn bucket_refills_and_caps() {
-        let mut p = TourScrub::new(8.0, 8, 2, 4, budget(2.0, 5.0, 4), 5);
-        p.on_demand_read(LineAddr(0), SimTime::ZERO);
-        p.on_demand_read(LineAddr(0), SimTime::ZERO);
-        p.on_demand_read(LineAddr(0), SimTime::ZERO);
-        assert_eq!(p.tokens(), 2.0);
+        let mut b = TokenBucket::new(budget(2.0, 5.0, 4));
+        b.charge_demand(SimTime::ZERO);
+        b.charge_demand(SimTime::ZERO);
+        b.charge_demand(SimTime::ZERO);
+        assert_eq!(b.tokens, 2.0);
         // 1 s at 2 tokens/s refills 2, minus the one this read spends.
-        p.on_demand_read(LineAddr(0), SimTime::from_secs(1.0));
-        assert!((p.tokens() - 3.0).abs() < 1e-9);
+        b.charge_demand(SimTime::from_secs(1.0));
+        assert!((b.tokens - 3.0).abs() < 1e-9);
         // A long quiet period caps at burst.
-        p.charge_demand(SimTime::from_secs(1000.0));
-        assert!((p.tokens() - 4.0).abs() < 1e-9); // burst 5 minus this charge
+        b.charge_demand(SimTime::from_secs(1000.0));
+        assert!((b.tokens - 4.0).abs() < 1e-9); // burst 5 minus this charge
     }
 
     /// save/load round-trips mid-tour state exactly; tampered state is
@@ -526,7 +510,7 @@ mod tests {
     #[test]
     fn checkpoint_roundtrip_and_validation() {
         let m = mem(64, 8);
-        let mk = || TourScrub::new(640.0, 64, 8, 4, budget(0.5, 4.0, 3), 11);
+        let mk = || tour(640.0, 64, 8, budget(0.5, 4.0, 3), 11);
         let mut p = mk();
         for s in 0..37 {
             p.on_demand_read(LineAddr(0), SimTime::from_secs(9.9 * s as f64));
@@ -541,9 +525,13 @@ mod tests {
         q.load_state(&mut r).expect("roundtrip");
         r.finish().expect("all bytes consumed");
         // Identical observable state...
-        assert_eq!(q.position(), p.position());
-        assert_eq!(q.tokens(), p.tokens());
-        assert_eq!(q.tours_completed(), p.tours_completed());
+        let (pt, qt) = (
+            p.tour_cursor().expect("tour"),
+            q.tour_cursor().expect("tour"),
+        );
+        assert_eq!(qt.position(), pt.position());
+        assert_eq!(qt.tours_completed(), pt.tours_completed());
+        assert_eq!(bucket(&q).tokens(), bucket(&p).tokens());
         // ...and identical re-serialization (byte-for-byte survival).
         let mut w2 = Writer::new();
         q.save_state(&mut w2);
@@ -551,9 +539,7 @@ mod tests {
 
         // Tampered tokens (beyond burst) must be rejected.
         let mut w3 = Writer::new();
-        let mut bad = mk();
-        bad.tokens = 4.0;
-        bad.save_state(&mut w3);
+        mk().save_state(&mut w3);
         let mut evil = w3.into_bytes();
         // tokens is the third field: u32 pos + u64 tours + f64 tokens
         // (the codec is little-endian throughout).
@@ -568,7 +554,7 @@ mod tests {
         mk().save_state(&mut w4);
         let other = w4.into_bytes();
         let mut r4 = Reader::new(&other);
-        let mut diff_seed = TourScrub::new(640.0, 64, 8, 4, budget(0.5, 4.0, 3), 12);
+        let mut diff_seed = tour(640.0, 64, 8, budget(0.5, 4.0, 3), 12);
         assert!(diff_seed.load_state(&mut r4).is_err());
     }
 

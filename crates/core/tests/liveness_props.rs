@@ -3,7 +3,7 @@
 //!
 //! The model checker proves three TLA-style properties over a small
 //! abstract model; these proptests check the same properties on the
-//! production `TourScrub` policy and full `Simulation` runs:
+//! production tour policy and full `Simulation` runs:
 //!
 //! - `ScrubProgress` — under arbitrary adversarial demand interleavings
 //!   (including open-loop demand at 100% of the budget), no line goes
@@ -24,7 +24,7 @@ use pcm_model::DeviceConfig;
 use proptest::prelude::*;
 use scrub_core::{
     DemandTraffic, PolicyKind, ScrubAction, ScrubContext, ScrubPolicy, SimConfig, SimReport,
-    Simulation, TourBudget, TourScrub,
+    Simulation, TourBudget,
 };
 
 // ---------------------------------------------------------------------------
@@ -35,7 +35,7 @@ use scrub_core::{
 /// demand reads against the shared bucket before each slot, and returns
 /// the probed line per slot.
 fn drive_tour(
-    policy: &mut TourScrub,
+    policy: &mut ScrubPolicy,
     demand: &[u8],
     slots: u64,
     mem: &Memory,
@@ -110,8 +110,8 @@ proptest! {
             burst: 4.0,
             max_defer,
         };
-        let mut policy = TourScrub::new(900.0, lines, banks, 4, budget, seed);
-        let bound = policy.progress_bound_slots();
+        let mut policy = ScrubPolicy::tour(900.0, lines, banks, 4, budget, seed);
+        let bound = policy.progress_bound_slots().expect("budgeted");
         let mem = test_memory(lines, banks);
         let probes = drive_tour(&mut policy, &demand, 3 * bound, &mem);
         let gap = max_line_gap_slots(&probes, lines);
@@ -122,7 +122,7 @@ proptest! {
         );
         // 3*bound slots fit at least two full tours, so the check above
         // exercised real inter-probe gaps, not just the start-up window.
-        prop_assert!(policy.tours_completed() >= 2);
+        prop_assert!(policy.tour_cursor().expect("tour").tours_completed() >= 2);
     }
 
     /// Satellite tripwire: the deliberately unfair variant (boost
@@ -145,9 +145,9 @@ proptest! {
             burst: 2.0,
             max_defer,
         };
-        let mut policy = TourScrub::new(900.0, lines, banks, 4, budget, seed);
+        let mut policy = ScrubPolicy::tour(900.0, lines, banks, 4, budget, seed);
         policy.set_unfair_for_test(true);
-        let bound = policy.progress_bound_slots();
+        let bound = policy.progress_bound_slots().expect("budgeted");
         let mem = test_memory(lines, banks);
         let probes = drive_tour(&mut policy, &[1], 2 * bound + 64, &mem);
         let gap = max_line_gap_slots(&probes, lines);
@@ -155,7 +155,7 @@ proptest! {
             gap > bound,
             "unfair scheduler was not caught: gap {gap} <= bound {bound}"
         );
-        prop_assert_eq!(policy.forced_probes(), 0);
+        prop_assert_eq!(policy.bucket().expect("budgeted").forced_probes(), 0);
     }
 
     /// The fair scheduler under the *same* saturating open-loop demand
@@ -174,13 +174,13 @@ proptest! {
             burst: 2.0,
             max_defer,
         };
-        let mut policy = TourScrub::new(900.0, lines, banks, 4, budget, seed);
-        let bound = policy.progress_bound_slots();
+        let mut policy = ScrubPolicy::tour(900.0, lines, banks, 4, budget, seed);
+        let bound = policy.progress_bound_slots().expect("budgeted");
         let mem = test_memory(lines, banks);
         let probes = drive_tour(&mut policy, &[1], 2 * bound + 64, &mem);
         let gap = max_line_gap_slots(&probes, lines);
         prop_assert!(gap <= bound, "gap {gap} > bound {bound} under saturation");
-        prop_assert!(policy.forced_probes() > 0, "boost never fired");
+        prop_assert!(policy.bucket().expect("budgeted").forced_probes() > 0, "boost never fired");
     }
 }
 

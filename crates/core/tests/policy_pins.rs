@@ -16,7 +16,7 @@ use pcm_ecc::{ClassifyOutcome, CodeSpec};
 use pcm_memsim::{AccessResult, LineAddr, MemGeometry, Memory, SimTime};
 use pcm_model::DeviceConfig;
 use scrub_checkpoint::Writer;
-use scrub_core::{PolicyKind, ScrubAction, ScrubContext, ScrubPolicy};
+use scrub_core::{PolicyKind, ScrubAction, ScrubContext};
 
 const LINES: u32 = 64;
 const BANKS: u32 = 8;

@@ -14,7 +14,7 @@ use pcm_memsim::{LineAddr, MemGeometry, Memory, SimTime};
 use pcm_model::DeviceConfig;
 use proptest::prelude::*;
 use scrub_checkpoint::{Reader, Writer};
-use scrub_core::{PolicyKind, ScrubAction, ScrubContext, ScrubPolicy, TourBudget, TourScrub};
+use scrub_core::{PolicyKind, ScrubAction, ScrubContext, ScrubPolicy, TourBudget};
 
 const LINES: u32 = 64;
 const BANKS: u32 = 8;
@@ -22,7 +22,7 @@ const BANKS: u32 = 8;
 /// Every checkpointable policy kind, parameterized enough to have
 /// non-trivial internal state.
 fn kind(index: usize) -> PolicyKind {
-    match index % 8 {
+    match index % 7 {
         0 => PolicyKind::Basic { interval_s: 600.0 },
         1 => PolicyKind::Threshold {
             interval_s: 600.0,
@@ -46,7 +46,7 @@ fn kind(index: usize) -> PolicyKind {
             burst: 8.0,
             max_defer: 4,
         },
-        6 => PolicyKind::Profiled {
+        _ => PolicyKind::Profiled {
             interval_s: 600.0,
             theta: 3,
             iops: 0.7,
@@ -57,16 +57,10 @@ fn kind(index: usize) -> PolicyKind {
             stretch: 2,
             risk: 2,
         },
-        _ => PolicyKind::Budget {
-            interval_s: 600.0,
-            theta: 3,
-            target_ue_per_gib_day: 1.0,
-            window_s: 1200.0,
-        },
     }
 }
 
-fn build(index: usize, seed: u64) -> Box<dyn ScrubPolicy> {
+fn build(index: usize, seed: u64) -> ScrubPolicy {
     kind(index)
         .build(LINES, BANKS, seed)
         .expect("every kind above is a real policy")
@@ -85,7 +79,7 @@ fn test_memory() -> Memory {
 /// interleaving demand notifications drawn from `events`, and returns
 /// the sequence of actions taken.
 fn drive(
-    policy: &mut dyn ScrubPolicy,
+    policy: &mut ScrubPolicy,
     mem: &Memory,
     base: u64,
     steps: u64,
@@ -112,7 +106,7 @@ fn drive(
     actions
 }
 
-fn snapshot(policy: &dyn ScrubPolicy) -> Vec<u8> {
+fn snapshot(policy: &ScrubPolicy) -> Vec<u8> {
     let mut w = Writer::new();
     policy.save_state(&mut w);
     w.into_bytes()
@@ -125,7 +119,7 @@ proptest! {
     /// never-having-stopped, for every policy kind.
     #[test]
     fn every_policy_round_trips_through_save_load(
-        index in 0usize..8,
+        index in 0usize..7,
         seed in 0u64..1000,
         prefix in 1u64..160,
         suffix in 1u64..160,
@@ -133,9 +127,9 @@ proptest! {
     ) {
         let mem = test_memory();
         let mut original = build(index, seed);
-        drive(original.as_mut(), &mem, 0, prefix, &events);
+        drive(&mut original, &mem, 0, prefix, &events);
 
-        let bytes = snapshot(original.as_ref());
+        let bytes = snapshot(&original);
         let mut restored = build(index, seed);
         let mut r = Reader::new(&bytes);
         restored
@@ -143,14 +137,14 @@ proptest! {
             .expect("own snapshot must load");
 
         // Same suffix through both: identical actions...
-        let a = drive(original.as_mut(), &mem, prefix, suffix, &events);
-        let b = drive(restored.as_mut(), &mem, prefix, suffix, &events);
+        let a = drive(&mut original, &mem, prefix, suffix, &events);
+        let b = drive(&mut restored, &mem, prefix, suffix, &events);
         prop_assert_eq!(a, b, "kind {} diverged after restore", kind(index).label());
 
         // ...and identical re-saved state.
         prop_assert_eq!(
-            snapshot(original.as_ref()),
-            snapshot(restored.as_ref()),
+            snapshot(&original),
+            snapshot(&restored),
             "kind {} re-saved bytes differ",
             kind(index).label()
         );
@@ -168,7 +162,7 @@ fn forgetful_restore_tripwire_is_caught() {
         burst: 3.0,
         max_defer: 1000,
     };
-    let mut original = TourScrub::new(600.0, LINES, BANKS, 3, budget, 9);
+    let mut original = ScrubPolicy::tour(600.0, LINES, BANKS, 3, budget, 9);
     // Drain the bucket: three probes then throttled idles.
     let a = drive(&mut original, &mem, 0, 6, &[]);
     assert_eq!(
@@ -179,7 +173,7 @@ fn forgetful_restore_tripwire_is_caught() {
     );
 
     // Forgetful twin: built identically but load_state never called.
-    let mut forgetful = TourScrub::new(600.0, LINES, BANKS, 3, budget, 9);
+    let mut forgetful = ScrubPolicy::tour(600.0, LINES, BANKS, 3, budget, 9);
     let cont = drive(&mut original, &mem, 6, 3, &[]);
     let fresh = drive(&mut forgetful, &mem, 6, 3, &[]);
     assert_ne!(

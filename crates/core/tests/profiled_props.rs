@@ -18,9 +18,7 @@ use pcm_memsim::{AccessResult, LineAddr, MemGeometry, Memory, SimTime};
 use pcm_model::DeviceConfig;
 use proptest::prelude::*;
 use scrub_checkpoint::{Reader, Writer};
-use scrub_core::{
-    ProfileParams, ProfiledScrub, ScrubAction, ScrubContext, ScrubPolicy, TourBudget,
-};
+use scrub_core::{ProfileParams, ScrubAction, ScrubContext, ScrubPolicy, TourBudget};
 
 const LINES: u32 = 64;
 const BANKS: u32 = 8;
@@ -34,8 +32,8 @@ fn test_memory() -> Memory {
     )
 }
 
-fn policy(capacity: u32, seed: u64) -> ProfiledScrub {
-    ProfiledScrub::new(
+fn policy(capacity: u32, seed: u64) -> ScrubPolicy {
+    ScrubPolicy::profiled(
         600.0,
         LINES,
         BANKS,
@@ -81,7 +79,7 @@ fn probe_result(e: u8) -> AccessResult {
 /// syndrome feedback loop through `wants_writeback`. Returns every
 /// action and write-back decision taken.
 fn drive(
-    policy: &mut ProfiledScrub,
+    policy: &mut ScrubPolicy,
     mem: &Memory,
     base: u64,
     steps: u64,
@@ -113,7 +111,11 @@ fn drive(
     trace
 }
 
-fn snapshot(policy: &ProfiledScrub) -> Vec<u8> {
+fn table_len(policy: &ScrubPolicy) -> usize {
+    policy.profile().expect("profiled").table_len()
+}
+
+fn snapshot(policy: &ScrubPolicy) -> Vec<u8> {
     let mut w = Writer::new();
     policy.save_state(&mut w);
     w.into_bytes()
@@ -142,7 +144,7 @@ proptest! {
         let mut r = Reader::new(&bytes);
         restored.load_state(&mut r).expect("own snapshot must load");
         r.finish().expect("snapshot fully consumed");
-        prop_assert_eq!(restored.table_len(), original.table_len());
+        prop_assert_eq!(table_len(&restored), table_len(&original));
 
         let a = drive(&mut original, &mem, prefix, suffix, &events);
         let b = drive(&mut restored, &mem, prefix, suffix, &events);
@@ -164,9 +166,9 @@ proptest! {
         for s in 0..steps {
             drive(&mut p, &mem, s, 1, &events);
             prop_assert!(
-                p.table_len() as u32 <= capacity,
+                table_len(&p) as u32 <= capacity,
                 "table holds {} of {} at step {s}",
-                p.table_len(),
+                table_len(&p),
                 capacity
             );
         }
@@ -184,7 +186,7 @@ proptest! {
         let mut original = policy(16, seed);
         // A long, probe-heavy prefix so the table is warm.
         drive(&mut original, &mem, 0, 300, &events);
-        prop_assume!(original.table_len() > 0);
+        prop_assume!(table_len(&original) > 0);
 
         let bytes = snapshot(&original);
         let mut forgetful = policy(16, seed);

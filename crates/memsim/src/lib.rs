@@ -61,7 +61,7 @@ pub use fault::FaultEngine;
 pub use geometry::{LineAddr, MemGeometry};
 pub use inject::{CampaignSpec, Injector};
 pub use line::{LineState, MAX_LEVELS};
-pub use memory::{AccessResult, Memory, ProbeKind};
+pub use memory::{splitmix64, AccessResult, Memory, ProbeKind};
 pub use repair::{RecoveryConfig, RepairConfig};
 pub use stats::MemStats;
 pub use sweep::{SweepOutcome, SweepPlan, SweepRule};

@@ -63,14 +63,22 @@ pub struct AccessResult {
     pub new_ue: bool,
 }
 
-/// Derives the RNG seed for one bank's stream from the master seed.
+/// One SplitMix64 step: adds the golden-ratio increment to `x` and
+/// applies the finalizer. Every seeded derivation in the workspace (bank
+/// streams, shard seeds, tour origins, tenant seeds, chaos schedules)
+/// mixes its inputs through this function, so adjacent seeds and indices
+/// never yield correlated streams.
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// Derives the RNG seed for one bank's stream from the master seed: the
+/// `bank + 1`-th SplitMix64 output of the sequence started at `master`.
 fn bank_stream_seed(master: u64, bank: u32) -> u64 {
-    // SplitMix64 finalizer over (master, bank): decorrelates streams even
-    // for adjacent master seeds and bank indices.
-    let mut z = master.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(bank as u64 + 1));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    splitmix64(master.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(bank))))
 }
 
 /// One bank's partition of the memory: its lines (addresses congruent to

@@ -11,13 +11,13 @@
 //! the full per-line write-back distribution; lines are independent, so
 //! totals get exact means and variances.
 //!
-//! Probe times come from [`scrub_core::BasicScrub::slot_times_within`],
+//! Probe times come from [`scrub_core::ScrubPolicy::slot_times_within`],
 //! which replicates the engine's floating-point slot accumulation — probe
 //! counts are exact, not ±1.
 
 use pcm_ecc::CodeSpec;
 use pcm_model::DeviceConfig;
-use scrub_core::BasicScrub;
+use scrub_core::ScrubPolicy;
 
 use crate::drift::{DriftOracle, ErrorRateGrid};
 
@@ -43,7 +43,8 @@ pub struct ScrubPrediction {
     pub scrub_energy_uj_sd: f64,
 }
 
-/// Closed-form model of `BasicScrub` driven by a [`DriftOracle`].
+/// Closed-form model of basic scrub ([`ScrubPolicy::basic`]) driven by a
+/// [`DriftOracle`].
 ///
 /// # Examples
 ///
@@ -180,8 +181,8 @@ impl BasicScrubOracle {
 
     /// Predicts probes, write-backs, and energy for the configured run.
     pub fn predict(&self) -> ScrubPrediction {
-        let policy = BasicScrub::new(self.interval_s, self.num_lines);
-        let slots = policy.slot_times_within(self.horizon_s);
+        let slots =
+            ScrubPolicy::basic(self.interval_s, self.num_lines).slot_times_within(self.horizon_s);
         let probes = slots.len() as u64;
 
         // Per-line probe times (line k owns slots j ≡ k mod N).
@@ -295,8 +296,8 @@ mod tests {
     #[test]
     fn probe_count_matches_policy_hook() {
         let pred = setup(7200.0);
-        let policy = BasicScrub::new(900.0, 32);
-        assert_eq!(pred.probes, policy.expected_probes_within(7200.0));
+        let slots = ScrubPolicy::basic(900.0, 32).slot_times_within(7200.0);
+        assert_eq!(pred.probes, slots.len() as u64);
     }
 
     #[test]

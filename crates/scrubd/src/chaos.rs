@@ -33,6 +33,8 @@
 
 use std::str::FromStr;
 
+use pcm_memsim::splitmix64;
+
 /// Where inside a round the injected daemon kill happens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillPoint {
@@ -89,13 +91,6 @@ pub struct ChaosSpec {
     /// Where in the kill round the exit lands.
     pub kill_point: KillPoint,
     torn_status: Vec<u64>,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl ChaosSpec {

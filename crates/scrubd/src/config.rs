@@ -35,6 +35,7 @@
 
 use std::str::FromStr;
 
+use pcm_memsim::splitmix64;
 use pcm_workloads::TenantMixSpec;
 use scrub_core::{DemandTraffic, PolicyKind, SimConfig};
 
@@ -66,16 +67,6 @@ pub struct FleetConfig {
     /// Self-healing knobs (`[supervisor]` section; defaults apply when
     /// the section is absent).
     pub supervisor: SupervisorConfig,
-}
-
-/// SplitMix64 finalizer: decorrelates per-shard seeds derived from the
-/// fleet master seed, so adjacent shard ids never see adjacent RNG
-/// streams.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl FleetConfig {

@@ -817,6 +817,37 @@ mod tests {
         assert_eq!(continuous.rollup().to_json(), migrated.rollup().to_json());
     }
 
+    /// Shards smaller than the combined policy's 64 regions scrub
+    /// cleanly: an 80-line shard gets 40 two-line regions, none of them
+    /// past its last line.
+    #[test]
+    fn small_combined_shards_never_quarantine() {
+        let config: FleetConfig = "[fleet]\n\
+             banks = 64\n\
+             lines-per-bank = 5\n\
+             shards = 4\n\
+             seed = 11\n\
+             horizon-s = 3600\n\
+             cadence-s = 900\n\
+             policy = combined@900\n\
+             threads = 2\n\
+             [tenants]\n\
+             mix = alpha:rate=40\n"
+            .parse()
+            .expect("valid config");
+        assert_eq!(config.shard_lines(), 80);
+        let mut fleet = Fleet::new(config);
+        while !fleet.done() {
+            fleet.advance_round();
+        }
+        assert_eq!(fleet.quarantined(), 0);
+        assert_eq!(
+            *fleet.stats(),
+            SupervisionStats::default(),
+            "no shard failed"
+        );
+    }
+
     #[test]
     fn migrate_rejects_unknown_shard() {
         let mut fleet = Fleet::new(tiny_config());

@@ -24,6 +24,8 @@
 
 use std::fmt;
 
+use pcm_memsim::splitmix64;
+
 /// Why a shard's round attempt failed — the classes the supervisor
 /// distinguishes (and the WAL persists).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,15 +185,6 @@ impl Default for SupervisorConfig {
             checkpoint_every_rounds: 1,
         }
     }
-}
-
-/// SplitMix64 finalizer (same constants as the shard-seed derivation):
-/// turns `(seed, shard, attempt)` into decorrelated jitter bits.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl SupervisorConfig {

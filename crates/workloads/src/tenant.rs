@@ -46,7 +46,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use pcm_memsim::{MemOp, OpKind, TraceSource};
+use pcm_memsim::{splitmix64, MemOp, OpKind, TraceSource};
 use scrub_checkpoint::{CheckpointError, Reader, Writer};
 
 use crate::generator::{AddrPattern, ArrivalProcess, SyntheticTrace};
@@ -228,14 +228,6 @@ impl fmt::Display for TenantMixSpec {
         }
         Ok(())
     }
-}
-
-/// SplitMix64 finalizer: decorrelates per-tenant seeds.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 fn parse_f64(field: &str, raw: &str) -> Result<f64, String> {

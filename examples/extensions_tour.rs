@@ -1,6 +1,8 @@
 //! Tour of the extension mechanisms built on top of the paper's combined
 //! scrub: time-aware sensing, CRC-first probes, Start-Gap wear leveling,
-//! in-band scrub, the UE-budget controller, and temperature scaling.
+//! in-band scrub, and temperature scaling. The budgeted tour and profiled
+//! policies have their own experiments (`exp_e14_budget`,
+//! `exp_e17_profiled`).
 //!
 //! ```bash
 //! cargo run --release --example extensions_tour
@@ -64,18 +66,6 @@ fn main() {
     run(
         "+in-band scrub",
         base().inband_writeback(4).build(),
-        &mut table,
-    );
-    run(
-        "budget controller (10 UE/GiB-day)",
-        base()
-            .policy(PolicyKind::Budget {
-                interval_s: 900.0,
-                theta: 4,
-                target_ue_per_gib_day: 10.0,
-                window_s: 3600.0,
-            })
-            .build(),
         &mut table,
     );
     run(

@@ -257,3 +257,28 @@ fn valid_tour_invocation_runs() {
         "report should name the policy:\n{stdout}"
     );
 }
+
+/// Memories smaller than the default policies' 64 regions or 8 banks
+/// run to completion: the combined policy at 1,000 lines (where 64
+/// equal regions would leave the last one empty) and the tour at 4 lines
+/// (fewer lines than banks).
+#[test]
+fn small_memories_run_under_the_default_and_tour_policies() {
+    for args in [
+        &["--lines", "1000"][..],
+        &["--lines", "4", "--policy", "tour"][..],
+    ] {
+        let out = scrubsim(
+            &[
+                args,
+                &["--hours", "1", "--workload", "idle", "--threads", "1"],
+            ]
+            .concat(),
+        );
+        assert!(
+            out.status.success(),
+            "{args:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}

@@ -1,6 +1,6 @@
 //! End-to-end tests of the extension mechanisms (DESIGN.md "Extension
 //! mechanisms"): time-aware sensing, CRC-first probes, wear leveling,
-//! in-band scrub, the budget controller, and temperature scaling.
+//! in-band scrub, and temperature scaling.
 //!
 //! Paper-scale runs are `#[ignore]`d behind `SCRUBSIM_FULL_TEST=1` (see
 //! `end_to_end.rs`); each keeps a `quick_` variant in tier-1.
@@ -100,84 +100,6 @@ fn wear_leveling_flattens_wear_under_skewed_writes() {
         plain.max_wear
     );
     assert!(leveled.stats.wear_level_writes > 0);
-}
-
-#[test]
-#[ignore = "paper-scale run: SCRUBSIM_FULL_TEST=1 cargo test -- --include-ignored"]
-fn budget_policy_spends_less_than_fixed_when_target_is_loose() {
-    if !full() {
-        eprintln!("skipped: set SCRUBSIM_FULL_TEST=1");
-        return;
-    }
-    let fixed = Simulation::new(
-        base(34)
-            .policy(PolicyKind::Threshold {
-                interval_s: 900.0,
-                theta: 4,
-            })
-            .build(),
-    )
-    .run();
-    let budget = Simulation::new(
-        base(34)
-            .policy(PolicyKind::Budget {
-                interval_s: 900.0,
-                theta: 4,
-                target_ue_per_gib_day: 1e6, // effectively "anything goes"
-                window_s: 1800.0,
-            })
-            .build(),
-    )
-    .run();
-    // With a loose budget the controller relaxes the sweep and probes less.
-    assert!(
-        budget.stats.scrub_probes < fixed.stats.scrub_probes,
-        "budget {} vs fixed {} probes",
-        budget.stats.scrub_probes,
-        fixed.stats.scrub_probes
-    );
-}
-
-#[test]
-#[ignore = "paper-scale run: SCRUBSIM_FULL_TEST=1 cargo test -- --include-ignored"]
-fn budget_policy_tightens_under_strict_target() {
-    if !full() {
-        eprintln!("skipped: set SCRUBSIM_FULL_TEST=1");
-        return;
-    }
-    let loose = Simulation::new(
-        base(35)
-            .code(CodeSpec::secded_line())
-            .policy(PolicyKind::Budget {
-                interval_s: 3600.0,
-                theta: 1,
-                // 2048 lines is ~1e-4 GiB, so even one UE per window is a
-                // ~4e5/GiB-day rate; "loose" must sit far above that.
-                target_ue_per_gib_day: 1e10,
-                window_s: 1800.0,
-            })
-            .build(),
-    )
-    .run();
-    let strict = Simulation::new(
-        base(35)
-            .code(CodeSpec::secded_line())
-            .policy(PolicyKind::Budget {
-                interval_s: 3600.0,
-                theta: 1,
-                target_ue_per_gib_day: 0.5,
-                window_s: 1800.0,
-            })
-            .build(),
-    )
-    .run();
-    assert!(
-        strict.stats.scrub_probes > loose.stats.scrub_probes,
-        "strict {} vs loose {} probes",
-        strict.stats.scrub_probes,
-        loose.stats.scrub_probes
-    );
-    assert!(strict.uncorrectable() <= loose.uncorrectable());
 }
 
 #[test]
@@ -281,60 +203,4 @@ fn quick_wear_leveling_flattens_wear() {
         plain.max_wear
     );
     assert!(leveled.stats.wear_level_writes > 0);
-}
-
-#[test]
-fn quick_budget_policy_spends_less_when_target_is_loose() {
-    let fixed = Simulation::new(
-        quick(34)
-            .policy(PolicyKind::Threshold {
-                interval_s: 900.0,
-                theta: 4,
-            })
-            .build(),
-    )
-    .run();
-    let budget = Simulation::new(
-        quick(34)
-            .policy(PolicyKind::Budget {
-                interval_s: 900.0,
-                theta: 4,
-                target_ue_per_gib_day: 1e6,
-                window_s: 1800.0,
-            })
-            .build(),
-    )
-    .run();
-    assert!(
-        budget.stats.scrub_probes < fixed.stats.scrub_probes,
-        "budget {} vs fixed {} probes",
-        budget.stats.scrub_probes,
-        fixed.stats.scrub_probes
-    );
-}
-
-#[test]
-fn quick_budget_policy_tightens_under_strict_target() {
-    let run = |target_ue_per_gib_day: f64| {
-        Simulation::new(
-            quick(35)
-                .code(CodeSpec::secded_line())
-                .policy(PolicyKind::Budget {
-                    interval_s: 3600.0,
-                    theta: 1,
-                    target_ue_per_gib_day,
-                    window_s: 1800.0,
-                })
-                .build(),
-        )
-        .run()
-    };
-    let loose = run(1e10);
-    let strict = run(0.5);
-    assert!(
-        strict.stats.scrub_probes > loose.stats.scrub_probes,
-        "strict {} vs loose {} probes",
-        strict.stats.scrub_probes,
-        loose.stats.scrub_probes
-    );
 }

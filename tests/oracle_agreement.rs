@@ -566,7 +566,7 @@ fn drive_cold_profiled(
     slots: u64,
 ) -> Vec<Option<u32>> {
     use scrubsim::memsim::AccessResult;
-    use scrubsim::scrub::{ProfileParams, ProfiledScrub, ScrubAction, ScrubContext, TourBudget};
+    use scrubsim::scrub::{ProfileParams, ScrubAction, ScrubContext, ScrubPolicy, TourBudget};
 
     let mem = Memory::new(
         MemGeometry::new(lines, banks),
@@ -574,7 +574,7 @@ fn drive_cold_profiled(
         CodeSpec::bch_line(6),
         5,
     );
-    let mut policy = ProfiledScrub::new(
+    let mut policy = ScrubPolicy::profiled(
         600.0,
         lines,
         banks,
