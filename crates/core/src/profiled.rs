@@ -142,26 +142,6 @@ impl RiskProfile {
         self.table.get(&addr.0).copied().unwrap_or(0)
     }
 
-    /// Probes of profiled lines that found persistent errors.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Probes of profiled lines that came back clean.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Risk-table evictions at capacity.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Extra probes granted to hot lines by the interleave.
-    pub fn hot_probes(&self) -> u64 {
-        self.hot_probes
-    }
-
     pub(crate) fn set_forgetful(&mut self, forgetful: bool) {
         self.forgetful = forgetful;
     }
@@ -519,7 +499,7 @@ mod tests {
         // 256 slots = 4 tours; the tour alone would probe line 5 four
         // times, the interleave adds roughly one probe per 4 grants.
         assert!(hits_on_5 > 10, "hot line only probed {hits_on_5} times");
-        assert!(profile(&p).hot_probes() > 0);
+        assert!(profile(&p).hot_probes > 0);
     }
 
     /// The table never exceeds capacity; overflow evicts lowest-score.
@@ -535,7 +515,7 @@ mod tests {
             );
             assert!(profile(&p).table_len() <= 4, "table grew past capacity");
         }
-        assert!(profile(&p).evictions() > 0);
+        assert!(profile(&p).evictions > 0);
     }
 
     /// Clean probes decay scores and eventually forget the line; demand
@@ -557,7 +537,7 @@ mod tests {
             p.wants_writeback(LineAddr(9), &res(0, ClassifyOutcome::Clean), &ctx(2.0, &m));
         }
         assert_eq!(profile(&p).table_len(), 0);
-        assert!(profile(&p).misses() > 0);
+        assert!(profile(&p).misses > 0);
     }
 
     /// Quiet lines write back at theta+1, profiled lines at theta; UEs
@@ -650,7 +630,7 @@ mod tests {
         let position = |p: &ScrubPolicy| p.tour_cursor().expect("tour").position();
         assert_eq!(position(&q), position(&p));
         assert_eq!(profile(&q).table_len(), profile(&p).table_len());
-        assert_eq!(profile(&q).hits(), profile(&p).hits());
+        assert_eq!(profile(&q).hits, profile(&p).hits);
         let mut w2 = Writer::new();
         q.save_state(&mut w2);
         assert_eq!(w2.into_bytes(), bytes, "byte-identical re-serialization");

@@ -90,11 +90,6 @@ impl TourCursor {
         self.tours_completed
     }
 
-    /// Per-bank tour origins (derived from the run seed).
-    pub fn origins(&self) -> &[u32] {
-        &self.origins
-    }
-
     /// The line the tour visits at position `p`.
     fn addr_at(&self, p: u32) -> LineAddr {
         let b = p % self.banks;
@@ -219,11 +214,6 @@ impl TokenBucket {
         &self.budget
     }
 
-    /// Tokens currently in the bucket.
-    pub fn tokens(&self) -> f64 {
-        self.tokens
-    }
-
     /// Slots throttled by an empty bucket.
     pub fn throttled_slots(&self) -> u64 {
         self.throttled_slots
@@ -232,11 +222,6 @@ impl TokenBucket {
     /// Probes forced by the anti-starvation boost.
     pub fn forced_probes(&self) -> u64 {
         self.forced_probes
-    }
-
-    /// Longest completed tour, in slots.
-    pub fn max_tour_slots(&self) -> u64 {
-        self.max_tour_slots
     }
 
     pub(crate) fn set_unfair(&mut self, unfair: bool) {
@@ -403,7 +388,7 @@ mod tests {
     fn origins_are_seeded_and_deterministic() {
         let origins = |seed| {
             let p = tour(900.0, 4096, 8, budget(100.0, 10.0, 4), seed);
-            p.tour_cursor().expect("tour").origins().to_vec()
+            p.tour_cursor().expect("tour").origins.clone()
         };
         let (a, b, c) = (origins(1), origins(1), origins(2));
         assert_eq!(a, b);
@@ -428,7 +413,7 @@ mod tests {
         }
         assert_eq!(probes, 16);
         assert_eq!(p.tour_cursor().expect("tour").tours_completed(), 1);
-        assert_eq!(bucket(&p).max_tour_slots(), 16);
+        assert_eq!(bucket(&p).max_tour_slots, 16);
     }
 
     /// An empty bucket throttles, and the anti-starvation boost forces a
@@ -473,10 +458,10 @@ mod tests {
     fn demand_charges_shared_bucket() {
         let m = mem(8, 2);
         let mut p = tour(8.0, 8, 2, budget(1e-9, 4.0, 10), 5);
-        assert_eq!(bucket(&p).tokens(), 4.0);
+        assert_eq!(bucket(&p).tokens, 4.0);
         p.on_demand_read(LineAddr(0), SimTime::ZERO);
         p.on_demand_write(LineAddr(1), SimTime::ZERO);
-        assert_eq!(bucket(&p).tokens(), 2.0);
+        assert_eq!(bucket(&p).tokens, 2.0);
         // Two probes spend the rest; the third slot throttles.
         assert!(matches!(
             p.next_action(&ctx(0.0, &m)),
@@ -531,7 +516,7 @@ mod tests {
         );
         assert_eq!(qt.position(), pt.position());
         assert_eq!(qt.tours_completed(), pt.tours_completed());
-        assert_eq!(bucket(&q).tokens(), bucket(&p).tokens());
+        assert_eq!(bucket(&q).tokens, bucket(&p).tokens);
         // ...and identical re-serialization (byte-for-byte survival).
         let mut w2 = Writer::new();
         q.save_state(&mut w2);

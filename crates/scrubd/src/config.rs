@@ -167,6 +167,14 @@ fn parse_policy(s: &str) -> Result<PolicyKind, String> {
     if !interval_s.is_finite() || interval_s <= 0.0 {
         return Err(format!("policy interval must be positive, got {interval}"));
     }
+    // Every shard's engine turns the slot gap (interval / lines) into
+    // clock ticks when it is built; refuse intervals the clock cannot hold.
+    let max_interval_s = scrub_core::tick::secs_from_ticks(scrub_core::tick::MAX_TICK);
+    if interval_s > max_interval_s {
+        return Err(format!(
+            "policy interval must be at most {max_interval_s:.0} s, got {interval}"
+        ));
+    }
     let theta = 4;
     match name {
         "basic" => Ok(PolicyKind::Basic { interval_s }),
@@ -449,6 +457,10 @@ mix = alpha:rate=40;beta:suite=kv-cache,scale=0.5
             (
                 GOOD.replace("policy = combined@900", "policy = basic"),
                 "NAME@INTERVAL_S",
+            ),
+            (
+                GOOD.replace("policy = combined@900", "policy = combined@1e300"),
+                "policy interval must be at most",
             ),
             (
                 GOOD.replace(
