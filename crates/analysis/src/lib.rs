@@ -32,13 +32,11 @@
 //! assert!((percent_reduction(100.0, 3.5) - 96.5).abs() < 1e-9);
 //! ```
 
-mod hist;
 mod infer;
 pub mod modelcheck;
 mod stats;
 mod table;
 
-pub use hist::{percentile, Histogram};
 pub use infer::{
     chi_square_gof, clopper_pearson_interval, ks_p_value, ks_test, wilson_interval, Interval,
     TestBattery, TestOutcome,

@@ -18,6 +18,7 @@ use criterion::{criterion_group, Criterion};
 use scrub_bench::experiments::e6;
 use scrub_bench::Scale;
 use scrub_telemetry as tel;
+use tel::json::fmt_f64;
 
 fn bench_disabled_calls(c: &mut Criterion) {
     tel::set_enabled(false);
@@ -57,14 +58,6 @@ fn per_call_ns<F: FnMut()>(mut f: F) -> f64 {
         .collect();
     samples.sort_by(f64::total_cmp);
     samples[samples.len() / 2]
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn overhead_estimate() {
@@ -113,12 +106,12 @@ fn overhead_estimate() {
          \"disabled_counter_add_ns\": {},\n  \"disabled_event_ns\": {},\n  \
          \"e6_quick_wall_s\": {},\n  \"guarded_calls\": {},\n  \
          \"disabled_overhead_pct\": {},\n  \"enabled_measured_delta_pct\": {}\n}}\n",
-        json_f64(counter_ns),
-        json_f64(event_ns),
-        json_f64(wall_disabled_s),
+        fmt_f64(counter_ns),
+        fmt_f64(event_ns),
+        fmt_f64(wall_disabled_s),
         guarded_calls,
-        json_f64(overhead_pct),
-        json_f64(enabled_delta_pct)
+        fmt_f64(overhead_pct),
+        fmt_f64(enabled_delta_pct)
     );
     println!(
         "telemetry disabled-path: {counter_ns:.3} ns/counter, {event_ns:.3} ns/event, \

@@ -17,7 +17,7 @@ use pcm_ecc::CodeSpec;
 use pcm_memsim::inject::{SeuClause, StuckClause};
 use pcm_memsim::{CampaignSpec, RecoveryConfig, RepairConfig};
 use pcm_model::{DeviceConfig, EnduranceSpec};
-use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport, Simulation};
+use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport};
 use scrub_telemetry as tel;
 
 use crate::runner;
@@ -119,17 +119,7 @@ fn run_one(scale: &Scale, policy: &PolicyKind, seed: u64, threads: usize) -> Sim
         .fault_campaign(runner::fault_campaign().unwrap_or_else(|| default_campaign(scale)))
         .repair(RepairConfig::default())
         .ue_recovery(RecoveryConfig::default());
-    let config = builder.build();
-    // `--checkpoint-every` routes every rep through the serialize/resume
-    // path; the determinism contract makes this invisible in the output.
-    match runner::checkpoint_every_s() {
-        Some(every_s) => {
-            scrub_core::run_split(config, every_s)
-                .expect("split run over config-built traces cannot fail")
-                .report
-        }
-        None => Simulation::new(config).run(),
-    }
+    super::run_config(builder.build())
 }
 
 /// Computes the lifetime table without rendering.
@@ -139,10 +129,9 @@ pub fn compute(scale: Scale) -> Vec<LifetimeRow> {
         .into_iter()
         .map(|(label, policy)| {
             let (outer, inner) = super::split_threads(threads, scale.reps as usize);
-            let reports: Vec<SimReport> =
-                scrub_exec::par_map(outer, (0..scale.reps).collect(), |_, rep| {
-                    run_one(&scale, &policy, 0xE13 + rep as u64 * 1000, inner)
-                });
+            let reports: Vec<SimReport> = scrub_exec::par_map(outer, 0..scale.reps, |_, rep| {
+                run_one(&scale, &policy, 0xE13 + rep as u64 * 1000, inner)
+            });
             let n = reports.len() as f64;
             let mut row = LifetimeRow {
                 label,

@@ -18,7 +18,7 @@ use pcm_analysis::{fmt_count, Table};
 use pcm_ecc::CodeSpec;
 use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
-use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport, Simulation};
+use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport};
 use scrub_telemetry as tel;
 
 use crate::runner;
@@ -123,18 +123,7 @@ fn run_one(scale: &Scale, policy: &PolicyKind, seed: u64, threads: usize) -> Sim
     if let Some(spec) = runner::fault_campaign() {
         builder.fault_campaign(spec);
     }
-    let config = builder.build();
-    // `--checkpoint-every` routes every rep through the serialize/resume
-    // path — mid-tour checkpoints included; the determinism contract
-    // makes this invisible in the output.
-    match runner::checkpoint_every_s() {
-        Some(every_s) => {
-            scrub_core::run_split(config, every_s)
-                .expect("split run over config-built traces cannot fail")
-                .report
-        }
-        None => Simulation::new(config).run(),
-    }
+    super::run_config(builder.build())
 }
 
 /// Computes the budget table without rendering.
@@ -154,10 +143,9 @@ pub fn compute(scale: Scale) -> Vec<BudgetRow> {
         .into_iter()
         .map(|(label, iops, policy)| {
             let (outer, inner) = super::split_threads(threads, scale.reps as usize);
-            let reports: Vec<SimReport> =
-                scrub_exec::par_map(outer, (0..scale.reps).collect(), |_, rep| {
-                    run_one(&scale, &policy, 0xE14 + rep as u64 * 1000, inner)
-                });
+            let reports: Vec<SimReport> = scrub_exec::par_map(outer, 0..scale.reps, |_, rep| {
+                run_one(&scale, &policy, 0xE14 + rep as u64 * 1000, inner)
+            });
             let n = reports.len() as f64;
             let mut row = BudgetRow {
                 label: label.clone(),

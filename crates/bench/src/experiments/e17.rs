@@ -31,7 +31,7 @@ use pcm_ecc::CodeSpec;
 use pcm_memsim::CampaignSpec;
 use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
-use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport, Simulation};
+use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport};
 use scrub_telemetry as tel;
 
 use crate::runner;
@@ -191,15 +191,7 @@ fn run_one(
         .seed(seed)
         .threads(threads)
         .fault_campaign(*campaign);
-    let config = builder.build();
-    match runner::checkpoint_every_s() {
-        Some(every_s) => {
-            scrub_core::run_split(config, every_s)
-                .expect("split run over config-built traces cannot fail")
-                .report
-        }
-        None => Simulation::new(config).run(),
-    }
+    super::run_config(builder.build())
 }
 
 /// Minimum rep count for both tables. Single-run write-back totals
@@ -217,7 +209,7 @@ fn reps(
 ) -> Vec<SimReport> {
     let n = scale.reps.max(MIN_REPS);
     let (outer, inner) = super::split_threads(threads, n as usize);
-    scrub_exec::par_map(outer, (0..n).collect(), |_, rep| {
+    scrub_exec::par_map(outer, 0..n, |_, rep| {
         run_one(
             scale,
             code,

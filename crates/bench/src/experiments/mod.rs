@@ -30,13 +30,30 @@ use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport, Simulation};
 
 use crate::scale::Scale;
 
+/// Runs one simulation to its horizon. When the process has a
+/// `--checkpoint-every` cadence installed, the run goes through
+/// `scrub_core::run_split`, serializing and resuming the full state at
+/// every boundary; the determinism contract makes this invisible in the
+/// output.
+pub(crate) fn run_config(config: SimConfig) -> SimReport {
+    match crate::runner::checkpoint_every_s() {
+        Some(every_s) => {
+            scrub_core::run_split(config, every_s)
+                .expect("split run over config-built traces cannot fail")
+                .report
+        }
+        None => Simulation::new(config).run(),
+    }
+}
+
 /// Builds and runs one simulation on `threads` bank-sweep workers.
 ///
 /// Results are bit-identical for every thread count (the simulator's
 /// determinism contract), so the split between outer job-level and inner
 /// bank-level parallelism is purely a scheduling decision. When the
 /// process has a `--fault-campaign` installed, it is attached to every
-/// simulation (the campaign's own seed keeps that deterministic too).
+/// simulation (the campaign's own seed keeps that deterministic too), and
+/// `--checkpoint-every` splits it as [`run_config`] describes.
 pub(crate) fn run_sim(
     scale: &Scale,
     device: DeviceConfig,
@@ -59,7 +76,7 @@ pub(crate) fn run_sim(
     if let Some(spec) = crate::runner::fault_campaign() {
         builder.fault_campaign(spec);
     }
-    Simulation::new(builder.build()).run()
+    run_config(builder.build())
 }
 
 /// Splits a thread budget between outer (job fan-out) and inner (per-bank
@@ -151,18 +168,17 @@ pub fn run_reps_threads(
     threads: usize,
 ) -> Metrics {
     let (outer, inner) = split_threads(threads, scale.reps as usize);
-    let reports: Vec<SimReport> =
-        scrub_exec::par_map(outer, (0..scale.reps).collect(), |_, rep| {
-            run_sim(
-                scale,
-                device.clone(),
-                code.clone(),
-                policy.clone(),
-                traffic.clone(),
-                base_seed + rep as u64 * 1000,
-                inner,
-            )
-        });
+    let reports: Vec<SimReport> = scrub_exec::par_map(outer, 0..scale.reps, |_, rep| {
+        run_sim(
+            scale,
+            device.clone(),
+            code.clone(),
+            policy.clone(),
+            traffic.clone(),
+            base_seed + rep as u64 * 1000,
+            inner,
+        )
+    });
     Metrics::of(&reports)
 }
 

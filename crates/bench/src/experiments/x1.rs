@@ -15,7 +15,7 @@ use pcm_ecc::CodeSpec;
 use pcm_memsim::ProbeKind;
 use pcm_model::{DeviceConfig, SensingMode};
 use pcm_workloads::WorkloadId;
-use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport, Simulation};
+use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport};
 
 use crate::scale::Scale;
 
@@ -42,7 +42,10 @@ fn run_one(
     if let Some(t) = inband {
         b.inband_writeback(t);
     }
-    Simulation::new(b.build()).run()
+    if let Some(spec) = crate::runner::fault_campaign() {
+        b.fault_campaign(spec);
+    }
+    super::run_config(b.build())
 }
 
 /// Runs X1 and renders its table.

@@ -16,6 +16,7 @@ use std::time::Instant;
 
 use pcm_memsim::CampaignSpec;
 use scrub_telemetry as tel;
+use tel::json::{escape, fmt_f64};
 
 use crate::scale::Scale;
 
@@ -39,10 +40,10 @@ pub fn set_fault_campaign(spec: CampaignSpec) {
 static CHECKPOINT_EVERY_S: OnceLock<f64> = OnceLock::new();
 
 /// The checkpoint cadence (simulated seconds) every simulation in this
-/// process should split at, if one was requested. Experiments honoring it
-/// run each simulation through `scrub_core::run_split` — exercising the
-/// full serialize/resume path — and must produce output byte-identical to
-/// a continuous run's.
+/// process should split at, if one was requested. Every experiment except
+/// E1 and the E15/E16 fleets then runs each simulation through
+/// `scrub_core::run_split` — exercising the full serialize/resume path —
+/// and must produce output byte-identical to a continuous run's.
 pub fn checkpoint_every_s() -> Option<f64> {
     CHECKPOINT_EVERY_S.get().copied()
 }
@@ -93,7 +94,10 @@ fn usage(exp: &str) -> ! {
          \x20                    e.g. 'seed=1;stuck=lines:8,cells:6;seu=lines:16,count:4,window:3600'\n\
          \x20 --checkpoint-every SECS\n\
          \x20                    run each simulation as checkpoint/resume segments of this\n\
-         \x20                    many simulated seconds (results are byte-identical)\n\
+         \x20                    many simulated seconds (results are byte-identical);\n\
+         \x20                    e1 runs no simulation and the e15/e16 fleets checkpoint\n\
+         \x20                    on their own round cadence, so those three ignore both\n\
+         \x20                    --checkpoint-every and --fault-campaign\n\
          \x20 --horizon-s SECS   override the scale's simulated horizon (e.g. 31536000\n\
          \x20                    for a 1-year run)\n\
          \x20 --scrub-iops N     token-bucket refill rate for budgeted tour policies\n\
@@ -185,28 +189,6 @@ fn parse_opts(exp: &str) -> Opts {
     opts
 }
 
-/// Renders one f64 as JSON (finite numbers only; anything else is null).
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn render_record(
     exp: &str,
     threads: usize,
@@ -216,19 +198,19 @@ fn render_record(
 ) -> String {
     let metric_fields: Vec<String> = metrics
         .iter()
-        .map(|(k, v)| format!("    \"{}\": {}", json_escape(k), json_f64(*v)))
+        .map(|(k, v)| format!("    \"{}\": {}", escape(k), fmt_f64(*v)))
         .collect();
     format!(
         "{{\n  \"experiment\": \"{}\",\n  \"threads\": {},\n  \
          \"wall_s\": {},\n  \"horizon_s\": {},\n  \
          \"scale\": {{\n    \"num_lines\": {},\n    \"horizon_s\": {},\n    \
          \"reps\": {},\n    \"mc_cells\": {}\n  }},\n  \"metrics\": {{\n{}\n  }}\n}}\n",
-        json_escape(exp),
+        escape(exp),
         threads,
-        json_f64(wall_s),
-        json_f64(scale.horizon_s),
+        fmt_f64(wall_s),
+        fmt_f64(scale.horizon_s),
         scale.num_lines,
-        json_f64(scale.horizon_s),
+        fmt_f64(scale.horizon_s),
         scale.reps,
         scale.mc_cells,
         metric_fields.join(",\n")
@@ -337,17 +319,5 @@ mod tests {
         let open = rec.matches('{').count();
         let close = rec.matches('}').count();
         assert_eq!(open, close);
-    }
-
-    #[test]
-    fn non_finite_metrics_become_null() {
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(2.5), "2.5");
-    }
-
-    #[test]
-    fn escapes_quotes_and_controls() {
-        assert_eq!(json_escape("a\"b\\c\n"), "a\\\"b\\\\c\\u000a");
     }
 }

@@ -1,21 +1,13 @@
-//! End-to-end demo of the fault-injection + graceful-degradation PR:
-//!
-//! * a campaign driven through E13 shows every repair-hierarchy stage —
-//!   ECP repair, line retirement, bank degradation — in both the report
-//!   stats and the telemetry counters/journal;
-//! * a deliberately panicking rep inside a `par_try_map` fan-out is
-//!   isolated: every other rep's report is byte-identical to a clean run.
+//! End-to-end demo of fault injection and graceful degradation: a
+//! campaign driven through E13 shows every repair-hierarchy stage — ECP
+//! repair, line retirement, bank degradation — in both the report stats
+//! and the telemetry counters/journal.
 //!
 //! The telemetry recorder and the `--fault-campaign` global are
-//! process-wide, so the telemetry demo lives in ONE test function and the
-//! panic test passes its campaign explicitly instead of using the global.
+//! process-wide, so the demo lives in ONE test function.
 
-use pcm_ecc::CodeSpec;
-use pcm_memsim::{CampaignSpec, RecoveryConfig, RepairConfig};
-use pcm_model::{DeviceConfig, EnduranceSpec};
 use scrub_bench::experiments::e13;
 use scrub_bench::{runner, Scale};
-use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport, Simulation};
 use scrub_telemetry as tel;
 
 #[test]
@@ -63,63 +55,4 @@ fn campaign_drives_all_repair_stages_into_telemetry() {
         doc.values.get("e13.basic.ecp_repairs").copied(),
         Some(basic.ecp_repairs)
     );
-}
-
-/// Builds one rep of a small campaign-stressed simulation. The campaign
-/// is passed explicitly (not via the process-global) so this test is
-/// independent of the telemetry demo above.
-fn rep_report(rep: u32) -> SimReport {
-    let mut builder = SimConfig::builder();
-    builder
-        .num_lines(512)
-        .device(
-            DeviceConfig::builder()
-                .endurance(EnduranceSpec::new(30.0, 0.4))
-                .build(),
-        )
-        .code(CodeSpec::bch_line(6))
-        .policy(PolicyKind::Basic { interval_s: 900.0 })
-        .traffic(DemandTraffic::Idle)
-        .horizon_s(4.0 * 3600.0)
-        .seed(100 + rep as u64 * 1000)
-        .fault_campaign(
-            "seed=5;stuck=lines:32,cells:4"
-                .parse::<CampaignSpec>()
-                .expect("valid spec"),
-        )
-        .repair(RepairConfig::default())
-        .ue_recovery(RecoveryConfig::default());
-    Simulation::new(builder.build()).run()
-}
-
-#[test]
-fn panicking_rep_does_not_poison_the_others() {
-    // Silence the expected panic's default backtrace spew.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let reps: Vec<u32> = (0..6).collect();
-    let clean: Vec<Result<SimReport, scrub_exec::JobError>> =
-        scrub_exec::par_try_map(4, reps.clone(), 0, |_, &rep| rep_report(rep));
-    let poisoned: Vec<Result<SimReport, scrub_exec::JobError>> =
-        scrub_exec::par_try_map(4, reps, 0, |_, &rep| {
-            if rep == 3 {
-                panic!("injected harness fault in rep 3");
-            }
-            rep_report(rep)
-        });
-    std::panic::set_hook(hook);
-    assert_eq!(clean.len(), poisoned.len());
-    for (rep, (c, p)) in clean.iter().zip(&poisoned).enumerate() {
-        let c = c.as_ref().expect("clean run has no panics");
-        if rep == 3 {
-            let err = p.as_ref().expect_err("rep 3 must fail");
-            assert!(
-                err.to_string().contains("injected harness fault"),
-                "error should carry the panic message: {err}"
-            );
-        } else {
-            let p = p.as_ref().expect("other reps must survive");
-            assert_eq!(c, p, "rep {rep} diverged because another rep panicked");
-        }
-    }
 }

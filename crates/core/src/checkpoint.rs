@@ -148,14 +148,16 @@ mod tests {
         sim.run_to(4000.0);
         let bytes = sim.checkpoint().expect("checkpoint");
         let cfg = sim.config().clone();
+        let continuous = Simulation::new(cfg.clone()).run();
         // Resume twice from the same immutable bytes — the campaign
         // re-injection in `Simulation::new` must be fully overwritten so
-        // a retried job replays identical randomness.
-        let a = Simulation::resume(cfg.clone(), &bytes)
-            .expect("resume")
-            .finish();
-        let b = Simulation::resume(cfg, &bytes).expect("resume").finish();
-        assert_eq!(a, b);
+        // a retried job replays identical randomness. The first attempt
+        // consumes randomness partway and is dropped, as a failed job is.
+        let mut dropped = Simulation::resume(cfg.clone(), &bytes).expect("resume");
+        dropped.run_to(5400.0);
+        drop(dropped);
+        let retried = Simulation::resume(cfg, &bytes).expect("resume").finish();
+        assert_eq!(retried, continuous);
     }
 
     #[test]

@@ -34,7 +34,6 @@ mod code;
 mod crc;
 mod gf;
 mod hamming;
-mod interleave;
 mod poly;
 mod rs;
 
@@ -47,6 +46,5 @@ pub use code::{
 pub use crc::Crc32;
 pub use gf::GfTable;
 pub use hamming::{Secded72, SecdedLine};
-pub use interleave::Interleaved;
 pub use poly::{BinPoly, GfPoly};
 pub use rs::RsCode;

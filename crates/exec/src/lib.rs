@@ -2,15 +2,20 @@
 //!
 //! A minimal work-stealing job pool built on `std::thread::scope`, with no
 //! external dependencies. It exists to fan out *independent, deterministic*
-//! jobs — whole simulations in the bench harness (Tier A) and per-bank
-//! sweep shards inside one simulation (Tier B) — without changing any
-//! result bit.
+//! jobs — whole simulations in the bench harness, per-bank sweep shards
+//! inside one simulation, and the fleet's shard rounds — without changing
+//! any result bit.
 //!
-//! Determinism contract: jobs must not communicate, and every result is
-//! keyed by its input index. [`par_map`] returns results in input order and
-//! [`par_for_each_mut`] mutates disjoint elements, so output is identical
-//! for any thread count, including the inline `threads <= 1` path (which
-//! spawns nothing).
+//! One entry point, [`par_map`], maps a function over any exact-size
+//! iterator: owned items (a `Vec`, an index range) or disjoint `&mut`
+//! borrows (`iter_mut()`). Determinism contract: jobs must not
+//! communicate, and every result is keyed by its input index, so the
+//! output is identical for any thread count, including the inline
+//! `threads <= 1` path (which spawns nothing).
+//!
+//! A panicking job propagates out of [`par_map`] once every worker has
+//! stopped (`std::thread::scope` re-raises it). Callers that recover from
+//! a failed job — the fleet supervisor — catch the panic inside the job.
 //!
 //! Scheduling: the index space is split into one contiguous range per
 //! worker, each packed into a single `AtomicU64` (start in the low half,
@@ -21,8 +26,12 @@
 //! # Examples
 //!
 //! ```
-//! let squares = scrub_exec::par_map(4, (0..100u64).collect(), |_, x| x * x);
+//! let squares = scrub_exec::par_map(4, 0..100u32, |_, x| x * x);
 //! assert_eq!(squares[7], 49);
+//!
+//! let mut data = vec![1u64; 8];
+//! scrub_exec::par_map(2, data.iter_mut(), |i, x| *x += i as u64);
+//! assert_eq!(data[7], 8);
 //! ```
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -80,47 +89,6 @@ pub fn env_threads() -> Result<Option<usize>, String> {
                 )),
             }
         }
-    }
-}
-
-/// Why one job in a [`par_try_map`] batch failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum JobError {
-    /// The job panicked on every attempt (initial run plus retries).
-    Panicked {
-        /// Attempts made before giving up.
-        attempts: u32,
-        /// The final panic payload, stringified.
-        message: String,
-    },
-    /// The job never produced a result — its worker died mid-job. The
-    /// completion watchdog converts this into an error instead of letting
-    /// the batch hang or abort on a bare unwrap.
-    Lost,
-}
-
-impl std::fmt::Display for JobError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JobError::Panicked { attempts, message } => {
-                write!(f, "job panicked after {attempts} attempt(s): {message}")
-            }
-            JobError::Lost => write!(f, "job lost: worker died before producing a result"),
-        }
-    }
-}
-
-impl std::error::Error for JobError {}
-
-/// Stringifies a caught panic payload (the common `&str` / `String` cases;
-/// anything else gets a placeholder).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -191,7 +159,7 @@ impl PackedRange {
 /// Runs `f(i)` exactly once for every `i in 0..n` across `threads`
 /// workers with work stealing. `threads <= 1` (or `n <= 1`) runs inline
 /// in index order without spawning.
-pub fn run_indices<F>(threads: usize, n: usize, f: F)
+fn run_indices<F>(threads: usize, n: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
@@ -286,210 +254,37 @@ where
 }
 
 /// Maps `f` over `items` on `threads` workers, returning results in input
-/// order regardless of scheduling. `f` receives `(index, item)`.
-pub fn par_map<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
+/// order regardless of scheduling. `f` receives `(index, item)`; items may
+/// be owned values or disjoint `&mut` borrows. With one thread or fewer
+/// than two items the map runs inline on the calling thread.
+pub fn par_map<I, R, F>(threads: usize, items: I, f: F) -> Vec<R>
 where
-    T: Send,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Send,
     R: Send,
-    F: Fn(usize, T) -> R + Sync,
+    F: Fn(usize, I::Item) -> R + Sync,
 {
+    let items = items.into_iter();
     let n = items.len();
     if threads <= 1 || n <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| f(i, x))
-            .collect();
+        return items.enumerate().map(|(i, x)| f(i, x)).collect();
     }
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
+    let slots: Vec<Mutex<Option<I::Item>>> = items.map(|x| Mutex::new(Some(x))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     run_indices(threads, n, |i| {
         let item = slots[i].lock().unwrap().take().expect("item claimed twice");
         let r = f(i, item);
         *results[i].lock().unwrap() = Some(r);
     });
-    // Completion watchdog: every slot must have been filled. A worker that
-    // died mid-job leaves a hole; report which jobs were lost instead of
-    // unwrapping into a context-free panic.
-    let mut out = Vec::with_capacity(n);
-    let mut lost = Vec::new();
-    for (i, m) in results.into_iter().enumerate() {
-        match m.into_inner().unwrap() {
-            Some(r) => out.push(r),
-            None => lost.push(i),
-        }
-    }
-    if !lost.is_empty() {
-        tel::counter_add(tel::Counter::ExecLostJobs, lost.len() as u64);
-        panic!(
-            "{} of {n} pool job(s) lost (workers died mid-job): indices {lost:?}; \
-             use par_try_map to isolate failing jobs",
-            lost.len()
-        );
-    }
-    out
-}
-
-/// Like [`par_map`], but each job is panic-isolated with `catch_unwind`
-/// and retried up to `retries` extra times; the result vector carries one
-/// `Result` per input in input order, so a single poisoned job surfaces as
-/// a structured [`JobError`] instead of aborting the whole batch.
-///
-/// `f` borrows its item (it may run more than once). A job that never
-/// completes — its worker died without filling the slot — is reported as
-/// [`JobError::Lost`] by the completion watchdog rather than hanging or
-/// unwinding the pool.
-pub fn par_try_map<T, R, F>(
-    threads: usize,
-    items: Vec<T>,
-    retries: u32,
-    f: F,
-) -> Vec<Result<R, JobError>>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let n = items.len();
-    let tel_on = tel::enabled();
-    let attempt_job = |i: usize, item: &T| -> Result<R, JobError> {
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, item))) {
-                Ok(r) => return Ok(r),
-                Err(payload) => {
-                    if tel_on {
-                        tel::counter_add(tel::Counter::ExecPanics, 1);
-                    }
-                    if attempts > retries {
-                        return Err(JobError::Panicked {
-                            attempts,
-                            message: panic_message(payload),
-                        });
-                    }
-                    if tel_on {
-                        tel::counter_add(tel::Counter::ExecRetries, 1);
-                    }
-                }
-            }
-        }
-    };
-    if threads <= 1 || n <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| attempt_job(i, item))
-            .collect();
-    }
-    let results: Vec<Mutex<Option<Result<R, JobError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let items = &items;
-    run_indices(threads, n, |i| {
-        let r = attempt_job(i, &items[i]);
-        *results[i].lock().unwrap() = Some(r);
-    });
     results
         .into_iter()
         .map(|m| {
-            m.into_inner().unwrap().unwrap_or_else(|| {
-                if tel_on {
-                    tel::counter_add(tel::Counter::ExecLostJobs, 1);
-                }
-                Err(JobError::Lost)
-            })
+            m.into_inner()
+                .unwrap()
+                .expect("run_indices visits every index")
         })
         .collect()
-}
-
-/// Like [`par_for_each_mut`], but each job is panic-isolated with
-/// `catch_unwind` and returns a value: the result vector carries one
-/// `Result` per element in input order, so a single panicking job
-/// surfaces as a structured [`JobError`] instead of unwinding the pool.
-///
-/// There is deliberately **no retry**: `f` takes `&mut T`, so a panic may
-/// leave the element partially mutated, and silently re-running `f` on
-/// that wreckage would launder corrupted state into a success. Callers
-/// that can recover (e.g. the fleet supervisor restoring a shard from its
-/// last good checkpoint) own the retry decision and the state repair.
-pub fn par_try_map_mut<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<Result<R, JobError>>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut T) -> R + Sync,
-{
-    let n = items.len();
-    let tel_on = tel::enabled();
-    let attempt = |i: usize, item: &mut T| -> Result<R, JobError> {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, item))) {
-            Ok(r) => Ok(r),
-            Err(payload) => {
-                if tel_on {
-                    tel::counter_add(tel::Counter::ExecPanics, 1);
-                }
-                Err(JobError::Panicked {
-                    attempts: 1,
-                    message: panic_message(payload),
-                })
-            }
-        }
-    };
-    if threads <= 1 || n <= 1 {
-        return items
-            .iter_mut()
-            .enumerate()
-            .map(|(i, item)| attempt(i, item))
-            .collect();
-    }
-    let results: Vec<Mutex<Option<Result<R, JobError>>>> =
-        (0..n).map(|_| Mutex::new(None)).collect();
-    let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-    run_indices(threads, n, |i| {
-        // Each cell is locked exactly once, by the worker that owns index
-        // i, so a poisoned mutex (panic inside `f`) is never re-locked.
-        let r = {
-            let mut guard = cells[i].lock().unwrap();
-            attempt(i, &mut guard)
-        };
-        *results[i].lock().unwrap() = Some(r);
-    });
-    results
-        .into_iter()
-        .map(|m| {
-            let inner = match m.into_inner() {
-                Ok(v) => v,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            inner.unwrap_or_else(|| {
-                if tel_on {
-                    tel::counter_add(tel::Counter::ExecLostJobs, 1);
-                }
-                Err(JobError::Lost)
-            })
-        })
-        .collect()
-}
-
-/// Applies `f` to every element of `items` in parallel; elements are
-/// disjoint, so each is mutated by exactly one worker. `f` receives
-/// `(index, &mut item)`.
-pub fn par_for_each_mut<T, F>(threads: usize, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    if threads <= 1 || n <= 1 {
-        for (i, item) in items.iter_mut().enumerate() {
-            f(i, item);
-        }
-        return;
-    }
-    let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
-    run_indices(threads, n, |i| {
-        let mut guard = cells[i].lock().unwrap();
-        f(i, &mut guard);
-    });
 }
 
 #[cfg(test)]
@@ -541,52 +336,19 @@ mod tests {
     #[test]
     fn par_map_with_uneven_job_sizes_still_ordered() {
         // Make early indices slow so stealing definitely kicks in.
-        let got = par_map(4, (0..64u64).collect(), |i, x| {
+        let got = par_map(4, 0..64u32, |i, x| {
             if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
             x + 1
         });
-        assert_eq!(got, (1..=64).collect::<Vec<u64>>());
+        assert_eq!(got, (1..=64).collect::<Vec<u32>>());
     }
 
     #[test]
-    fn par_try_map_mut_isolates_panics_and_keeps_order() {
-        for threads in [1, 2, 4] {
-            let mut items: Vec<u64> = (0..64).collect();
-            let results = par_try_map_mut(threads, &mut items, |i, x| {
-                if i == 13 {
-                    panic!("boom at {i}");
-                }
-                *x += 100;
-                *x
-            });
-            assert_eq!(results.len(), 64, "threads={threads}");
-            for (i, r) in results.iter().enumerate() {
-                if i == 13 {
-                    match r {
-                        Err(JobError::Panicked {
-                            attempts: 1,
-                            message,
-                        }) => {
-                            assert!(message.contains("boom"), "{message}")
-                        }
-                        other => panic!("index 13 should panic, got {other:?}"),
-                    }
-                } else {
-                    assert_eq!(*r, Ok(i as u64 + 100), "threads={threads} i={i}");
-                }
-            }
-            // Siblings of the panicking job were still mutated.
-            assert_eq!(items[12], 112);
-            assert_eq!(items[14], 114);
-        }
-    }
-
-    #[test]
-    fn par_for_each_mut_touches_every_element() {
+    fn par_map_over_iter_mut_touches_every_element() {
         let mut data: Vec<u64> = vec![0; 300];
-        par_for_each_mut(4, &mut data, |i, x| *x = i as u64 * 2);
+        par_map(4, data.iter_mut(), |i, x| *x = i as u64 * 2);
         for (i, &x) in data.iter().enumerate() {
             assert_eq!(x, i as u64 * 2);
         }

@@ -30,15 +30,15 @@ proptest! {
         }
     }
 
-    /// run_indices visits every index exactly once for any worker count,
+    /// par_map runs every job exactly once for any worker count,
     /// including worker counts exceeding the job count.
     #[test]
-    fn run_indices_is_exactly_once_for_any_worker_count(
+    fn par_map_runs_each_job_exactly_once_for_any_worker_count(
         n in 0usize..200,
         threads in 1usize..12,
     ) {
         let counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-        scrub_exec::run_indices(threads, n, |i| {
+        scrub_exec::par_map(threads, 0..n, |_, i| {
             counts[i].fetch_add(1, Ordering::Relaxed);
         });
         for (i, c) in counts.iter().enumerate() {
@@ -46,10 +46,10 @@ proptest! {
         }
     }
 
-    /// par_for_each_mut writes every slot exactly once regardless of
-    /// scheduling, so its effect equals the serial loop.
+    /// par_map over `iter_mut()` writes every slot exactly once regardless
+    /// of scheduling, so its effect equals the serial loop.
     #[test]
-    fn par_for_each_mut_matches_serial(
+    fn par_map_over_iter_mut_matches_serial(
         data in proptest::collection::vec(0u64..1_000, 0..120),
         threads in 1usize..9,
     ) {
@@ -58,7 +58,7 @@ proptest! {
         for (i, x) in expect.iter_mut().enumerate() {
             *x = x.wrapping_add(i as u64 * 7 + 1);
         }
-        scrub_exec::par_for_each_mut(threads, &mut data, |i, x| {
+        scrub_exec::par_map(threads, data.iter_mut(), |i, x| {
             *x = x.wrapping_add(i as u64 * 7 + 1);
         });
         prop_assert_eq!(data, expect);
@@ -70,11 +70,10 @@ proptest! {
 #[test]
 fn empty_job_lists_are_panic_free() {
     for threads in 0..=8 {
-        scrub_exec::run_indices(threads, 0, |_| panic!("no index should fire"));
         let out: Vec<u64> = scrub_exec::par_map(threads, Vec::<u64>::new(), |_, x| x);
         assert!(out.is_empty());
         let mut empty: [u64; 0] = [];
-        scrub_exec::par_for_each_mut(threads, &mut empty, |_, _| panic!("no element"));
+        scrub_exec::par_map(threads, empty.iter_mut(), |_, _| panic!("no element"));
     }
 }
 

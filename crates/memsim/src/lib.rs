@@ -40,7 +40,6 @@
 //! println!("persistent errors: {}", r.persistent_bits);
 //! ```
 
-mod bank;
 mod energy;
 mod fault;
 mod geometry;
@@ -55,7 +54,6 @@ mod timing;
 mod trace;
 mod wear_level;
 
-pub use bank::BankTimer;
 pub use energy::EnergyLedger;
 pub use fault::FaultEngine;
 pub use geometry::{LineAddr, MemGeometry};

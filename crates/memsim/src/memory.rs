@@ -124,8 +124,7 @@ impl BankShard {
     }
 
     /// Issues an operation of `dur_ns` on this bank at `at_ns`; returns
-    /// the queueing delay it suffered (same semantics as
-    /// [`crate::BankTimer::issue`]).
+    /// the queueing delay it suffered.
     fn issue(&mut self, at_ns: f64, dur_ns: f64) -> f64 {
         let start = at_ns.max(self.busy_until_ns);
         self.busy_until_ns = start + dur_ns;
@@ -1166,14 +1165,10 @@ impl Memory {
         let rule = plan.rule;
         // One decision event per probe, as slot-by-slot stepping emits.
         let decisions = tel::enabled();
-        let mut work: Vec<(&mut BankShard, Vec<u32>, SweepOutcome)> = self
-            .shards
-            .iter_mut()
-            .zip(by_bank)
-            .map(|(shard, slots)| (shard, slots, SweepOutcome::default()))
-            .collect();
-        scrub_exec::par_for_each_mut(threads, &mut work, |_, (shard, slots, out)| {
-            for &k in slots.iter() {
+        let jobs = self.shards.iter_mut().zip(by_bank);
+        let outcomes = scrub_exec::par_map(threads, jobs, |_, (shard, slots)| {
+            let mut out = SweepOutcome::default();
+            for &k in &slots {
                 let now = times[k as usize];
                 let addr = (first + k as u64) % num_lines as u64;
                 let slot = (addr / banks as u64) as usize;
@@ -1208,10 +1203,11 @@ impl Memory {
                     );
                 }
             }
+            out
         });
         // Merge outcomes in fixed bank order.
         let mut total = SweepOutcome::default();
-        for (_, _, out) in &work {
+        for out in &outcomes {
             total.absorb(out);
         }
         total

@@ -11,9 +11,9 @@
 //! (migration changes *where* a shard runs, never *what* it computes).
 //!
 //! The supervisor rides on the same determinism: each round every
-//! runnable shard advances inside a panic-isolated pool job
-//! ([`scrub_exec::par_try_map_mut`]) and then seals a round checkpoint.
-//! A panic, lost worker, or corrupt checkpoint rolls the shard back to
+//! runnable shard advances inside a pool job ([`scrub_exec::par_map`])
+//! that catches its own panic, and then seals a round checkpoint.
+//! A panic or a corrupt checkpoint rolls the shard back to
 //! its last good checkpoint and schedules a retry after a bounded
 //! exponential backoff ([`SupervisorConfig::backoff_rounds`]); because
 //! replay is deterministic, a recovered shard re-computes the *same*
@@ -388,10 +388,10 @@ impl Fleet {
 
         let threads = self.config.pool_threads();
         let chaos = self.chaos.clone();
-        let results = scrub_exec::par_try_map_mut(
-            threads,
-            &mut jobs,
-            |_, job| -> Result<Option<Vec<u8>>, String> {
+        let outcomes = scrub_exec::par_map(threads, jobs.iter_mut(), |_, job| {
+            // Panic isolation lives here, in the supervisor that recovers
+            // from it: a panicking round fails only its own shard.
+            let round_job = std::panic::AssertUnwindSafe(|| -> Result<_, FailureKind> {
                 if job.inject_panic {
                     panic!("chaos: injected panic in shard {} round {round}", job.id);
                 }
@@ -400,30 +400,23 @@ impl Fleet {
                 if !job.want_ckpt {
                     return Ok(None);
                 }
-                let mut sealed = sim.checkpoint().map_err(|e| e.to_string())?;
+                let mut sealed = sim
+                    .checkpoint()
+                    .map_err(|_| FailureKind::CorruptCheckpoint)?;
                 if job.corrupt_ckpt {
                     if let Some(spec) = chaos.as_ref() {
                         let at = spec.flip_offset(job.id, round, sealed.len());
                         sealed[at] ^= 0x01;
                     }
                 }
+                scrub_checkpoint::verify(&sealed).map_err(|_| FailureKind::CorruptCheckpoint)?;
                 Ok(Some(sealed))
-            },
-        );
+            });
+            std::panic::catch_unwind(round_job).unwrap_or(Err(FailureKind::Panic))
+        });
 
         let mut events = Vec::new();
-        for (job, result) in jobs.into_iter().zip(results) {
-            let outcome: Result<Option<Vec<u8>>, FailureKind> = match result {
-                Err(scrub_exec::JobError::Panicked { .. }) => Err(FailureKind::Panic),
-                Err(scrub_exec::JobError::Lost) => Err(FailureKind::Lost),
-                Ok(Err(_ckpt_err)) => Err(FailureKind::CorruptCheckpoint),
-                Ok(Ok(maybe_sealed)) => match &maybe_sealed {
-                    Some(sealed) if scrub_checkpoint::verify(sealed).is_err() => {
-                        Err(FailureKind::CorruptCheckpoint)
-                    }
-                    _ => Ok(maybe_sealed),
-                },
-            };
+        for (job, outcome) in jobs.into_iter().zip(outcomes) {
             match outcome {
                 Ok(maybe_sealed) => {
                     let was = self.shards[job.idx].health.clone();

@@ -11,8 +11,8 @@
 //!                                   attempts > N      Quarantined
 //! ```
 //!
-//! A shard whose cadence round panics (isolated by
-//! `scrub_exec::par_try_map_mut`) or whose round checkpoint fails CRC is
+//! A shard whose cadence round panics (caught inside the fleet's round
+//! job) or whose round checkpoint fails CRC is
 //! reset to its last good checkpoint and retried after a bounded
 //! exponential backoff measured in *cadence rounds*, with deterministic
 //! seeded jitter so two shards failing together do not retry in lockstep.
@@ -30,12 +30,10 @@ use pcm_memsim::splitmix64;
 /// distinguishes (and the WAL persists).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureKind {
-    /// The round job panicked (caught by `par_try_map_mut`).
+    /// The round job panicked (caught inside the job itself).
     Panic,
     /// The round checkpoint failed envelope validation (CRC/truncation).
     CorruptCheckpoint,
-    /// The round job's worker died without producing a result.
-    Lost,
     /// Every persisted checkpoint generation was unreadable — recovery
     /// has nothing to resume from (see `RecoveryError::Exhausted`).
     Exhausted,
@@ -47,7 +45,6 @@ impl FailureKind {
         match self {
             FailureKind::Panic => "panic",
             FailureKind::CorruptCheckpoint => "ckpt",
-            FailureKind::Lost => "lost",
             FailureKind::Exhausted => "exhausted",
         }
     }
@@ -57,7 +54,6 @@ impl FailureKind {
         match s {
             "panic" => Ok(FailureKind::Panic),
             "ckpt" => Ok(FailureKind::CorruptCheckpoint),
-            "lost" => Ok(FailureKind::Lost),
             "exhausted" => Ok(FailureKind::Exhausted),
             other => Err(format!("unknown failure kind {other:?}")),
         }
@@ -283,9 +279,21 @@ mod tests {
 
     #[test]
     fn malformed_health_tokens_rejected() {
-        for tok in ["", "X", "R@1:panic", "R2@1:panic", "Q@x:panic", "Q@3:warp"] {
+        for tok in [
+            "",
+            "X",
+            "R@1:panic",
+            "R2@1:panic",
+            "Q@x:panic",
+            "Q@3:warp",
+            "Q@3:lost",
+        ] {
             assert!(Health::decode(tok).is_err(), "{tok:?} should not decode");
         }
+        assert_eq!(
+            Health::decode("Q@3:lost"),
+            Err("unknown failure kind \"lost\"".to_string())
+        );
     }
 
     #[test]

@@ -64,12 +64,6 @@ pub enum Counter {
     UnrepairableUe,
     /// Failed decodes recovered by the shifted-threshold retry path.
     UeRecoveries,
-    /// Pool jobs that panicked (counted once per panicking attempt).
-    ExecPanics,
-    /// Pool jobs retried after a panic.
-    ExecRetries,
-    /// Pool jobs lost without a result (worker died mid-job).
-    ExecLostJobs,
     /// Fault-campaign boundaries crossed (SEU window end, burst,
     /// intermittent period) — identical under both simulation cores.
     CampaignBoundaries,
@@ -98,7 +92,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in slot order.
-    pub const ALL: [Counter; 40] = [
+    pub const ALL: [Counter; 37] = [
         Counter::DemandReads,
         Counter::DemandWrites,
         Counter::ScrubProbes,
@@ -127,9 +121,6 @@ impl Counter {
         Counter::LinesRetired,
         Counter::UnrepairableUe,
         Counter::UeRecoveries,
-        Counter::ExecPanics,
-        Counter::ExecRetries,
-        Counter::ExecLostJobs,
         Counter::CampaignBoundaries,
         Counter::BudgetThrottled,
         Counter::BudgetForcedProbes,
@@ -175,9 +166,6 @@ impl Counter {
             Counter::LinesRetired => "lines_retired",
             Counter::UnrepairableUe => "unrepairable_ue",
             Counter::UeRecoveries => "ue_recoveries",
-            Counter::ExecPanics => "exec_panics",
-            Counter::ExecRetries => "exec_retries",
-            Counter::ExecLostJobs => "exec_lost_jobs",
             Counter::CampaignBoundaries => "campaign_boundaries",
             Counter::BudgetThrottled => "budget_throttled",
             Counter::BudgetForcedProbes => "budget_forced_probes",

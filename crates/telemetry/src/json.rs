@@ -346,6 +346,10 @@ mod tests {
             let back = parse(&text).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{text}");
         }
+        // Non-finite values have no JSON number form.
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(fmt_f64(x), "null");
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod zipf;
 
 pub use generator::{AddrPattern, ArrivalProcess, SyntheticTrace, SyntheticTraceBuilder};
 pub use phased::{DiurnalTrace, Phase};
-pub use record::{MergedTrace, RecordedTrace};
+pub use record::RecordedTrace;
 pub use suite::WorkloadId;
 pub use tenant::{TenantKind, TenantMix, TenantMixSpec, TenantPattern, TenantSpec};
 pub use zipf::Zipf;

@@ -1,4 +1,4 @@
-//! Trace recording, replay, and composition utilities.
+//! Trace recording and replay.
 
 use pcm_memsim::{MemOp, TraceSource};
 
@@ -86,57 +86,6 @@ impl TraceSource for RecordedTrace {
     }
 }
 
-/// Merges two trace sources into one time-ordered stream (e.g. a
-/// foreground workload plus a background checkpointing task).
-#[derive(Debug)]
-pub struct MergedTrace<A, B> {
-    name: String,
-    a: A,
-    b: B,
-    pending_a: Option<MemOp>,
-    pending_b: Option<MemOp>,
-}
-
-impl<A: TraceSource, B: TraceSource> MergedTrace<A, B> {
-    /// Creates the merged stream.
-    pub fn new(mut a: A, mut b: B) -> Self {
-        let pending_a = a.next_op();
-        let pending_b = b.next_op();
-        let name = format!("{}+{}", a.name(), b.name());
-        Self {
-            name,
-            a,
-            b,
-            pending_a,
-            pending_b,
-        }
-    }
-}
-
-impl<A: TraceSource, B: TraceSource> TraceSource for MergedTrace<A, B> {
-    fn next_op(&mut self) -> Option<MemOp> {
-        let take_a = match (self.pending_a, self.pending_b) {
-            (Some(x), Some(y)) => x.at <= y.at,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        if take_a {
-            let op = self.pending_a.take();
-            self.pending_a = self.a.next_op();
-            op
-        } else {
-            let op = self.pending_b.take();
-            self.pending_b = self.b.next_op();
-            op
-        }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,37 +112,6 @@ mod tests {
         while rec.next_op().is_some() {}
         rec.rewind();
         assert_eq!(rec.next_op(), first);
-    }
-
-    #[test]
-    fn merged_stream_is_time_ordered() {
-        let a = WorkloadId::KvCache.build(256, 1.0, 5);
-        let b = WorkloadId::Batch.build(256, 1.0, 6);
-        let mut m = MergedTrace::new(a, b);
-        let mut prev = SimTime::ZERO;
-        for _ in 0..500 {
-            let op = m.next_op().expect("both infinite");
-            assert!(op.at >= prev);
-            prev = op.at;
-        }
-        assert_eq!(m.name(), "kv-cache+batch");
-    }
-
-    #[test]
-    fn merged_drains_finite_sources() {
-        let a = RecordedTrace::new("a", vec![MemOp::read(SimTime::from_secs(1.0), LineAddr(0))]);
-        let b = RecordedTrace::new(
-            "b",
-            vec![
-                MemOp::read(SimTime::from_secs(0.5), LineAddr(1)),
-                MemOp::read(SimTime::from_secs(2.0), LineAddr(2)),
-            ],
-        );
-        let mut m = MergedTrace::new(a, b);
-        let order: Vec<u32> = std::iter::from_fn(|| m.next_op())
-            .map(|o| o.addr.0)
-            .collect();
-        assert_eq!(order, vec![1, 0, 2]);
     }
 
     #[test]
