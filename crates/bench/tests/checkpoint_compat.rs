@@ -1,10 +1,19 @@
 //! Checkpoints written by earlier builds still resume.
 //!
 //! Each fixture under `tests/fixtures/` is a sealed snapshot taken at
-//! 5,400 s into the run below by an earlier build whose default core was
-//! the stepped cadence loop, stored next to that build's final report as
-//! `Debug` text. Resuming the bytes under the current build and finishing
-//! the run must reproduce the text exactly.
+//! 5,400 s into the run below by an earlier build, stored next to that
+//! build's final report as `Debug` text. Resuming the bytes under the
+//! current build and finishing the run must reproduce the text exactly.
+//! The builds that wrote them:
+//!
+//! * `basic-900` and `combined-900`: commit 7ddcb69, whose default core
+//!   was the stepped cadence loop, before the stepped and event engines
+//!   merged into one loop;
+//! * `profiled-900`: commit bdaf7a9, whose risk table was one `BTreeMap`
+//!   walked for every eviction and hot-line pick, before the table was
+//!   indexed. By 5,400 s its 16-entry table has made 133 evictions, 112
+//!   hot probes and 132 hits, so the snapshot holds a full table that
+//!   keeps changing.
 //!
 //! The fixtures are frozen on purpose: `SCRUBSIM_BLESS` does not rewrite
 //! them, because a fixture regenerated by the current build would only
@@ -60,4 +69,22 @@ fn basic_checkpoint_from_an_earlier_build_resumes_to_its_report() {
 #[test]
 fn combined_checkpoint_from_an_earlier_build_resumes_to_its_report() {
     resume_and_finish("combined-900", PolicyKind::combined_default(900.0));
+}
+
+#[test]
+fn profiled_checkpoint_from_an_earlier_build_resumes_to_its_report() {
+    resume_and_finish(
+        "profiled-900",
+        PolicyKind::Profiled {
+            interval_s: 900.0,
+            theta: 4,
+            iops: 2.0 * 256.0 / 900.0,
+            burst: 64.0,
+            max_defer: 8,
+            capacity: 16,
+            hot_stride: 4,
+            stretch: 2,
+            risk: 2,
+        },
+    );
 }
