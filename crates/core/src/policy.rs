@@ -340,7 +340,7 @@ impl ScrubPolicy {
             Schedule::Tour(tour),
             Gate::Bucket(TokenBucket::new(budget)),
             lazy(theta),
-            Some(RiskProfile::new(params, seed)),
+            Some(RiskProfile::new(params, num_lines, seed)),
         )
     }
 
@@ -618,7 +618,7 @@ impl ScrubPolicy {
             Gate::Bucket(bucket) => bucket.load_state(r)?,
         }
         if let Some(profile) = &mut self.profile {
-            profile.load_state(r, self.num_lines)?;
+            profile.load_state(r)?;
         }
         if let Schedule::Tour(tour) = &self.schedule {
             tour.check_origins(r)?;

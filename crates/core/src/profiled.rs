@@ -30,9 +30,13 @@
 //! The table is bounded (`capacity` entries); at overflow the
 //! lowest-score entry is evicted (smallest address on ties), so the
 //! profile degrades to a plain tour under adversarial churn instead of
-//! growing without bound.
+//! growing without bound. The victim is the first element of an ordered
+//! `(score, address)` index kept beside the per-line scores, so an
+//! eviction costs O(log capacity) instead of a walk of the table, and a
+//! second index of the lines at or above `risk` serves the hot
+//! interleave the same way.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use pcm_memsim::{splitmix64, AccessResult, LineAddr};
 use scrub_checkpoint::{CheckpointError, Reader, Writer};
@@ -95,8 +99,13 @@ pub struct RiskProfile {
     granted: u64,
     /// Round-robin cursor over the hot subset of the table.
     hot_cursor: u32,
-    /// The risk profile: line address -> accumulated score.
-    table: BTreeMap<u32, u32>,
+    /// Accumulated score per line address; 0 means unprofiled.
+    scores: Vec<u32>,
+    /// The profiled lines as `(score, address)`; the first is the
+    /// eviction victim.
+    by_score: BTreeSet<(u32, u32)>,
+    /// The profiled lines scoring at least `risk`.
+    hot: BTreeSet<u32>,
     probes_seen: u64,
     dirty_probes: u64,
     hits: u64,
@@ -106,8 +115,8 @@ pub struct RiskProfile {
 }
 
 impl RiskProfile {
-    /// An empty profile.
-    pub(crate) fn new(params: ProfileParams, seed: u64) -> Self {
+    /// An empty profile over `num_lines` lines.
+    pub(crate) fn new(params: ProfileParams, num_lines: u32, seed: u64) -> Self {
         assert!(params.capacity >= 1, "profile capacity must be >= 1");
         assert!(params.hot_stride >= 2, "hot stride must be >= 2");
         assert!(params.stretch >= 1, "stretch must be >= 1");
@@ -118,7 +127,9 @@ impl RiskProfile {
             forgetful: false,
             granted: 0,
             hot_cursor: 0,
-            table: BTreeMap::new(),
+            scores: vec![0; num_lines as usize],
+            by_score: BTreeSet::new(),
+            hot: BTreeSet::new(),
             probes_seen: 0,
             dirty_probes: 0,
             hits: 0,
@@ -134,12 +145,12 @@ impl RiskProfile {
 
     /// Lines currently resident in the risk table.
     pub fn table_len(&self) -> usize {
-        self.table.len()
+        self.by_score.len()
     }
 
     /// Current score of `addr`, zero if unprofiled.
     pub fn score(&self, addr: LineAddr) -> u32 {
-        self.table.get(&addr.0).copied().unwrap_or(0)
+        self.scores.get(addr.0 as usize).copied().unwrap_or(0)
     }
 
     pub(crate) fn set_forgetful(&mut self, forgetful: bool) {
@@ -170,7 +181,7 @@ impl RiskProfile {
     /// `tour ≡ phase(addr) (mod stretch)`.
     pub(crate) fn skips(&self, addr: LineAddr, tour: u64) -> bool {
         let stretch = u64::from(self.params.stretch);
-        stretch > 1 && !self.table.contains_key(&addr.0) && self.phase(addr.0) != tour % stretch
+        stretch > 1 && self.score(addr) == 0 && self.phase(addr.0) != tour % stretch
     }
 
     /// The quiet-stretch phase stripe of `addr`.
@@ -181,18 +192,11 @@ impl RiskProfile {
     /// Next hot line (score >= risk) after the round-robin cursor, if
     /// any, advancing the cursor to it.
     fn next_hot(&mut self) -> Option<LineAddr> {
-        let risk = self.params.risk;
-        let next = self
-            .table
+        let next = *self
+            .hot
             .range(self.hot_cursor.saturating_add(1)..)
-            .find(|&(_, &s)| s >= risk)
-            .map(|(&a, _)| a)
-            .or_else(|| {
-                self.table
-                    .range(..=self.hot_cursor)
-                    .find(|&(_, &s)| s >= risk)
-                    .map(|(&a, _)| a)
-            })?;
+            .next()
+            .or_else(|| self.hot.range(..=self.hot_cursor).next())?;
         self.hot_cursor = next;
         Some(LineAddr(next))
     }
@@ -202,7 +206,7 @@ impl RiskProfile {
     /// before this probe.
     pub(crate) fn observe(&mut self, addr: LineAddr, result: &AccessResult) -> bool {
         let dirty = result.persistent_bits > 0 || result.outcome.is_uncorrectable();
-        let was_profiled = self.table.contains_key(&addr.0);
+        let was_profiled = self.score(addr) != 0;
         self.probes_seen += 1;
         if dirty {
             self.dirty_probes += 1;
@@ -239,7 +243,7 @@ impl RiskProfile {
             }
             self.bump(addr.0, inc.max(1));
         } else if was_profiled {
-            self.decay(addr.0);
+            self.decay(addr);
         }
         was_profiled
     }
@@ -247,40 +251,53 @@ impl RiskProfile {
     /// A demand rewrite reset `addr`'s drift clock; its history is half
     /// as relevant now.
     pub(crate) fn on_demand_write(&mut self, addr: LineAddr) {
-        self.decay(addr.0);
+        self.decay(addr);
     }
 
     /// Adds `inc` to `addr`'s score, inserting and evicting as needed.
     fn bump(&mut self, addr: u32, inc: u32) {
-        let is_new = !self.table.contains_key(&addr);
-        let e = self.table.entry(addr).or_insert(0);
-        *e = e.saturating_add(inc).min(SCORE_CAP);
-        if is_new && self.table.len() as u32 > self.params.capacity {
-            let victim = self
-                .table
-                .iter()
-                .min_by_key(|&(&a, &s)| (s, a))
-                .map(|(&a, _)| a)
+        let old = self.scores[addr as usize];
+        self.set_score(addr, old.saturating_add(inc).min(SCORE_CAP));
+        if old == 0 && self.by_score.len() as u32 > self.params.capacity {
+            let &(_, victim) = self
+                .by_score
+                .first()
                 .expect("table is non-empty past capacity");
-            self.table.remove(&victim);
+            self.set_score(victim, 0);
             self.evictions += 1;
             if tel::enabled() {
                 tel::counter_add(tel::Counter::ProfilerEvictions, 1);
             }
         }
         if tel::enabled() {
-            tel::gauge_max(tel::Gauge::ProfilerOccupancy, self.table.len() as u64);
+            tel::gauge_max(tel::Gauge::ProfilerOccupancy, self.by_score.len() as u64);
         }
     }
 
     /// Halves `addr`'s score (clean probe or demand rewrite), dropping
     /// the entry once it reaches zero.
-    fn decay(&mut self, addr: u32) {
-        if let Some(s) = self.table.get_mut(&addr) {
-            *s /= 2;
-            if *s == 0 {
-                self.table.remove(&addr);
-            }
+    fn decay(&mut self, addr: LineAddr) {
+        let s = self.score(addr);
+        if s != 0 {
+            self.set_score(addr.0, s / 2);
+        }
+    }
+
+    /// Moves `addr` to `score` (0 removes it from the table) and keeps
+    /// both indexes in step.
+    fn set_score(&mut self, addr: u32, score: u32) {
+        let old = std::mem::replace(&mut self.scores[addr as usize], score);
+        if old != 0 {
+            self.by_score.remove(&(old, addr));
+        }
+        if score != 0 {
+            self.by_score.insert((score, addr));
+        }
+        let risk = self.params.risk;
+        if score >= risk && old < risk {
+            self.hot.insert(addr);
+        } else if score < risk && old >= risk {
+            self.hot.remove(&addr);
         }
     }
 
@@ -293,21 +310,26 @@ impl RiskProfile {
         w.put_u64(self.misses);
         w.put_u64(self.evictions);
         w.put_u64(self.hot_probes);
-        w.put_u32(self.table.len() as u32);
-        for (&addr, &score) in &self.table {
-            w.put_u32(addr);
-            w.put_u32(score);
+        w.put_u32(self.by_score.len() as u32);
+        for (addr, &score) in self.scores.iter().enumerate() {
+            if score != 0 {
+                w.put_u32(addr as u32);
+                w.put_u32(score);
+            }
         }
     }
 
-    /// Restores the profile of a policy over `num_lines` lines.
-    pub(crate) fn load_state(
-        &mut self,
-        r: &mut Reader<'_>,
-        num_lines: u32,
-    ) -> Result<(), CheckpointError> {
+    /// Restores the profile from a snapshot of a policy over as many
+    /// lines as this one.
+    pub(crate) fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
+        let num_lines = self.scores.len() as u32;
         let granted = r.u64()?;
         let hot_cursor = r.u32()?;
+        if hot_cursor >= num_lines {
+            return Err(CheckpointError::Malformed(format!(
+                "profile hot cursor {hot_cursor} out of range ({num_lines} lines)"
+            )));
+        }
         let probes_seen = r.u64()?;
         let dirty_probes = r.u64()?;
         let hits = r.u64()?;
@@ -321,7 +343,7 @@ impl RiskProfile {
                 self.params.capacity
             )));
         }
-        let mut table = BTreeMap::new();
+        let mut table = Vec::new();
         let mut prev: Option<u32> = None;
         for _ in 0..len {
             let addr = r.u32()?;
@@ -342,7 +364,7 @@ impl RiskProfile {
                 )));
             }
             prev = Some(addr);
-            table.insert(addr, score);
+            table.push((addr, score));
         }
         self.granted = granted;
         self.hot_cursor = hot_cursor;
@@ -352,11 +374,14 @@ impl RiskProfile {
         self.misses = misses;
         self.evictions = evictions;
         self.hot_probes = hot_probes;
-        self.table = if self.forgetful {
-            BTreeMap::new()
-        } else {
-            table
-        };
+        self.scores.fill(0);
+        self.by_score.clear();
+        self.hot.clear();
+        if !self.forgetful {
+            for (addr, score) in table {
+                self.set_score(addr, score);
+            }
+        }
         Ok(())
     }
 }
@@ -369,7 +394,8 @@ mod tests {
     use pcm_ecc::{ClassifyOutcome, CodeSpec};
     use pcm_memsim::{MemGeometry, Memory, SimTime};
     use pcm_model::DeviceConfig;
-    use std::collections::HashSet;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashSet};
 
     fn budget(iops: f64, burst: f64, max_defer: u32) -> TourBudget {
         TourBudget {
@@ -660,6 +686,21 @@ mod tests {
             Err(CheckpointError::Malformed(_))
         ));
 
+        // A hot cursor past the last line is rejected; it sits after the
+        // tour's two u32 fields, the bucket's two f64 and its six u64
+        // counters, and the profile's granted count: 8 + 16 + 48 = 72.
+        let off = 72;
+        assert_eq!(bytes[off..off + 4], profile(&p).hot_cursor.to_le_bytes());
+        for cursor in [64u32, u32::MAX] {
+            let mut evil = bytes.clone();
+            evil[off..off + 4].copy_from_slice(&cursor.to_le_bytes());
+            let mut re = Reader::new(&evil);
+            assert!(matches!(
+                mk0().load_state(&mut re),
+                Err(CheckpointError::Malformed(_))
+            ));
+        }
+
         // A snapshot from a different seed fails the origin check.
         let mut diff = ScrubPolicy::profiled(640.0, 64, 8, 4, budget(0.5, 4.0, 3), p0, 12);
         let mut rd = Reader::new(&bytes);
@@ -670,5 +711,162 @@ mod tests {
     #[should_panic(expected = "hot stride must be >= 2")]
     fn rejects_unit_hot_stride() {
         mk(64, 4, params(16, 1, 1, 2));
+    }
+
+    /// The risk table as one `BTreeMap`, walked for every eviction and
+    /// hot pick: the reference the indexed table must match.
+    /// `ties_high` is a tripwire that evicts the largest address among
+    /// equal scores instead of the smallest.
+    #[derive(Default)]
+    struct ModelTable {
+        table: BTreeMap<u32, u32>,
+        hot_cursor: u32,
+        evictions: u64,
+        ties_high: bool,
+    }
+
+    impl ModelTable {
+        fn observe(&mut self, capacity: u32, addr: u32, bits: u32, ue: bool) {
+            let was_profiled = self.table.contains_key(&addr);
+            if bits == 0 && !ue {
+                self.decay(addr);
+                return;
+            }
+            let inc =
+                bits + if ue { UE_BUMP } else { 0 } + if was_profiled { REPEAT_BONUS } else { 0 };
+            let e = self.table.entry(addr).or_insert(0);
+            *e = (*e + inc.max(1)).min(SCORE_CAP);
+            if !was_profiled && self.table.len() as u32 > capacity {
+                let ties_high = self.ties_high;
+                let victim = self
+                    .table
+                    .iter()
+                    .min_by_key(|&(&a, &s)| (s, if ties_high { u32::MAX - a } else { a }))
+                    .map(|(&a, _)| a)
+                    .expect("non-empty past capacity");
+                self.table.remove(&victim);
+                self.evictions += 1;
+            }
+        }
+
+        fn decay(&mut self, addr: u32) {
+            if let Some(s) = self.table.get_mut(&addr) {
+                *s /= 2;
+                if *s == 0 {
+                    self.table.remove(&addr);
+                }
+            }
+        }
+
+        fn next_hot(&mut self, risk: u32) -> Option<u32> {
+            let next = self
+                .table
+                .range(self.hot_cursor + 1..)
+                .chain(self.table.range(..=self.hot_cursor))
+                .find(|&(_, &s)| s >= risk)
+                .map(|(&a, _)| a)?;
+            self.hot_cursor = next;
+            Some(next)
+        }
+    }
+
+    /// Drives a [`RiskProfile`] over 12 lines and a [`ModelTable`]
+    /// through the steps `script` encodes (observations, demand writes,
+    /// hot picks, save→load round trips) and describes the first step
+    /// after which they disagree.
+    fn first_divergence(capacity: u32, script: &[u32], ties_high: bool) -> Option<String> {
+        const LINES: u32 = 12;
+        let p = params(capacity, 4, 2, 3);
+        let mut real = RiskProfile::new(p, LINES, 5);
+        let mut model = ModelTable {
+            ties_high,
+            ..ModelTable::default()
+        };
+        for (step, &w) in script.iter().enumerate() {
+            let addr = w % LINES;
+            match (w >> 8) % 8 {
+                0..=3 => {
+                    let bits = (w >> 12) % 6;
+                    let ue = (w >> 16) % 16 == 0;
+                    let outcome = match (ue, bits) {
+                        (true, _) => ClassifyOutcome::DetectedUncorrectable,
+                        (false, 0) => ClassifyOutcome::Clean,
+                        (false, bits) => ClassifyOutcome::Corrected { bits },
+                    };
+                    real.observe(LineAddr(addr), &res(bits, outcome));
+                    model.observe(capacity, addr, bits, ue);
+                }
+                4 => {
+                    real.on_demand_write(LineAddr(addr));
+                    model.decay(addr);
+                }
+                5 | 6 => {
+                    let (got, want) = (real.next_hot().map(|a| a.0), model.next_hot(p.risk));
+                    if got != want {
+                        return Some(format!("step {step}: hot pick {got:?}, model {want:?}"));
+                    }
+                }
+                _ => {
+                    let mut w = Writer::new();
+                    real.save_state(&mut w);
+                    let bytes = w.into_bytes();
+                    let mut twin = RiskProfile::new(p, LINES, 5);
+                    let mut r = Reader::new(&bytes);
+                    twin.load_state(&mut r).expect("own snapshot loads");
+                    r.finish().expect("snapshot fully consumed");
+                    real = twin;
+                }
+            }
+            for a in 0..LINES {
+                let want = model.table.get(&a).copied().unwrap_or(0);
+                if real.score(LineAddr(a)) != want {
+                    return Some(format!(
+                        "step {step}: line {a} scores {}, model {want}",
+                        real.score(LineAddr(a))
+                    ));
+                }
+            }
+            if (real.table_len(), real.evictions) != (model.table.len(), model.evictions) {
+                return Some(format!(
+                    "step {step}: {} entries after {} evictions, model {} after {}",
+                    real.table_len(),
+                    real.evictions,
+                    model.table.len(),
+                    model.evictions
+                ));
+            }
+        }
+        None
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The score array and both indexes track the map-walking table
+        /// under any script: every score, the occupancy, the eviction
+        /// count and every hot pick agree after each step.
+        #[test]
+        fn indexed_table_matches_the_map_walking_model(
+            capacity in 1u32..9,
+            script in proptest::collection::vec(0u32..u32::MAX, 1..400),
+        ) {
+            prop_assert_eq!(first_divergence(capacity, &script, false), None);
+        }
+    }
+
+    /// Tripwire: the same harness, aimed at a model that breaks
+    /// eviction ties by the largest address, reports a divergence.
+    #[test]
+    fn differential_harness_catches_a_wrong_eviction_tie_break() {
+        let caught = (1..=8u32)
+            .filter(|&capacity| {
+                let script: Vec<u32> = (0..400u64)
+                    .map(|i| splitmix64(u64::from(capacity) << 32 | i) as u32)
+                    .collect();
+                assert_eq!(first_divergence(capacity, &script, false), None);
+                first_divergence(capacity, &script, true).is_some()
+            })
+            .count();
+        assert!(caught > 0, "no script exposed the tie-break");
     }
 }
