@@ -686,9 +686,10 @@ mod tests {
             Err(CheckpointError::Malformed(_))
         ));
 
-        // A hot cursor past the last line is rejected; it sits after the
-        // tour's two u32 fields, the bucket's two f64 and its six u64
-        // counters, and the profile's granted count: 8 + 16 + 48 = 72.
+        // A hot cursor past the last line is rejected. It follows the
+        // tour (u32 position, u64 tour count), the bucket (two f64, a u32
+        // streak, four u64) and the profile's u64 grant count:
+        // 12 + 52 + 8 = 72.
         let off = 72;
         assert_eq!(bytes[off..off + 4], profile(&p).hot_cursor.to_le_bytes());
         for cursor in [64u32, u32::MAX] {
