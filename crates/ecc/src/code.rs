@@ -280,7 +280,7 @@ impl CodeSpec {
                 let counts = spread_errors(errors, words, word_bits, rng);
                 let mut detected = false;
                 let mut corrected_bits = 0;
-                for &c in &counts {
+                for &c in &counts[..words as usize] {
                     match c {
                         0 => {}
                         1 => corrected_bits += 1,
@@ -311,7 +311,10 @@ impl CodeSpec {
                 symbol_bits,
             } => {
                 let counts = spread_errors(errors, symbols, symbol_bits, rng);
-                let occupied = counts.iter().filter(|&&c| c > 0).count() as u32;
+                let occupied = counts[..symbols as usize]
+                    .iter()
+                    .filter(|&&c| c > 0)
+                    .count() as u32;
                 self.judge_symbols(occupied, t, errors, rng)
             }
         }
@@ -463,23 +466,39 @@ pub fn standard_code_ladder() -> Vec<CodeSpec> {
     v
 }
 
+/// Words or symbols a line holds at most: Reed–Solomon over GF(2^8) has
+/// at most 255 symbols.
+const MAX_WORDS: usize = 255;
+
+/// Bit positions a line holds at most: 255 eight-bit RS symbols.
+const MAX_LINE_BITS: usize = MAX_WORDS * 8;
+
 /// Distributes `errors` distinct bit positions over `words` words of
 /// `word_bits` bits each (sampling without replacement), returning the
-/// per-word counts.
+/// per-word counts in the first `words` entries.
+///
+/// Draws `gen_range(0..words·word_bits)` until `errors` distinct
+/// positions are chosen, redrawing any repeat. A stack bitset records the
+/// chosen positions, so a call allocates nothing.
 fn spread_errors<R: Rng + ?Sized>(
     errors: u32,
     words: u32,
     word_bits: u32,
     rng: &mut R,
-) -> Vec<u32> {
+) -> [u8; MAX_WORDS] {
     let total = (words * word_bits) as usize;
+    debug_assert!(total <= MAX_LINE_BITS && word_bits <= u32::from(u8::MAX));
     let e = (errors as usize).min(total);
-    let mut counts = vec![0u32; words as usize];
-    let mut chosen = std::collections::HashSet::with_capacity(e);
-    while chosen.len() < e {
+    let mut chosen = [0u64; MAX_LINE_BITS.div_ceil(64)];
+    let mut counts = [0u8; MAX_WORDS];
+    let mut placed = 0;
+    while placed < e {
         let pos = rng.gen_range(0..total);
-        if chosen.insert(pos) {
+        let bit = 1u64 << (pos % 64);
+        if chosen[pos / 64] & bit == 0 {
+            chosen[pos / 64] |= bit;
             counts[pos / word_bits as usize] += 1;
+            placed += 1;
         }
     }
     counts
@@ -686,8 +705,71 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(6);
         for e in [1u32, 3, 8, 20] {
             let counts = spread_errors(e, 8, 72, &mut rng);
-            assert_eq!(counts.iter().sum::<u32>(), e);
+            assert_eq!(counts.iter().map(|&c| u32::from(c)).sum::<u32>(), e);
         }
+    }
+
+    /// The error spread as it was before the bitset: a `HashSet` of the
+    /// chosen positions. `count_repeats` is a tripwire that counts a
+    /// repeated position instead of redrawing it.
+    fn model_spread(
+        errors: u32,
+        words: u32,
+        word_bits: u32,
+        rng: &mut StdRng,
+        count_repeats: bool,
+    ) -> Vec<u32> {
+        let total = (words * word_bits) as usize;
+        let e = (errors as usize).min(total);
+        let mut counts = vec![0u32; words as usize];
+        if count_repeats {
+            for _ in 0..e {
+                counts[rng.gen_range(0..total) / word_bits as usize] += 1;
+            }
+            return counts;
+        }
+        let mut chosen = std::collections::HashSet::with_capacity(e);
+        while chosen.len() < e {
+            let pos = rng.gen_range(0..total);
+            if chosen.insert(pos) {
+                counts[pos / word_bits as usize] += 1;
+            }
+        }
+        counts
+    }
+
+    /// Spreads every error count from 0 to one past the full line over
+    /// SECDED's eight 72-bit words and over RS lines of 66, 72, 80 and
+    /// 254 eight-bit symbols, with the bitset and with the model, and
+    /// describes the first disagreement in counts or stream position.
+    fn spread_divergence(count_repeats: bool) -> Option<String> {
+        for (words, word_bits) in [(8u32, 72u32), (66, 8), (72, 8), (80, 8), (254, 8)] {
+            for e in 0..=words * word_bits + 1 {
+                let seed = u64::from(words) << 32 | u64::from(e);
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                let got: Vec<u32> = spread_errors(e, words, word_bits, &mut a)[..words as usize]
+                    .iter()
+                    .map(|&c| u32::from(c))
+                    .collect();
+                let want = model_spread(e, words, word_bits, &mut b, count_repeats);
+                if got != want || a.gen::<u64>() != b.gen::<u64>() {
+                    return Some(format!("{words}x{word_bits} bits, {e} errors"));
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn bitset_spread_matches_the_hash_set_it_replaces() {
+        assert_eq!(spread_divergence(false), None);
+    }
+
+    /// Tripwire: the same harness, aimed at a spread that counts a
+    /// repeated position instead of redrawing it, reports a divergence.
+    #[test]
+    fn spread_harness_catches_a_counted_repeat() {
+        assert!(spread_divergence(true).is_some());
     }
 
     /// The closed-form UE marginal must match the Monte-Carlo frequency of

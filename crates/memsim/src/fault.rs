@@ -8,7 +8,7 @@
 //! independent cells and O(1) per update. Wear failures use the same
 //! machinery with the lognormal endurance CDF over the write count.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
 
@@ -46,10 +46,24 @@ pub struct FaultEngine {
     /// Probability a stuck cell conflicts with fresh random data.
     conflict_prob: f64,
     /// Occupancy distribution of data cells over levels (random data →
-    /// uniform), with its conditional-binomial decomposition (and the
-    /// mode-path logarithms) precomputed — every write re-rolls occupancy,
-    /// making this the hottest multinomial in the simulator.
-    occupancy_dist: PrecomputedMultinomial,
+    /// uniform). Every write re-rolls occupancy, making this the hottest
+    /// multinomial in the simulator: its conditionals are precomputed, and
+    /// each live-cell count's mode walks are tabulated on first use. One
+    /// distribution per level count serves every engine in the process
+    /// (see [`shared_occupancy`]), so the tables are built once, not once
+    /// per bank or fleet shard.
+    occupancy_dist: &'static PrecomputedMultinomial,
+}
+
+/// The uniform occupancy distribution over `levels` levels, built on first
+/// use and shared by every engine with that level count process-wide, the
+/// way [`DeviceConfig::drift_model_shared`] shares drift tables. Its
+/// tables fill in behind `OnceLock`s, so bank-parallel sweeps share it
+/// safely.
+fn shared_occupancy(levels: usize) -> &'static PrecomputedMultinomial {
+    static DISTS: [OnceLock<PrecomputedMultinomial>; MAX_LEVELS + 1] =
+        [const { OnceLock::new() }; MAX_LEVELS + 1];
+    DISTS[levels].get_or_init(|| PrecomputedMultinomial::new(&vec![1.0 / levels as f64; levels]))
 }
 
 impl FaultEngine {
@@ -67,14 +81,13 @@ impl FaultEngine {
             "fault engine supports up to {MAX_LEVELS} levels"
         );
         assert!(cells_per_line > 0, "need at least one cell per line");
-        let level_probs = vec![1.0 / num_levels as f64; num_levels];
         Self {
             model: device.drift_model_shared(),
             endurance: *device.endurance(),
             cells_per_line,
             num_levels,
             conflict_prob: 1.0 - 1.0 / num_levels as f64,
-            occupancy_dist: PrecomputedMultinomial::new(&level_probs),
+            occupancy_dist: shared_occupancy(num_levels),
         }
     }
 
@@ -330,6 +343,18 @@ mod tests {
 
     fn engine() -> FaultEngine {
         FaultEngine::new(&DeviceConfig::default(), 288)
+    }
+
+    #[test]
+    fn engines_share_one_occupancy_distribution_per_level_count() {
+        let slc = DeviceConfig::builder()
+            .stack(pcm_model::LevelStack::standard_slc())
+            .build();
+        let (a, b) = (engine(), FaultEngine::new(&DeviceConfig::default(), 276));
+        let c = FaultEngine::new(&slc, 576);
+        assert!(std::ptr::eq(a.occupancy_dist, b.occupancy_dist));
+        assert!(!std::ptr::eq(a.occupancy_dist, c.occupancy_dist));
+        assert_eq!((a.occupancy_dist.len(), c.occupancy_dist.len()), (4, 2));
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //! component of the system is reproducible from a seed (the workspace-wide
 //! determinism invariant).
 
+use std::fmt;
+use std::sync::OnceLock;
+
 use rand::Rng;
 
 use super::erf::norm_ppf;
@@ -76,7 +79,6 @@ const LN_FACT_MAX_N: usize = 4096;
 
 /// `ln(k!)` for `k ≤ LN_FACT_MAX_N`, built once on first use.
 fn ln_fact_table() -> &'static [f64] {
-    use std::sync::OnceLock;
     static TABLE: OnceLock<Vec<f64>> = OnceLock::new();
     TABLE.get_or_init(|| {
         let mut t = Vec::with_capacity(LN_FACT_MAX_N + 1);
@@ -282,47 +284,152 @@ fn binomial_inv_mode_with_logs<R: Rng + ?Sized>(
     ln_p: f64,
     ln_q: f64,
 ) -> u32 {
-    debug_assert!(p > 0.0 && p <= 0.5);
-    let q = 1.0 - p;
-    let lf = ln_fact_table();
-    let m = (((n + 1) as f64) * p).floor().min(n as f64) as u32;
-    let ln_pmf_m = lf[n as usize] - lf[m as usize] - lf[(n - m) as usize]
-        + m as f64 * ln_p
-        + (n - m) as f64 * ln_q;
-    let pmf_m = ln_pmf_m.exp();
-    let mut u: f64 = rng.gen();
+    let walk = ModeWalk::new(n, p, ln_p, ln_q);
+    let u: f64 = rng.gen();
+    let pmf_m = walk.mode_pmf();
     if u < pmf_m {
-        return m;
+        return walk.m;
     }
-    u -= pmf_m;
-    let r = p / q;
-    let (mut up_k, mut up_pmf) = (m, pmf_m);
-    let (mut dn_k, mut dn_pmf) = (m, pmf_m);
-    loop {
-        let mut progressed = false;
-        if up_k < n {
-            up_pmf *= r * (n - up_k) as f64 / (up_k + 1) as f64;
-            up_k += 1;
-            if u < up_pmf {
-                return up_k;
+    walk.finish(u - pmf_m)
+}
+
+/// The mode walk's state: the outermost term reached on each side of the
+/// mode `m`, with its PMF. [`binomial_inv_mode_with_logs`] and the
+/// [`ModeTable`] builder both step through this one type, so a table's
+/// stored terms are the walk's own terms, bit for bit.
+#[derive(Debug, Clone, Copy)]
+struct ModeWalk {
+    n: u32,
+    m: u32,
+    /// The PMF ratio `p / q`.
+    r: f64,
+    up_k: u32,
+    up_pmf: f64,
+    dn_k: u32,
+    dn_pmf: f64,
+}
+
+impl ModeWalk {
+    /// The walk at its start: both sides at the mode.
+    fn new(n: u32, p: f64, ln_p: f64, ln_q: f64) -> Self {
+        debug_assert!(p > 0.0 && p <= 0.5);
+        let lf = ln_fact_table();
+        let m = (((n + 1) as f64) * p).floor().min(n as f64) as u32;
+        let ln_pmf_m = lf[n as usize] - lf[m as usize] - lf[(n - m) as usize]
+            + m as f64 * ln_p
+            + (n - m) as f64 * ln_q;
+        let pmf_m = ln_pmf_m.exp();
+        Self {
+            n,
+            m,
+            r: p / (1.0 - p),
+            up_k: m,
+            up_pmf: pmf_m,
+            dn_k: m,
+            dn_pmf: pmf_m,
+        }
+    }
+
+    /// `P(X = m)`, the walk's first term (valid before any step).
+    fn mode_pmf(&self) -> f64 {
+        self.up_pmf
+    }
+
+    /// Extends the up side by one term and returns its PMF.
+    fn step_up(&mut self) -> f64 {
+        self.up_pmf *= self.r * (self.n - self.up_k) as f64 / (self.up_k + 1) as f64;
+        self.up_k += 1;
+        self.up_pmf
+    }
+
+    /// Extends the down side by one term and returns its PMF.
+    fn step_down(&mut self) -> f64 {
+        self.dn_pmf *= self.dn_k as f64 / (self.r * (self.n - self.dn_k + 1) as f64);
+        self.dn_k -= 1;
+        self.dn_pmf
+    }
+
+    /// Locates `u`, the uniform's mass left after the terms already
+    /// visited, by alternating up and down steps (skipping a side once it
+    /// is exhausted) from the current state.
+    fn finish(mut self, mut u: f64) -> u32 {
+        loop {
+            let mut progressed = false;
+            if self.up_k < self.n {
+                let pmf = self.step_up();
+                if u < pmf {
+                    return self.up_k;
+                }
+                u -= pmf;
+                progressed = true;
             }
-            u -= up_pmf;
-            progressed = true;
-        }
-        if dn_k > 0 {
-            dn_pmf *= dn_k as f64 / (r * (n - dn_k + 1) as f64);
-            dn_k -= 1;
-            if u < dn_pmf {
-                return dn_k;
+            if self.dn_k > 0 {
+                let pmf = self.step_down();
+                if u < pmf {
+                    return self.dn_k;
+                }
+                u -= pmf;
+                progressed = true;
             }
-            u -= dn_pmf;
-            progressed = true;
+            if !progressed {
+                // Support exhausted with a rounding residue left: return the
+                // mode (any in-support value is within the rounding tolerance).
+                return self.m;
+            }
         }
-        if !progressed {
-            // Support exhausted with a rounding residue left: return the
-            // mode (any in-support value is within the rounding tolerance).
-            return m;
+    }
+}
+
+/// Largest `n` whose mode walk a [`PrecomputedMultinomial`] tabulates:
+/// every MLC line and SLC lines up to 1,024 cells. Larger `n` walks from
+/// the mode on every draw.
+const MODE_TABLE_MAX_N: u32 = 1024;
+
+/// Walk terms a [`ModeTable`] stores: the mode and 16 up/down pairs,
+/// over two standard deviations either side for the 288-cell re-roll.
+const MODE_TABLE_TERMS: usize = 33;
+
+/// The first terms of one `(n, p)` mode walk in visit order — `P(m)`,
+/// then `P(m+1), P(m−1), P(m+2), …` in up/down pairs while both sides
+/// have support — and the walk's state after them. Locating a uniform
+/// subtracts the stored terms exactly as the walk does, so it returns the
+/// walk's outcome without the walk's divisions; past the last term it
+/// resumes the walk's recurrence from the stored state.
+#[derive(Debug, Clone)]
+struct ModeTable {
+    terms: [f64; MODE_TABLE_TERMS],
+    len: usize,
+    rest: ModeWalk,
+}
+
+impl ModeTable {
+    fn new(n: u32, p: f64, ln_p: f64, ln_q: f64) -> Self {
+        let mut rest = ModeWalk::new(n, p, ln_p, ln_q);
+        let mut terms = [0.0; MODE_TABLE_TERMS];
+        terms[0] = rest.mode_pmf();
+        let mut len = 1;
+        // Whole pairs only, so the resumed walk starts on an up step just
+        // as the walk's own loop does.
+        while len < MODE_TABLE_TERMS && rest.up_k < n && rest.dn_k > 0 {
+            terms[len] = rest.step_up();
+            terms[len + 1] = rest.step_down();
+            len += 2;
         }
+        Self { terms, len, rest }
+    }
+
+    /// The walk's outcome for the uniform `u`.
+    fn locate(&self, mut u: f64) -> u32 {
+        let m = self.rest.m;
+        for (i, &pmf) in self.terms[..self.len].iter().enumerate() {
+            if u < pmf {
+                // Term `2j − 1` is `m + j`, term `2j` is `m − j`.
+                let j = (i as u32).div_ceil(2);
+                return if i % 2 == 1 { m + j } else { m - j };
+            }
+            u -= pmf;
+        }
+        self.rest.finish(u)
     }
 }
 
@@ -384,8 +491,9 @@ pub fn sample_multinomial_into<R: Rng + ?Sized>(
 
 /// One category of a [`PrecomputedMultinomial`]: the conditional binomial
 /// probability in the orientation [`sample_binomial`] would pick, with its
-/// logarithms taken once at construction.
-#[derive(Debug, Clone)]
+/// logarithms taken once at construction and its mode walks tabulated on
+/// first use.
+#[derive(Clone)]
 struct PrecomputedCategory {
     /// Conditional success probability `p_i / (p_i + p_{i+1} + …)`.
     cond: f64,
@@ -395,18 +503,36 @@ struct PrecomputedCategory {
     flip: bool,
     ln_ps: f64,
     ln_qs: f64,
+    /// `tables[n]`: the mode walk's table for `n` trials, built on the
+    /// first mode-path draw at that `n`. Empty when `cond` is 0 or 1.
+    tables: Box<[OnceLock<Box<ModeTable>>]>,
 }
 
 /// A multinomial distribution with its sequential-conditional decomposition
 /// precomputed. Sampling draws the identical uniforms and returns the
-/// identical counts as [`sample_multinomial_into`] over the same `probs`,
-/// but hoists the per-category divisions, clamps, and — on the
-/// mode-inversion path — the two `ln` evaluations out of the per-call work.
-/// Built once per fault engine for the cell-occupancy re-roll, which is the
-/// single hottest multinomial in the simulator.
-#[derive(Debug, Clone)]
+/// identical counts as [`sample_multinomial_into`] over the same `probs`.
+/// The per-category divisions, clamps and mode-path logarithms are taken
+/// once at construction. On the first mode-path draw of each
+/// `(category, n)` with `n ≤ 1,024`, the category stores that walk's
+/// first 33 terms and its state after them, so later draws subtract
+/// stored terms instead of stepping the PMF recurrence, and resume the
+/// recurrence only past the stored terms. The tables sit behind
+/// `OnceLock`s, so one distribution can be shared by every bank worker of
+/// a parallel sweep. The fault engine's cell-occupancy re-roll, the
+/// hottest multinomial in the simulator, shares one per level count
+/// process-wide.
+#[derive(Clone)]
 pub struct PrecomputedMultinomial {
     categories: Vec<PrecomputedCategory>,
+}
+
+impl fmt::Debug for PrecomputedMultinomial {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let conds: Vec<f64> = self.categories.iter().map(|c| c.cond).collect();
+        f.debug_struct("PrecomputedMultinomial")
+            .field("conditionals", &conds)
+            .finish_non_exhaustive()
+    }
 }
 
 impl PrecomputedMultinomial {
@@ -442,12 +568,18 @@ impl PrecomputedMultinomial {
             } else {
                 (1.0 - cond, true)
             };
+            let slots = if cond > 0.0 && cond < 1.0 {
+                MODE_TABLE_MAX_N as usize + 1
+            } else {
+                0
+            };
             categories.push(PrecomputedCategory {
                 cond,
                 ps,
                 flip,
                 ln_ps: ps.ln(),
                 ln_qs: (1.0 - ps).ln(),
+                tables: (0..slots).map(|_| OnceLock::new()).collect(),
             });
             remaining_p -= p;
         }
@@ -459,7 +591,8 @@ impl PrecomputedMultinomial {
         self.categories.len() + 1
     }
 
-    /// Whether the distribution has a single category.
+    /// Always `false`: a distribution has at least one category (the
+    /// constructor rejects empty `probs`).
     pub fn is_empty(&self) -> bool {
         false
     }
@@ -484,7 +617,8 @@ impl PrecomputedMultinomial {
 
 impl PrecomputedCategory {
     /// `sample_binomial(rng, n, self.cond)`, with the orientation and logs
-    /// reused rather than recomputed.
+    /// reused rather than recomputed, and the mode walk read from its
+    /// table where one covers `n`.
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R, n: u32) -> u32 {
         if n == 0 || self.cond <= 0.0 {
             return 0;
@@ -494,6 +628,8 @@ impl PrecomputedCategory {
         }
         let k = if n as f64 * self.ps < BINOMIAL_MODE_CUTOFF || n as usize > LN_FACT_MAX_N {
             binomial_inv_bottom(rng, n, self.ps)
+        } else if n <= MODE_TABLE_MAX_N {
+            self.table(n).locate(rng.gen())
         } else {
             binomial_inv_mode_with_logs(rng, n, self.ps, self.ln_ps, self.ln_qs)
         };
@@ -502,6 +638,12 @@ impl PrecomputedCategory {
         } else {
             k
         }
+    }
+
+    /// The mode walk's table for `n` trials, built on first use.
+    fn table(&self, n: u32) -> &ModeTable {
+        self.tables[n as usize]
+            .get_or_init(|| Box::new(ModeTable::new(n, self.ps, self.ln_ps, self.ln_qs)))
     }
 }
 
@@ -730,6 +872,218 @@ mod tests {
                 assert_eq!(got, want, "probs {probs:?} n={n}");
             }
             assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "case {i}: stream skew");
+        }
+    }
+
+    /// Serves scripted uniforms: each `gen::<f64>()` returns the next
+    /// of `us` (multiples of 2⁻⁵³ in `[0, 1)`), then a seeded stream.
+    /// Counts every draw, so two samplers' stream positions compare.
+    struct Scripted {
+        us: Vec<f64>,
+        draws: usize,
+        rest: StdRng,
+    }
+
+    impl Scripted {
+        fn new(us: &[f64]) -> Self {
+            Self {
+                us: us.to_vec(),
+                draws: 0,
+                rest: StdRng::seed_from_u64(5),
+            }
+        }
+    }
+
+    impl rand::RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            match self.us.get(self.draws - 1) {
+                Some(&u) => ((u * (1u64 << 53) as f64) as u64) << 11,
+                None => self.rest.next_u64(),
+            }
+        }
+    }
+
+    /// The mode walk as it was before tables existed, kept verbatim: the
+    /// reference the shared walk and the tables must both match.
+    fn model_inv_mode<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64, ln_p: f64, ln_q: f64) -> u32 {
+        let q = 1.0 - p;
+        let lf = ln_fact_table();
+        let m = (((n + 1) as f64) * p).floor().min(n as f64) as u32;
+        let ln_pmf_m = lf[n as usize] - lf[m as usize] - lf[(n - m) as usize]
+            + m as f64 * ln_p
+            + (n - m) as f64 * ln_q;
+        let pmf_m = ln_pmf_m.exp();
+        let mut u: f64 = rng.gen();
+        if u < pmf_m {
+            return m;
+        }
+        u -= pmf_m;
+        let r = p / q;
+        let (mut up_k, mut up_pmf) = (m, pmf_m);
+        let (mut dn_k, mut dn_pmf) = (m, pmf_m);
+        loop {
+            let mut progressed = false;
+            if up_k < n {
+                up_pmf *= r * (n - up_k) as f64 / (up_k + 1) as f64;
+                up_k += 1;
+                if u < up_pmf {
+                    return up_k;
+                }
+                u -= up_pmf;
+                progressed = true;
+            }
+            if dn_k > 0 {
+                dn_pmf *= dn_k as f64 / (r * (n - dn_k + 1) as f64);
+                dn_k -= 1;
+                if u < dn_pmf {
+                    return dn_k;
+                }
+                u -= dn_pmf;
+                progressed = true;
+            }
+            if !progressed {
+                return m;
+            }
+        }
+    }
+
+    /// A category draw as it was before tables existed.
+    fn model_sample<R: Rng + ?Sized>(cat: &PrecomputedCategory, rng: &mut R, n: u32) -> u32 {
+        if n == 0 || cat.cond <= 0.0 {
+            return 0;
+        }
+        if cat.cond >= 1.0 {
+            return n;
+        }
+        let k = if n as f64 * cat.ps < BINOMIAL_MODE_CUTOFF || n as usize > LN_FACT_MAX_N {
+            binomial_inv_bottom(rng, n, cat.ps)
+        } else {
+            model_inv_mode(rng, n, cat.ps, cat.ln_ps, cat.ln_qs)
+        };
+        if cat.flip {
+            n - k
+        } else {
+            k
+        }
+    }
+
+    /// The largest multiple of 2⁻⁵³ at or below `x`, clamped to `[0, 1)`.
+    fn uniform_at(x: f64) -> f64 {
+        let scale = (1u64 << 53) as f64;
+        ((x * scale).floor().clamp(0.0, scale - 1.0)) / scale
+    }
+
+    /// Uniforms aimed at the draw of `n` trials: 0; the largest uniform,
+    /// 1 − 2⁻⁵³, which walks the whole support into the exhausted-support
+    /// residue; the boundary just past each of the first 33 walk terms
+    /// and one ulp below it; uniforms beyond the stored terms; and a
+    /// seeded spread.
+    fn probe_uniforms(cat: &PrecomputedCategory, n: u32) -> Vec<f64> {
+        let mut us = vec![0.0, uniform_at(1.0), 0.5, 0.9, 0.99, 0.999, 0.999_999];
+        if n >= 1 && n as f64 * cat.ps >= BINOMIAL_MODE_CUTOFF && n as usize <= LN_FACT_MAX_N {
+            let table = ModeTable::new(n, cat.ps, cat.ln_ps, cat.ln_qs);
+            let mut mass = 0.0;
+            for &pmf in &table.terms[..table.len] {
+                mass += pmf;
+                let u = uniform_at(mass);
+                us.extend([u, uniform_at(u - f64::EPSILON / 2.0)]);
+            }
+            us.extend([uniform_at(mass + 1e-9), uniform_at((1.0 + mass) / 2.0)]);
+        }
+        let mut rng = StdRng::seed_from_u64(u64::from(n));
+        us.extend((0..16).map(|_| rng.gen::<f64>()));
+        us
+    }
+
+    /// Draws every probe uniform through `sample` and through the model
+    /// at every `n` in `0..=1,124` (past the mode-path cutoff and the
+    /// 1,024-trial table bound), and describes the first disagreement in
+    /// outcome or in uniforms consumed.
+    fn first_divergence(
+        cat: &PrecomputedCategory,
+        sample: impl Fn(&mut Scripted, u32) -> u32,
+    ) -> Option<String> {
+        for n in 0..=MODE_TABLE_MAX_N + 100 {
+            for u in probe_uniforms(cat, n) {
+                let (mut a, mut b) = (Scripted::new(&[u]), Scripted::new(&[u]));
+                let (got, want) = (sample(&mut a, n), model_sample(cat, &mut b, n));
+                if (got, a.draws) != (want, b.draws) {
+                    return Some(format!(
+                        "p={} n={n} u={u:e}: got {got} after {} draws, model {want} after {}",
+                        cat.ps, a.draws, b.draws
+                    ));
+                }
+            }
+        }
+        None
+    }
+
+    /// The conditionals of uniform occupancy over four levels: 1/4, 1/3
+    /// and 1/2 as the fault engine computes them (two levels give 1/2).
+    fn occupancy_categories() -> Vec<PrecomputedCategory> {
+        PrecomputedMultinomial::new(&[0.25; 4]).categories
+    }
+
+    #[test]
+    fn mode_tables_match_the_walk_they_replace() {
+        for cat in occupancy_categories() {
+            assert_eq!(first_divergence(&cat, |rng, n| cat.sample(rng, n)), None);
+            // The shared walk alone, for n the tables do not cover.
+            assert_eq!(
+                first_divergence(&cat, |rng, n| {
+                    if n == 0 || (n as f64) * cat.ps < BINOMIAL_MODE_CUTOFF {
+                        cat.sample(rng, n)
+                    } else {
+                        binomial_inv_mode_with_logs(rng, n, cat.ps, cat.ln_ps, cat.ln_qs)
+                    }
+                }),
+                None
+            );
+        }
+    }
+
+    /// Tripwire: a table that stores each pair's down-side term before
+    /// its up-side term diverges from the walk.
+    #[test]
+    fn differential_harness_catches_a_down_first_table() {
+        let caught = occupancy_categories()
+            .iter()
+            .filter(|cat| {
+                first_divergence(cat, |rng, n| {
+                    if n == 0 || (n as f64) * cat.ps < BINOMIAL_MODE_CUTOFF {
+                        return cat.sample(rng, n);
+                    }
+                    let mut table = ModeTable::new(n, cat.ps, cat.ln_ps, cat.ln_qs);
+                    for pair in table.terms[1..table.len].chunks_mut(2) {
+                        pair.swap(0, 1);
+                    }
+                    table.locate(rng.gen())
+                })
+                .is_some()
+            })
+            .count();
+        assert!(caught > 0, "no uniform exposed the down-first order");
+    }
+
+    #[test]
+    fn mode_tables_hold_whole_pairs_within_the_support() {
+        for cat in occupancy_categories() {
+            for n in 1..=MODE_TABLE_MAX_N {
+                if (n as f64) * cat.ps < BINOMIAL_MODE_CUTOFF {
+                    continue;
+                }
+                let t = ModeTable::new(n, cat.ps, cat.ln_ps, cat.ln_qs);
+                let pairs = (t.len - 1) as u32 / 2;
+                assert_eq!(t.len % 2, 1, "n={n}: a partial pair");
+                assert!(t.rest.up_k <= n && t.rest.up_k == t.rest.m + pairs);
+                assert_eq!(t.rest.dn_k, t.rest.m - pairs);
+                assert!(t.len == MODE_TABLE_TERMS || t.rest.up_k == n || t.rest.dn_k == 0);
+            }
         }
     }
 

@@ -1,12 +1,14 @@
-//! Zipfian rank sampling via an exact precomputed CDF.
+//! Zipfian rank sampling via an exact precomputed CDF and a guide table.
 
 use rand::Rng;
 
 /// Samples ranks `0..n` with probability `∝ 1/(rank+1)^theta`.
 ///
-/// Built once per workload (O(n) table), then O(log n) per sample by
-/// binary-searching the CDF — exact, with no rejection-envelope
-/// approximations.
+/// Built once per workload (O(n) tables). A sample inverts the CDF
+/// exactly, with no rejection-envelope approximations: a guide table
+/// narrows the uniform `u` to the ranks whose CDF lies in `u`'s bucket of
+/// width `1/G`, and a binary search finishes inside that bucket, which
+/// holds O(1) ranks on average instead of all `n`.
 ///
 /// # Examples
 ///
@@ -21,6 +23,9 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// `guide[j]` is the number of ranks whose CDF is below `j/G`, for
+    /// `j` in `0..=G` with `G = n.next_power_of_two()`.
+    guide: Vec<u32>,
     theta: f64,
 }
 
@@ -29,9 +34,10 @@ impl Zipf {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `theta < 0`.
+    /// Panics if `n == 0`, `n > u32::MAX` or `theta < 0`.
     pub fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "zipf needs at least one rank");
+        assert!(u32::try_from(n).is_ok(), "zipf ranks must fit in u32");
         assert!(theta >= 0.0, "zipf exponent must be nonnegative");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0f64;
@@ -43,7 +49,18 @@ impl Zipf {
         for v in &mut cdf {
             *v /= total;
         }
-        Self { cdf, theta }
+        // G is a power of two, so every bucket edge j/G is exact.
+        let g = n.next_power_of_two();
+        let mut guide = Vec::with_capacity(g + 1);
+        let mut below = 0;
+        for j in 0..=g {
+            let edge = j as f64 / g as f64;
+            while below < n && cdf[below] < edge {
+                below += 1;
+            }
+            guide.push(below as u32);
+        }
+        Self { cdf, guide, theta }
     }
 
     /// Number of ranks.
@@ -56,10 +73,19 @@ impl Zipf {
         self.theta
     }
 
-    /// Draws a rank (0 = hottest).
+    /// Draws a rank (0 = hottest): the number of ranks whose CDF is below
+    /// one uniform `u`, capped at the last rank.
+    ///
+    /// `u·G` is exact because `G` is a power of two, so `j = ⌊u·G⌋`
+    /// satisfies `j/G ≤ u < (j+1)/G`: every rank counted by `guide[j]` has
+    /// a CDF below `u`, none past `guide[j+1]` does, and searching the
+    /// ranks between them gives the same count as searching the whole CDF.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        let j = (u * (self.guide.len() - 1) as f64) as usize;
+        let (lo, hi) = (self.guide[j] as usize, self.guide[j + 1] as usize);
+        let rank = lo + self.cdf[lo..hi].partition_point(|&c| c < u);
+        rank.min(self.cdf.len() - 1)
     }
 
     /// Probability mass of a rank.
@@ -119,6 +145,100 @@ mod tests {
                 "rank {r}: emp {emp} want {want}"
             );
         }
+    }
+
+    /// Serves scripted uniforms: each `gen::<f64>()` returns the next
+    /// of `us` (multiples of 2⁻⁵³ in `[0, 1)`), counting the draws.
+    struct Scripted {
+        us: Vec<f64>,
+        draws: usize,
+    }
+
+    impl rand::RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let u = self.us[self.draws];
+            self.draws += 1;
+            ((u * (1u64 << 53) as f64) as u64) << 11
+        }
+    }
+
+    /// One unit of the uniform grid, 2⁻⁵³.
+    const ULP: f64 = 1.0 / (1u64 << 53) as f64;
+
+    /// Uniforms aimed at `z`'s guide: every bucket edge `j/G` and one
+    /// grid step below it, every CDF value and one step below it, and a
+    /// seeded spread.
+    fn probe_uniforms(z: &Zipf) -> Vec<f64> {
+        let g = (z.guide.len() - 1) as f64;
+        let mut us = Vec::new();
+        for edge in (0..z.guide.len() - 1)
+            .map(|j| j as f64 / g)
+            .chain(z.cdf.iter().copied())
+        {
+            let u = ((edge / ULP).floor() * ULP).min(1.0 - ULP);
+            us.extend([u, (u - ULP).max(0.0)]);
+        }
+        let mut rng = StdRng::seed_from_u64(z.n() as u64);
+        us.extend((0..4096).map(|_| rng.gen::<f64>()));
+        us
+    }
+
+    /// Draws every probe uniform through `z.sample` and through a search
+    /// of the whole CDF, and describes the first disagreement.
+    fn first_divergence(z: &Zipf) -> Option<String> {
+        let us = probe_uniforms(z);
+        let mut rng = Scripted {
+            us: us.clone(),
+            draws: 0,
+        };
+        for (i, &u) in us.iter().enumerate() {
+            let want = z.cdf.partition_point(|&c| c < u).min(z.n() - 1);
+            let got = z.sample(&mut rng);
+            if got != want || rng.draws != i + 1 {
+                return Some(format!(
+                    "n={} u={u:e}: rank {got}, full search {want}",
+                    z.n()
+                ));
+            }
+        }
+        None
+    }
+
+    fn zipfs() -> Vec<Zipf> {
+        let mut v = Vec::new();
+        for n in [1usize, 3, 1000, 1024, 1025, 16384] {
+            for theta in [0.0, 0.8, 0.99, 1.2] {
+                v.push(Zipf::new(n, theta));
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn guided_sample_matches_the_full_search() {
+        for z in zipfs() {
+            assert_eq!(first_divergence(&z), None, "theta {}", z.theta());
+        }
+    }
+
+    /// Tripwire: a guide that starts each search one bucket too high
+    /// diverges from the full search.
+    #[test]
+    fn guide_harness_catches_a_search_one_bucket_high() {
+        let caught = zipfs()
+            .into_iter()
+            .filter(|z| {
+                let mut high = z.clone();
+                high.guide.remove(0);
+                high.guide.push(z.n() as u32);
+                first_divergence(&high).is_some()
+            })
+            .count();
+        assert!(caught > 0, "no uniform exposed the shifted guide");
     }
 
     #[test]
