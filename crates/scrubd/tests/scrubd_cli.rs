@@ -144,6 +144,21 @@ fn rejects_malformed_fleet_configs() {
             &GOOD_CONFIG.replace("threads = 2", "engine = event\nthreads = 2"),
             "unknown key \"engine\"",
         ),
+        // Rates the tenant parser accepts that round to zero per shard.
+        (
+            &GOOD_CONFIG.replace(
+                "mix = alpha:rate=40;beta:rate=10,read=0.5",
+                "mix = alpha:rate=40;beta:rate=5e-324",
+            ),
+            "tenant \"beta\": rate=5e-324 rounds to a zero demand rate",
+        ),
+        (
+            &GOOD_CONFIG.replace(
+                "mix = alpha:rate=40;beta:rate=10,read=0.5",
+                "mix = alpha:suite=db-oltp,scale=5e-324",
+            ),
+            "tenant \"alpha\": scale=5e-324 rounds to a zero demand rate",
+        ),
     ];
     for (i, (text, needle)) in cases.iter().enumerate() {
         let dir = tmp(&format!("badconf{i}"));

@@ -151,7 +151,11 @@ impl SyntheticTrace {
         LineAddr(addr)
     }
 
-    fn advance_clock(&mut self) {
+    /// Moves the clock to the next arrival. Returns `false`, leaving the
+    /// clock where it was, when that arrival is not a finite time: a rate
+    /// near the smallest positive `f64` makes gaps that overflow, and an
+    /// arrival past `f64::MAX` seconds lies beyond every horizon.
+    fn advance_clock(&mut self) -> bool {
         let mean_gap = 1.0 / self.rate;
         let dt = match self.arrivals {
             ArrivalProcess::Periodic => mean_gap,
@@ -180,13 +184,20 @@ impl SyntheticTrace {
                 }
             }
         };
-        self.now += dt;
+        let next = self.now.secs() + dt;
+        if !next.is_finite() {
+            return false;
+        }
+        self.now = SimTime::from_secs(next);
+        true
     }
 }
 
 impl TraceSource for SyntheticTrace {
     fn next_op(&mut self) -> Option<MemOp> {
-        self.advance_clock();
+        if !self.advance_clock() {
+            return None;
+        }
         let kind = if self.rng.gen::<f64>() < self.read_frac {
             OpKind::Read
         } else {
@@ -357,6 +368,26 @@ mod tests {
                 "{arrivals:?}: measured rate {measured}"
             );
         }
+    }
+
+    #[test]
+    fn stream_ends_at_the_first_arrival_past_f64_max() {
+        // A mean gap of 3/4 of f64::MAX: the second periodic arrival, and
+        // soon a Poisson one, overflow the clock.
+        for (arrivals, most) in [(ArrivalProcess::Periodic, 1), (ArrivalProcess::Poisson, 3)] {
+            let mut t = SyntheticTrace::builder("t", 100)
+                .rate_ops_per_sec(1.0 / (0.75 * f64::MAX))
+                .arrivals(arrivals)
+                .seed(4)
+                .build();
+            let ops: Vec<MemOp> = std::iter::from_fn(|| t.next_op()).take(8).collect();
+            assert!(ops.len() <= most, "{arrivals:?}: {ops:?}");
+        }
+        // A subnormal rate: the mean gap itself is infinite.
+        let mut t = SyntheticTrace::builder("t", 100)
+            .rate_ops_per_sec(5e-324)
+            .build();
+        assert_eq!(t.next_op(), None);
     }
 
     #[test]

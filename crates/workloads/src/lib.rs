@@ -38,5 +38,5 @@ pub use generator::{AddrPattern, ArrivalProcess, SyntheticTrace, SyntheticTraceB
 pub use phased::{DiurnalTrace, Phase};
 pub use record::RecordedTrace;
 pub use suite::WorkloadId;
-pub use tenant::{TenantKind, TenantMix, TenantMixSpec, TenantPattern, TenantSpec};
+pub use tenant::{TenantKind, TenantMix, TenantMixSpec, TenantPattern, TenantSpec, ZeroRateTenant};
 pub use zipf::Zipf;

@@ -149,6 +149,32 @@ impl fmt::Display for TenantSpec {
     }
 }
 
+/// A tenant whose demand rate rounds to zero once its mix is scaled
+/// down: the rejection [`TenantMixSpec::check_scaled`] returns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ZeroRateTenant {
+    /// The tenant's name.
+    pub tenant: String,
+    /// The spec field that rounds away: `"rate"` or `"scale"`.
+    pub field: &'static str,
+    /// The field's value in the spec.
+    pub value: f64,
+    /// The factor the mix was scaled by.
+    pub rate_scale: f64,
+}
+
+impl fmt::Display for ZeroRateTenant {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "tenant {:?}: {}={:?} rounds to a zero demand rate when scaled by {:?}",
+            self.tenant, self.field, self.value, self.rate_scale
+        )
+    }
+}
+
+impl std::error::Error for ZeroRateTenant {}
+
 /// A full tenant mix, as plain data. Parses from and displays as the
 /// compact spec string (the `Display` form is canonical and round-trips).
 #[derive(Debug, Clone, PartialEq)]
@@ -164,21 +190,54 @@ impl TenantMixSpec {
         self.tenants.iter().map(|t| t.nominal_rate(num_lines)).sum()
     }
 
+    /// Checks that every tenant keeps a positive demand rate when the mix
+    /// is built over `num_lines` lines at `rate_scale`. The parser accepts
+    /// any finite positive `rate=` or `scale=`, but the product with a
+    /// small `rate_scale` (a fleet passes `1/shards`) can round to zero,
+    /// and no stream runs at rate zero. The products are the ones
+    /// [`TenantMixSpec::build`] computes, so a mix that passes builds.
+    pub fn check_scaled(&self, num_lines: u32, rate_scale: f64) -> Result<(), ZeroRateTenant> {
+        for t in &self.tenants {
+            let (field, value, scaled) = match &t.kind {
+                TenantKind::Synthetic { rate, .. } => ("rate", *rate, rate * rate_scale),
+                TenantKind::Suite { id, scale } => (
+                    "scale",
+                    *scale,
+                    id.nominal_rate(num_lines) * (scale * rate_scale),
+                ),
+            };
+            if scaled <= 0.0 {
+                return Err(ZeroRateTenant {
+                    tenant: t.name.clone(),
+                    field,
+                    value,
+                    rate_scale,
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Instantiates the mix over `num_lines` lines. Every tenant's rate
     /// is multiplied by `rate_scale` (a fleet divides tenant demand evenly
     /// across shards by passing `1/shards`); per-tenant RNG streams are
     /// derived from `seed` and the tenant index, so two tenants never
-    /// share randomness.
+    /// share randomness. A tenant stream ends at its first arrival past
+    /// `f64::MAX` seconds.
     ///
     /// # Panics
     ///
-    /// Panics if `rate_scale` is not finite and positive. Spec-level
+    /// Panics if `rate_scale` is not finite and positive, or if
+    /// [`TenantMixSpec::check_scaled`] rejects the mix. Spec-level
     /// validation (rates, fractions, names) happens at parse time.
     pub fn build(&self, num_lines: u32, rate_scale: f64, seed: u64) -> TenantMix {
         assert!(
             rate_scale.is_finite() && rate_scale > 0.0,
             "rate_scale must be finite and positive, got {rate_scale}"
         );
+        if let Err(e) = self.check_scaled(num_lines, rate_scale) {
+            panic!("{e}");
+        }
         let mut streams = Vec::with_capacity(self.tenants.len());
         for (i, t) in self.tenants.iter().enumerate() {
             let tseed = splitmix64(seed ^ (0xF1EE7 + i as u64));
@@ -561,6 +620,24 @@ mod tests {
         ] {
             let err = bad.parse::<TenantMixSpec>().expect_err(bad);
             assert!(err.contains(needle), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn check_scaled_names_the_tenant_whose_rate_rounds_to_zero() {
+        let ok: TenantMixSpec = "a:rate=1e-306;b:suite=db-oltp,scale=1e-300"
+            .parse()
+            .expect("valid");
+        assert_eq!(ok.check_scaled(1024, 0.5), Ok(()));
+        for (spec, field) in [
+            ("a:rate=1;b:rate=5e-324", "rate"),
+            ("a:rate=1;b:suite=db-oltp,scale=5e-324", "scale"),
+        ] {
+            let spec: TenantMixSpec = spec.parse().expect("valid");
+            assert_eq!(spec.check_scaled(1024, 1.0), Ok(()));
+            let err = spec.check_scaled(1024, 0.5).expect_err("rounds to zero");
+            assert_eq!((err.tenant.as_str(), err.field), ("b", field));
+            assert!(err.to_string().contains("tenant \"b\""), "{err}");
         }
     }
 
