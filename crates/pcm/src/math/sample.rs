@@ -270,21 +270,7 @@ pub fn sample_binomial4<R: Rng + ?Sized>(rng: &mut R, ns: [u32; 4], ps: [f64; 4]
 /// uniform's mass is located. Any fixed ordering of the support is a valid
 /// inversion; this one visits an expected `O(√(npq))` terms.
 fn binomial_inv_mode<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64) -> u32 {
-    binomial_inv_mode_with_logs(rng, n, p, p.ln(), (1.0 - p).ln())
-}
-
-/// [`binomial_inv_mode`] with `ln p` / `ln q` supplied by the caller.
-/// Callers that draw many binomials at a fixed `p` (the occupancy
-/// multinomial's conditionals) hoist the two `ln` calls out of the loop;
-/// passing the logs of the same `p` yields bit-identical samples.
-fn binomial_inv_mode_with_logs<R: Rng + ?Sized>(
-    rng: &mut R,
-    n: u32,
-    p: f64,
-    ln_p: f64,
-    ln_q: f64,
-) -> u32 {
-    let walk = ModeWalk::new(n, p, ln_p, ln_q);
+    let walk = ModeWalk::new(n, p, p.ln(), (1.0 - p).ln());
     let u: f64 = rng.gen();
     let pmf_m = walk.mode_pmf();
     if u < pmf_m {
@@ -294,9 +280,9 @@ fn binomial_inv_mode_with_logs<R: Rng + ?Sized>(
 }
 
 /// The mode walk's state: the outermost term reached on each side of the
-/// mode `m`, with its PMF. [`binomial_inv_mode_with_logs`] and the
-/// [`ModeTable`] builder both step through this one type, so a table's
-/// stored terms are the walk's own terms, bit for bit.
+/// mode `m`, with its PMF. [`binomial_inv_mode`] and the [`ModeTable`]
+/// builder both step through this one type, so a table's stored terms are
+/// the walk's own terms, bit for bit.
 #[derive(Debug, Clone, Copy)]
 struct ModeWalk {
     n: u32,
@@ -380,18 +366,13 @@ impl ModeWalk {
     }
 }
 
-/// Largest `n` whose mode walk a [`PrecomputedMultinomial`] tabulates:
-/// every MLC line and SLC lines up to 1,024 cells. Larger `n` walks from
-/// the mode on every draw.
-const MODE_TABLE_MAX_N: u32 = 1024;
-
 /// Walk terms a [`ModeTable`] stores: the mode and 16 up/down pairs,
 /// over two standard deviations either side for the 288-cell re-roll.
 const MODE_TABLE_TERMS: usize = 33;
 
 /// Trial counts per chunk of a category's table slots. Chunks are
 /// allocated on the first draw in their range, so a category holds slots
-/// only near the few `n` it samples; one slot per `n` up to the bound
+/// only near the few `n` it samples; one slot per `n` up to 1,024
 /// measured about 1% more peak RSS on the benchmark's 4 MB runs.
 const MODE_TABLE_CHUNK: usize = 64;
 
@@ -524,8 +505,8 @@ struct PrecomputedCategory {
 /// identical counts as [`sample_multinomial_into`] over the same `probs`.
 /// The per-category divisions, clamps and mode-path logarithms are taken
 /// once at construction. On the first mode-path draw of each
-/// `(category, n)` with `n ≤ 1,024`, the category stores that walk's
-/// first 33 terms and its state after them, so later draws subtract
+/// `(category, n)`, the category stores that walk's first 33 terms and
+/// its state after them, so later draws subtract
 /// stored terms instead of stepping the PMF recurrence, and resume the
 /// recurrence only past the stored terms. The tables sit behind
 /// `OnceLock`s, so one distribution can be shared by every bank worker of
@@ -580,7 +561,7 @@ impl PrecomputedMultinomial {
                 (1.0 - cond, true)
             };
             let chunks = if cond > 0.0 && cond < 1.0 {
-                MODE_TABLE_MAX_N as usize / MODE_TABLE_CHUNK + 1
+                LN_FACT_MAX_N / MODE_TABLE_CHUNK + 1
             } else {
                 0
             };
@@ -629,7 +610,7 @@ impl PrecomputedMultinomial {
 impl PrecomputedCategory {
     /// `sample_binomial(rng, n, self.cond)`, with the orientation and logs
     /// reused rather than recomputed, and the mode walk read from its
-    /// table where one covers `n`.
+    /// table.
     fn sample<R: Rng + ?Sized>(&self, rng: &mut R, n: u32) -> u32 {
         if n == 0 || self.cond <= 0.0 {
             return 0;
@@ -639,10 +620,8 @@ impl PrecomputedCategory {
         }
         let k = if n as f64 * self.ps < BINOMIAL_MODE_CUTOFF || n as usize > LN_FACT_MAX_N {
             binomial_inv_bottom(rng, n, self.ps)
-        } else if n <= MODE_TABLE_MAX_N {
-            self.table(n).locate(rng.gen())
         } else {
-            binomial_inv_mode_with_logs(rng, n, self.ps, self.ln_ps, self.ln_qs)
+            self.table(n).locate(rng.gen())
         };
         if self.flip {
             n - k
@@ -1014,14 +993,16 @@ mod tests {
     }
 
     /// Draws every probe uniform through `sample` and through the model
-    /// at every `n` in `0..=1,124` (past the mode-path cutoff and the
-    /// 1,024-trial table bound), and describes the first disagreement in
+    /// at every `n` in `0..=1,124` (past the mode-path cutoff and across
+    /// several slot chunks), at 2,032 (an SLC line under RS(254,64)), at
+    /// 4,095 and 4,096 (the last mode-path `n`) and at 4,097 (past the
+    /// ln-factorial table), and describes the first disagreement in
     /// outcome or in uniforms consumed.
     fn first_divergence(
         cat: &PrecomputedCategory,
         sample: impl Fn(&mut Scripted, u32) -> u32,
     ) -> Option<String> {
-        for n in 0..=MODE_TABLE_MAX_N + 100 {
+        for n in (0..=1_124).chain([2_032, 4_095, 4_096, 4_097]) {
             for u in probe_uniforms(cat, n) {
                 let (mut a, mut b) = (Scripted::new(&[u]), Scripted::new(&[u]));
                 let (got, want) = (sample(&mut a, n), model_sample(cat, &mut b, n));
@@ -1046,13 +1027,16 @@ mod tests {
     fn mode_tables_match_the_walk_they_replace() {
         for cat in occupancy_categories() {
             assert_eq!(first_divergence(&cat, |rng, n| cat.sample(rng, n)), None);
-            // The shared walk alone, for n the tables do not cover.
+            // The shared walk alone, as `sample_binomial` draws it.
             assert_eq!(
                 first_divergence(&cat, |rng, n| {
-                    if n == 0 || (n as f64) * cat.ps < BINOMIAL_MODE_CUTOFF {
+                    if n == 0
+                        || (n as f64) * cat.ps < BINOMIAL_MODE_CUTOFF
+                        || n as usize > LN_FACT_MAX_N
+                    {
                         cat.sample(rng, n)
                     } else {
-                        binomial_inv_mode_with_logs(rng, n, cat.ps, cat.ln_ps, cat.ln_qs)
+                        binomial_inv_mode(rng, n, cat.ps)
                     }
                 }),
                 None
@@ -1068,7 +1052,10 @@ mod tests {
             .iter()
             .filter(|cat| {
                 first_divergence(cat, |rng, n| {
-                    if n == 0 || (n as f64) * cat.ps < BINOMIAL_MODE_CUTOFF {
+                    if n == 0
+                        || (n as f64) * cat.ps < BINOMIAL_MODE_CUTOFF
+                        || n as usize > LN_FACT_MAX_N
+                    {
                         return cat.sample(rng, n);
                     }
                     let mut table = ModeTable::new(n, cat.ps, cat.ln_ps, cat.ln_qs);
