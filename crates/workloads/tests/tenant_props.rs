@@ -147,26 +147,3 @@ proptest! {
         split_and_draw(seed, shards, lines);
     }
 }
-
-/// The inputs that panicked a two-shard fleet before the check and the
-/// stream end existed, and their neighbours.
-#[test]
-fn reported_tiny_rates_are_rejected_or_run() {
-    for (text, rejected) in [
-        ("a:rate=5e-324,read=0.5", true),
-        ("a:suite=db-oltp,scale=5e-324", true),
-        ("a:rate=2e-308,read=0.5", false),
-        ("a:rate=1e-306", false),
-    ] {
-        let spec: TenantMixSpec = text.parse().expect(text);
-        assert_eq!(spec.check_scaled(128, 0.5).is_err(), rejected, "{text}");
-        if !rejected {
-            let mut mix = spec.build(128, 0.5, 0);
-            for _ in 0..8 {
-                if let Some(op) = mix.next_op() {
-                    assert!(op.at.secs().is_finite(), "{text}");
-                }
-            }
-        }
-    }
-}
