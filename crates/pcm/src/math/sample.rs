@@ -96,13 +96,15 @@ fn ln_fact_table() -> &'static [f64] {
 ///
 /// Strategy: sequential inversion of the CDF from a single uniform.
 /// Small means walk the CDF up from zero (expected `O(np + 1)` — the
-/// common case for rare drift failures, with the zero outcome resolved by
-/// one compare); larger means walk outward from the distribution's mode,
-/// visiting an expected `O(√(npq))` terms. Both walks use the exact PMF
-/// ratio recurrence, so the sampled law is the true binomial up to f64
-/// rounding of the PMF terms (relative error ≲ 1e-13; see the
-/// `matches_closed_form_pmf` test). Exactly one uniform is consumed per
-/// sample, which also makes the draw count deterministic.
+/// common case for rare drift failures, where most uniforms fall below a
+/// certified floor under `P(X = 0)` and return 0 after one compare,
+/// before `qⁿ` is computed; see [`zero_floor`]); larger means walk
+/// outward from the distribution's mode, visiting an expected `O(√(npq))`
+/// terms. Both walks use the exact PMF ratio recurrence, so the sampled
+/// law is the true binomial up to f64 rounding of the PMF terms (relative
+/// error ≲ 1e-13; see the `matches_closed_form_pmf` test). Exactly one
+/// uniform is consumed per sample, which also makes the draw count
+/// deterministic.
 ///
 /// # Examples
 ///
@@ -114,6 +116,9 @@ fn ln_fact_table() -> &'static [f64] {
 /// let k = pcm_model::math::sample_binomial(&mut rng, 100, 1.0);
 /// assert_eq!(k, 100);
 /// ```
+// Always inlined, so the four lanes of `sample_binomial4` and the write
+// path's draws test the zero floor without a call each.
+#[inline(always)]
 pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64) -> u32 {
     assert!((0.0..=1.0).contains(&p), "binomial p out of [0,1]: {p}");
     if n == 0 || p <= 0.0 {
@@ -159,30 +164,54 @@ fn powi_u32(mut x: f64, mut n: u32) -> f64 {
     r
 }
 
-/// Bottom-up CDF inversion for small means: start at `P(X=0) = qⁿ` and
-/// walk up with the PMF ratio recurrence. One uniform, expected
-/// `O(np + 1)` iterations, and the dominant zero outcome costs a single
-/// compare after `powi`.
+/// A floor under the computed `P(X = 0)` of `Binomial(n, p)`: for every
+/// `n` and every `p` in `[0, 1]`, the value this returns never exceeds
+/// `powi_u32(1.0 - p, n)`, so the bottom-up walk's first compare returns
+/// 0 for every uniform below it.
+///
+/// Proof sketch, with `u = 2⁻⁵³` the unit roundoff and `ε = 2u`:
+/// - Bernoulli's inequality gives `(1 − p)ⁿ ≥ 1 − np`.
+/// - `q = fl(1 − p)` carries one rounding, and binary powering feeds at
+///   most `n − 1` rounded products into the result, so the computed
+///   power is the exact `(1 − p)ⁿ` times `2n − 1` factors `(1 ± u)`:
+///   at least `(1 − np)(1 − (2n − 1)u) ≥ 1 − np − (2n − 1)u` while
+///   `np < 1`.
+/// - The floor itself rounds three times (`n·p`, `1 − ·` and the final
+///   subtraction; `4(n + 1)ε` is exact), which lifts it at most
+///   `2u + u²` above `1 − np − 4(n + 1)ε`. The slack
+///   `4(n + 1)ε = 8(n + 1)u` exceeds `(2n + 1)u + u²` for every `n`.
+/// - If `np ≥ 1` the floor is negative and no uniform falls below it, so
+///   the `n > 4,096` bottom walk, where `qⁿ` may underflow, stays sound.
+///
+/// Without the slack the floor can exceed the computed power, as at
+/// `(n, p) = (14, 7.230198336980701e-10)`; a test keeps that tripwire.
+#[inline]
+fn zero_floor(n: u32, p: f64) -> f64 {
+    let n = n as f64;
+    1.0 - n * p - 4.0 * (n + 1.0) * f64::EPSILON
+}
+
+/// Bottom-up CDF inversion for small means: draw one uniform, return 0
+/// if it falls below [`zero_floor`] (the common case), and otherwise
+/// start at `P(X=0) = qⁿ` and walk up with the PMF ratio recurrence.
+/// Expected `O(np + 1)` iterations.
+#[inline(always)]
 fn binomial_inv_bottom<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64) -> u32 {
     debug_assert!(p > 0.0 && p <= 0.5);
     let q = 1.0 - p;
+    let mut u: f64 = rng.gen();
     if q == 1.0 {
         // p below ~2^-53: `1 - p` rounded to 1. The success probability of
         // the whole experiment is n·p < 1e-13 — sample that single event
-        // instead of walking a degenerate recurrence.
-        return u32::from(rng.gen::<f64>() < n as f64 * p);
+        // instead of walking a degenerate recurrence. Its outcome is 1 for
+        // small `u`, so the floor does not apply.
+        return u32::from(u < n as f64 * p);
     }
-    binomial_inv_bottom_with(rng, n, p, powi_u32(q, n))
-}
-
-/// The bottom-up walk with the `qⁿ` prefactor supplied by the caller
-/// (who may have batched several prefactor computations; see
-/// [`sample_binomial4`]).
-fn binomial_inv_bottom_with<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64, pmf0: f64) -> u32 {
-    let q = 1.0 - p;
-    let mut pmf = pmf0;
+    if u < zero_floor(n, p) {
+        return 0;
+    }
+    let mut pmf = powi_u32(q, n);
     let r = p / q;
-    let mut u: f64 = rng.gen();
     let mut k = 0u32;
     loop {
         // The `k >= n` clamp absorbs the ~1e-15 rounding residue a full
@@ -196,71 +225,15 @@ fn binomial_inv_bottom_with<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64, pmf0: 
     }
 }
 
-/// Four `xᵅ` binary exponentiations at once. Each lane's multiply order
-/// matches [`powi_u32`] exactly (squarings past a lane's final bit never
-/// feed its accumulator), so results are bit-identical to four scalar
-/// calls — but the lanes' multiplies are data-independent, letting the
-/// per-line drift/transient draws pay one exponentiation latency instead
-/// of four.
-fn powi4(mut x: [f64; 4], n: [u32; 4]) -> [f64; 4] {
-    let mut r = [1.0f64; 4];
-    let mut bits = n;
-    // Branchless select (multiplying by 1.0 is exact for the finite
-    // probabilities in play) keeps the four lanes vectorizable.
-    while bits.iter().any(|&b| b > 0) {
-        for l in 0..4 {
-            let m = if bits[l] & 1 == 1 { x[l] } else { 1.0 };
-            r[l] *= m;
-            x[l] *= x[l];
-            bits[l] /= 2;
-        }
-    }
-    r
-}
-
 /// Draws up to four independent binomials — one read's per-level error
-/// draws — consuming uniforms lane by lane in index order. Outcome- and
-/// draw-identical to four sequential [`sample_binomial`] calls; the only
-/// difference is that the `qⁿ` prefactors of the small-mean lanes are
-/// computed as one batched exponentiation before any uniform is drawn.
-/// Lanes with `n = 0` or `p ≤ 0` consume nothing and yield 0, exactly as
-/// the scalar sampler does.
+/// draws — consuming uniforms lane by lane in index order: four
+/// [`sample_binomial`] calls, inlined into one loop. Lanes with `n = 0`
+/// or `p ≤ 0` consume nothing and yield 0, exactly as the scalar sampler
+/// does.
 pub fn sample_binomial4<R: Rng + ?Sized>(rng: &mut R, ns: [u32; 4], ps: [f64; 4]) -> [u32; 4] {
-    let mut qs = [1.0f64; 4];
-    let mut es = [0u32; 4];
-    let mut bottom = [false; 4];
-    for l in 0..4 {
-        let (n, p) = (ns[l], ps[l]);
-        if n == 0 || p <= 0.0 || p >= 1.0 {
-            continue;
-        }
-        let ps_small = if p <= 0.5 { p } else { 1.0 - p };
-        let q = 1.0 - ps_small;
-        if q != 1.0 && (n as f64 * ps_small < BINOMIAL_MODE_CUTOFF || n as usize > LN_FACT_MAX_N) {
-            bottom[l] = true;
-            qs[l] = q;
-            es[l] = n;
-        }
-    }
-    let pmf0s = powi4(qs, es);
     let mut out = [0u32; 4];
     for l in 0..4 {
-        out[l] = if bottom[l] {
-            let p = ps[l];
-            let (ps_small, flip) = if p <= 0.5 {
-                (p, false)
-            } else {
-                (1.0 - p, true)
-            };
-            let k = binomial_inv_bottom_with(rng, ns[l], ps_small, pmf0s[l]);
-            if flip {
-                ns[l] - k
-            } else {
-                k
-            }
-        } else {
-            sample_binomial(rng, ns[l], ps[l])
-        };
+        out[l] = sample_binomial(rng, ns[l], ps[l]);
     }
     out
 }
@@ -1068,6 +1041,110 @@ mod tests {
             })
             .count();
         assert!(caught > 0, "no uniform exposed the down-first order");
+    }
+
+    /// The bottom-up walk as it was before the zero floor, kept verbatim:
+    /// `qⁿ` first, then the walk from the uniform.
+    fn model_inv_bottom<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64) -> u32 {
+        let q = 1.0 - p;
+        if q == 1.0 {
+            return u32::from(rng.gen::<f64>() < n as f64 * p);
+        }
+        model_walk(rng.gen(), n, p, powi_u32(q, n))
+    }
+
+    /// The walk of [`model_inv_bottom`] from the uniform `u`, starting at
+    /// `P(X = 0) = pmf0`.
+    fn model_walk(mut u: f64, n: u32, p: f64, pmf0: f64) -> u32 {
+        let r = p / (1.0 - p);
+        let mut pmf = pmf0;
+        let mut k = 0u32;
+        loop {
+            if u < pmf || k >= n {
+                return k;
+            }
+            u -= pmf;
+            k += 1;
+            pmf *= r * (n - k + 1) as f64 / k as f64;
+        }
+    }
+
+    /// Every `n` in `1..=600` against a log grid of `p` from 2⁻⁵³ to 0.5
+    /// (four points an octave) and the slack tripwire's rate, keeping the
+    /// pairs with `n·p < 10` that the bottom walk serves.
+    fn bottom_pairs() -> Vec<(u32, f64)> {
+        let ps: Vec<f64> = (0..=208)
+            .map(|i| (f64::from(i) / 4.0 - 53.0).exp2())
+            .chain([7.230198336980701e-10])
+            .collect();
+        (1..=600u32)
+            .flat_map(|n| ps.iter().map(move |&p| (n, p)))
+            .filter(|&(n, p)| n as f64 * p < BINOMIAL_MODE_CUTOFF)
+            .collect()
+    }
+
+    /// Draws, through `lane` and through the parent walk, the uniforms
+    /// that bracket the computed `qⁿ` of each pair: 0, the largest
+    /// 2⁻⁵³-grid value below `qⁿ`, the smallest at or above it, and
+    /// 1 − 2⁻⁵³. Describes the first disagreement in outcome or in
+    /// uniforms consumed.
+    fn floor_divergence(
+        pairs: &[(u32, f64)],
+        lane: impl Fn(&mut Scripted, u32, f64) -> u32,
+    ) -> Option<String> {
+        let scale = (1u64 << 53) as f64;
+        for &(n, p) in pairs {
+            let above = (powi_u32(1.0 - p, n) * scale).ceil();
+            for u in [0.0, above - 1.0, above.min(scale - 1.0), scale - 1.0] {
+                let u = u / scale;
+                let (mut a, mut b) = (Scripted::new(&[u]), Scripted::new(&[u]));
+                let (got, want) = (lane(&mut a, n, p), model_inv_bottom(&mut b, n, p));
+                if (got, a.draws) != (want, b.draws) {
+                    return Some(format!(
+                        "n={n} p={p:e} u={u:e}: got {got} after {} draws, model {want} after {}",
+                        a.draws, b.draws
+                    ));
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn zero_floor_keeps_the_walk_it_shortcuts() {
+        assert_eq!(floor_divergence(&bottom_pairs(), binomial_inv_bottom), None);
+        // The floor never exceeds the computed power, over a million
+        // seeded pairs with `n ≤ 2²⁰`, half of them at rates of at most
+        // 2⁻²⁰ where `n·p < 1` is common.
+        let mut rng = StdRng::seed_from_u64(17);
+        for i in 0..1_000_000u32 {
+            let n = rng.gen_range(1..=1u32 << 20);
+            let top = if i % 2 == 0 { 33.0 } else { 52.0 };
+            let p = (rng.gen::<f64>() * top - 53.0).exp2();
+            assert!(zero_floor(n, p) <= powi_u32(1.0 - p, n), "n={n} p={p:e}");
+        }
+    }
+
+    /// Tripwire: without its slack the floor exceeds the computed `q¹⁴`
+    /// at `p = 7.230198336980701e-10` (`1 − n·p = 0.9999999898777223`
+    /// against `0.9999999898777219`), and a uniform between the two
+    /// draws 0 where the walk draws 1.
+    #[test]
+    fn floor_harness_catches_a_floor_without_slack() {
+        let slack_free = |rng: &mut Scripted, n: u32, p: f64| {
+            let u: f64 = rng.gen();
+            if u < 1.0 - n as f64 * p {
+                0
+            } else {
+                model_walk(u, n, p, powi_u32(1.0 - p, n))
+            }
+        };
+        let at = [(14, 7.230198336980701e-10)];
+        let found = floor_divergence(&at, slack_free).expect("the harness must catch it");
+        assert!(
+            found.contains("got 0") && found.contains("model 1"),
+            "{found}"
+        );
     }
 
     #[test]
