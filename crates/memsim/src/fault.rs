@@ -53,6 +53,25 @@ pub struct FaultEngine {
     /// (see [`shared_occupancy`]), so the tables are built once, not once
     /// per bank or fleet shard.
     occupancy_dist: &'static PrecomputedMultinomial,
+    /// The zero-wear prefix `w₀`: the endurance CDF is exactly 0.0 at
+    /// every wear in `1..=w₀`, so a write reaching such a wear fails no
+    /// cell and draws nothing (see [`zero_wear_prefix`]).
+    zero_wear: u32,
+}
+
+/// Largest wear the zero-wear scan evaluates.
+const ZERO_WEAR_SCAN: u32 = 1 << 16;
+
+/// The largest `w₀ ≤ 2¹⁶` with `endurance.fail_cdf(w) == 0.0` for every
+/// `1 ≤ w ≤ w₀`, found by evaluating `w = 1, 2, …` up to the first
+/// nonzero value, so it holds even where the CDF is not monotone in
+/// floating point. The default accelerated endurance (10⁶ writes, σ 0.25)
+/// gives 66; [`EnduranceSpec::nominal`] gives 6,646.
+fn zero_wear_prefix(endurance: &EnduranceSpec) -> u32 {
+    (1..=ZERO_WEAR_SCAN)
+        .take_while(|&w| endurance.fail_cdf(u64::from(w)) == 0.0)
+        .last()
+        .unwrap_or(0)
 }
 
 /// The uniform occupancy distribution over `levels` levels, built on first
@@ -81,13 +100,15 @@ impl FaultEngine {
             "fault engine supports up to {MAX_LEVELS} levels"
         );
         assert!(cells_per_line > 0, "need at least one cell per line");
+        let endurance = *device.endurance();
         Self {
             model: device.drift_model_shared(),
-            endurance: *device.endurance(),
+            endurance,
             cells_per_line,
             num_levels,
             conflict_prob: 1.0 - 1.0 / num_levels as f64,
             occupancy_dist: shared_occupancy(num_levels),
+            zero_wear: zero_wear_prefix(&endurance),
         }
     }
 
@@ -122,13 +143,16 @@ impl FaultEngine {
 
     /// Applies a (re)write at `now`: resets the drift clock and failures,
     /// re-rolls data occupancy, advances wear, and may permanently fail
-    /// cells whose endurance is exhausted.
+    /// cells whose endurance is exhausted. A write whose new wear lies in
+    /// the engine's zero-wear prefix skips both endurance-CDF evaluations:
+    /// there the failure probability is exactly 0 and the wear draw
+    /// consumes no uniform, so skipping it changes nothing.
     pub fn on_write<R: Rng + ?Sized>(&self, line: &mut LineState, now: SimTime, rng: &mut R) {
         let w1 = line.wear;
         line.wear = line.wear.saturating_add(1);
         // Wear failures: incremental binomial over the endurance CDF.
         let susceptible = self.cells_per_line - line.worn_cells as u32;
-        if susceptible > 0 {
+        if susceptible > 0 && line.wear > self.zero_wear {
             let f1 = self.endurance.fail_cdf(w1 as u64);
             let f2 = self.endurance.fail_cdf(line.wear as u64);
             let dp = if f1 >= 1.0 {
@@ -206,61 +230,31 @@ impl FaultEngine {
     }
 
     /// Advances the line's persistent drift failures to `now` and returns
-    /// the total persistent bit-error count.
+    /// the total persistent bit-error count: the drift half of
+    /// [`Self::advance_and_transient`].
     pub fn advance<R: Rng + ?Sized>(&self, line: &mut LineState, now: SimTime, rng: &mut R) -> u32 {
         if now > line.last_eval {
-            let age1 = line.last_eval.since(line.last_write);
-            let age2 = now.since(line.last_write);
-            // Batched LUT evaluation: one log-age computation per endpoint
-            // instead of one per (endpoint, level).
-            let mut p1s = [0.0f64; MAX_LEVELS];
             let mut p2s = [0.0f64; MAX_LEVELS];
-            self.model.p_up_levels(age1, &mut p1s[..self.num_levels]);
-            self.model.p_up_levels(age2, &mut p2s[..self.num_levels]);
-            for lv in 0..self.num_levels {
-                let alive = line.occupancy[lv] - line.drift_failed[lv];
-                if alive == 0 {
-                    continue;
-                }
-                let (p1, p2) = (p1s[lv], p2s[lv]);
-                if p2 <= p1 {
-                    continue;
-                }
-                let dp = if p1 >= 1.0 {
-                    0.0
-                } else {
-                    ((p2 - p1) / (1.0 - p1)).clamp(0.0, 1.0)
-                };
-                line.drift_failed[lv] += sample_binomial(rng, alive as u32, dp) as u16;
-            }
-            line.last_eval = now;
+            self.model
+                .p_up_levels(line.age_at(now), &mut p2s[..self.num_levels]);
+            self.draw_drift(line, now, &p2s, rng);
         }
         line.persistent_bit_errors()
     }
 
-    /// Transient (sensing-noise) bit errors for one read at `now`.
-    /// Independent across reads; does not mutate persistent state.
+    /// Transient (sensing-noise) bit errors for one read at `now`: the
+    /// transient half of [`Self::advance_and_transient`]. Independent
+    /// across reads; does not mutate persistent state.
     pub fn transient_errors<R: Rng + ?Sized>(
         &self,
         line: &LineState,
         now: SimTime,
         rng: &mut R,
     ) -> u32 {
-        let age = line.age_at(now);
         let mut ps = [0.0f64; MAX_LEVELS];
         self.model
-            .p_transient_levels(age, &mut ps[..self.num_levels]);
-        let mut errs = 0u32;
-        for (lv, &p) in ps.iter().enumerate().take(self.num_levels) {
-            let alive = (line.occupancy[lv] - line.drift_failed[lv]) as u32;
-            if alive == 0 {
-                continue;
-            }
-            if p > 0.0 {
-                errs += sample_binomial(rng, alive, p);
-            }
-        }
-        errs
+            .p_transient_levels(line.age_at(now), &mut ps[..self.num_levels]);
+        self.draw_transient(line, ps, rng)
     }
 
     /// Fused read evaluation: advances persistent drift failures to `now`
@@ -283,43 +277,62 @@ impl FaultEngine {
             &mut trs[..self.num_levels],
         );
         if now > line.last_eval {
-            let age1 = line.last_eval.since(line.last_write);
-            let mut p1s = [0.0f64; MAX_LEVELS];
-            self.model.p_up_levels(age1, &mut p1s[..self.num_levels]);
-            // Batched draw: inactive lanes keep n = 0 / p = 0 and consume
-            // no uniforms, exactly like the skipped iterations of a scalar
-            // per-level loop.
-            let mut ns = [0u32; MAX_LEVELS];
-            let mut dps = [0.0f64; MAX_LEVELS];
-            for lv in 0..self.num_levels {
-                let alive = line.occupancy[lv] - line.drift_failed[lv];
-                if alive == 0 {
-                    continue;
-                }
-                let (p1, p2) = (p1s[lv], p2s[lv]);
-                if p2 <= p1 {
-                    continue;
-                }
-                ns[lv] = alive as u32;
-                dps[lv] = if p1 >= 1.0 {
-                    0.0
-                } else {
-                    ((p2 - p1) / (1.0 - p1)).clamp(0.0, 1.0)
-                };
-            }
-            let ks = sample_binomial4(rng, ns, dps);
-            for (lv, &k) in ks.iter().enumerate().take(self.num_levels) {
-                line.drift_failed[lv] += k as u16;
-            }
-            line.last_eval = now;
+            self.draw_drift(line, now, &p2s, rng);
         }
+        let transient = self.draw_transient(line, trs, rng);
+        (line.persistent_bit_errors(), transient)
+    }
+
+    /// Draws the drift failures between the line's last evaluation and
+    /// `now > line.last_eval`, given each level's `p_up` at `now` in
+    /// `p2s`, one binomial lane per level.
+    fn draw_drift<R: Rng + ?Sized>(
+        &self,
+        line: &mut LineState,
+        now: SimTime,
+        p2s: &[f64; MAX_LEVELS],
+        rng: &mut R,
+    ) {
+        let age1 = line.last_eval.since(line.last_write);
+        let mut p1s = [0.0f64; MAX_LEVELS];
+        self.model.p_up_levels(age1, &mut p1s[..self.num_levels]);
+        // Levels without live cells or new drift keep n = 0 / p = 0 and
+        // consume no uniforms.
+        let mut ns = [0u32; MAX_LEVELS];
+        let mut dps = [0.0f64; MAX_LEVELS];
+        for lv in 0..self.num_levels {
+            let alive = line.occupancy[lv] - line.drift_failed[lv];
+            let (p1, p2) = (p1s[lv], p2s[lv]);
+            if alive == 0 || p2 <= p1 {
+                continue;
+            }
+            ns[lv] = alive as u32;
+            dps[lv] = if p1 >= 1.0 {
+                0.0
+            } else {
+                ((p2 - p1) / (1.0 - p1)).clamp(0.0, 1.0)
+            };
+        }
+        let ks = sample_binomial4(rng, ns, dps);
+        for (lv, &k) in ks.iter().enumerate().take(self.num_levels) {
+            line.drift_failed[lv] += k as u16;
+        }
+        line.last_eval = now;
+    }
+
+    /// Draws one read's transient errors over the line's live cells,
+    /// given each level's misread probability in `ps`.
+    fn draw_transient<R: Rng + ?Sized>(
+        &self,
+        line: &LineState,
+        ps: [f64; MAX_LEVELS],
+        rng: &mut R,
+    ) -> u32 {
         let mut ns = [0u32; MAX_LEVELS];
         for (lv, n) in ns.iter_mut().enumerate().take(self.num_levels) {
             *n = (line.occupancy[lv] - line.drift_failed[lv]) as u32;
         }
-        let ks = sample_binomial4(rng, ns, trs);
-        let transient = ks.iter().sum();
-        (line.persistent_bit_errors(), transient)
+        sample_binomial4(rng, ns, ps).iter().sum()
     }
 
     /// Total bit errors a read at `now` observes: persistent (advanced to
@@ -546,6 +559,47 @@ mod tests {
             assert_eq!(line.live_cells() + line.worn_cells as u32, 288);
             prev = line.worn_cells;
         }
+    }
+
+    #[test]
+    fn zero_wear_prefix_ends_at_the_first_nonzero_cdf() {
+        for (endurance, w0) in [
+            (EnduranceSpec::accelerated(), 66),
+            (EnduranceSpec::nominal(), 6_646),
+        ] {
+            let dev = DeviceConfig::builder().endurance(endurance).build();
+            assert_eq!(FaultEngine::new(&dev, 288).zero_wear, w0);
+            assert_eq!(endurance.fail_cdf(u64::from(w0)), 0.0);
+            assert!(endurance.fail_cdf(u64::from(w0) + 1) > 0.0);
+        }
+        let wide = EnduranceSpec::new(1e6, 8.0);
+        assert_eq!(zero_wear_prefix(&wide), 0);
+    }
+
+    /// Writes a fresh line from wear 1 to `wear` and returns the next
+    /// `u64` of the stream.
+    fn stream_after_writes(e: &FaultEngine, wear: u32) -> u64 {
+        let mut rng = StdRng::seed_from_u64(64);
+        let mut line = e.fresh_line(SimTime::ZERO, &mut rng);
+        while line.wear < wear {
+            let now = SimTime::from_secs(line.wear as f64);
+            e.on_write(&mut line, now, &mut rng);
+        }
+        rng.gen()
+    }
+
+    /// Tripwire: a prefix one too high skips the uniform the write
+    /// reaching wear 67 draws on the default device.
+    #[test]
+    fn a_prefix_one_too_high_skips_a_draw() {
+        let e = engine();
+        assert_eq!(e.zero_wear, 66);
+        let long = FaultEngine {
+            zero_wear: 67,
+            ..e.clone()
+        };
+        assert_eq!(stream_after_writes(&e, 66), stream_after_writes(&long, 66));
+        assert_ne!(stream_after_writes(&e, 67), stream_after_writes(&long, 67));
     }
 
     #[test]
