@@ -349,11 +349,12 @@ impl FromStr for FleetConfig {
             return Err(format!("cadence-s must be positive, got {cadence_s}"));
         }
         // Each shard runs the mix at `1/shards` of its rate over its own
-        // lines, exactly as `shard_config` builds it.
+        // lines to the horizon, exactly as `shard_config` builds it.
         tenants
             .check_scaled(
                 (per_shard * lines_per_bank as u64) as u32,
                 1.0 / shards as f64,
+                horizon_s,
             )
             .map_err(|e| format!("[tenants] mix: {e} (1/{shards} per shard)"))?;
         let policy = parse_policy(&policy_spec)?;
@@ -490,6 +491,21 @@ mix = alpha:rate=40;beta:suite=kv-cache,scale=0.5
             (
                 GOOD.replace("scale=0.5", "scale=5e-324"),
                 "tenant \"beta\": scale=5e-324 rounds to a zero demand rate",
+            ),
+            // Rates so high the run never reaches its horizon: gaps below
+            // one ulp of the clock, an overflow to infinity, and 1.8e12
+            // operations.
+            (
+                two_shard_fleet("a:rate=1e300,read=0.5", 1),
+                "tenant \"a\": rate=1e300 asks for 1.8e303 operations over 3600.0 s",
+            ),
+            (
+                two_shard_fleet("a:suite=db-oltp,scale=1e308", 1),
+                "tenant \"a\": scale=1e308 asks for inf operations",
+            ),
+            (
+                two_shard_fleet("a:rate=1e9,read=0.5", 1),
+                "tenant \"a\": rate=1000000000.0 asks for 1.8e12 operations",
             ),
             (GOOD.replace("seed = 7", "seed ~ 7"), "key = value"),
             (GOOD.replace("seed = 7", "speed = 7"), "unknown key"),

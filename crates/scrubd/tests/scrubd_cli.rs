@@ -159,6 +159,28 @@ fn rejects_malformed_fleet_configs() {
             ),
             "tenant \"alpha\": scale=5e-324 rounds to a zero demand rate",
         ),
+        // Rates so high the run would never reach its horizon.
+        (
+            &GOOD_CONFIG.replace(
+                "mix = alpha:rate=40;beta:rate=10,read=0.5",
+                "mix = a:rate=1e300,read=0.5",
+            ),
+            "tenant \"a\": rate=1e300 asks for",
+        ),
+        (
+            &GOOD_CONFIG.replace(
+                "mix = alpha:rate=40;beta:rate=10,read=0.5",
+                "mix = a:suite=db-oltp,scale=1e308",
+            ),
+            "tenant \"a\": scale=1e308 asks for",
+        ),
+        (
+            &GOOD_CONFIG.replace(
+                "mix = alpha:rate=40;beta:rate=10,read=0.5",
+                "mix = a:rate=1e9,read=0.5",
+            ),
+            "more than 2^32",
+        ),
     ];
     for (i, (text, needle)) in cases.iter().enumerate() {
         let dir = tmp(&format!("badconf{i}"));

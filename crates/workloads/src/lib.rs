@@ -38,5 +38,8 @@ pub use generator::{AddrPattern, ArrivalProcess, SyntheticTrace, SyntheticTraceB
 pub use phased::{DiurnalTrace, Phase};
 pub use record::RecordedTrace;
 pub use suite::WorkloadId;
-pub use tenant::{TenantKind, TenantMix, TenantMixSpec, TenantPattern, TenantSpec, ZeroRateTenant};
+pub use tenant::{
+    TenantKind, TenantMix, TenantMixSpec, TenantPattern, TenantRateError, TenantSpec,
+    MAX_TENANT_OPS,
+};
 pub use zipf::Zipf;

@@ -126,6 +126,16 @@ impl TenantSpec {
             TenantKind::Suite { id, scale } => id.nominal_rate(num_lines) * scale,
         }
     }
+
+    /// The tenant's mean demand rate in ops/s once its mix is built over
+    /// `num_lines` lines at `rate_scale`, with the products
+    /// [`TenantMixSpec::build`] computes.
+    pub fn scaled_rate(&self, num_lines: u32, rate_scale: f64) -> f64 {
+        match &self.kind {
+            TenantKind::Synthetic { rate, .. } => rate * rate_scale,
+            TenantKind::Suite { id, scale } => id.nominal_rate(num_lines) * (scale * rate_scale),
+        }
+    }
 }
 
 impl fmt::Display for TenantSpec {
@@ -149,31 +159,57 @@ impl fmt::Display for TenantSpec {
     }
 }
 
-/// A tenant whose demand rate rounds to zero once its mix is scaled
-/// down: the rejection [`TenantMixSpec::check_scaled`] returns.
+/// Most operations a tenant may ask of one shard over the horizon: 2³².
+/// At that bound the mean gap between its arrivals is at least 2²⁰ ulps
+/// of any clock value up to the horizon, so simulated time moves.
+pub const MAX_TENANT_OPS: f64 = 4_294_967_296.0;
+
+/// A tenant whose scaled demand rate no run can serve: the rejection
+/// [`TenantMixSpec::check_scaled`] returns. Either the rate rounds to
+/// zero, or it is not finite, or over the horizon it asks for more than
+/// [`MAX_TENANT_OPS`] operations.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ZeroRateTenant {
+pub struct TenantRateError {
     /// The tenant's name.
     pub tenant: String,
-    /// The spec field that rounds away: `"rate"` or `"scale"`.
+    /// The spec field at fault: `"rate"` or `"scale"`.
     pub field: &'static str,
     /// The field's value in the spec.
     pub value: f64,
     /// The factor the mix was scaled by.
     pub rate_scale: f64,
+    /// The tenant's scaled rate in ops/s.
+    pub scaled_rate: f64,
+    /// The horizon the rate was checked over, in seconds.
+    pub horizon_s: f64,
 }
 
-impl fmt::Display for ZeroRateTenant {
+impl fmt::Display for TenantRateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "tenant {:?}: {}={:?} rounds to a zero demand rate when scaled by {:?}",
-            self.tenant, self.field, self.value, self.rate_scale
-        )
+            "tenant {:?}: {}={:?} ",
+            self.tenant, self.field, self.value
+        )?;
+        if self.scaled_rate <= 0.0 {
+            write!(
+                f,
+                "rounds to a zero demand rate when scaled by {:?}",
+                self.rate_scale
+            )
+        } else {
+            write!(
+                f,
+                "asks for {:e} operations over {:?} s when scaled by {:?}, more than 2^32",
+                self.scaled_rate * self.horizon_s,
+                self.horizon_s,
+                self.rate_scale
+            )
+        }
     }
 }
 
-impl std::error::Error for ZeroRateTenant {}
+impl std::error::Error for TenantRateError {}
 
 /// A full tenant mix, as plain data. Parses from and displays as the
 /// compact spec string (the `Display` form is canonical and round-trips).
@@ -190,28 +226,38 @@ impl TenantMixSpec {
         self.tenants.iter().map(|t| t.nominal_rate(num_lines)).sum()
     }
 
-    /// Checks that every tenant keeps a positive demand rate when the mix
-    /// is built over `num_lines` lines at `rate_scale`. The parser accepts
-    /// any finite positive `rate=` or `scale=`, but the product with a
-    /// small `rate_scale` (a fleet passes `1/shards`) can round to zero,
-    /// and no stream runs at rate zero. The products are the ones
+    /// Checks that every tenant's demand rate, once the mix is built over
+    /// `num_lines` lines at `rate_scale`, is one a run of `horizon_s`
+    /// seconds can serve. The parser accepts any finite positive `rate=`
+    /// or `scale=`, but the product with a small `rate_scale` (a fleet
+    /// passes `1/shards`) can round to zero, and no stream runs at rate
+    /// zero; a huge product can overflow, or ask for more operations
+    /// than any run executes, with gaps too small to move the clock. A
+    /// tenant passes when its scaled rate is positive and its expected
+    /// operation count, scaled rate × `horizon_s`, is at most
+    /// [`MAX_TENANT_OPS`]. The scaled rates are the ones
     /// [`TenantMixSpec::build`] computes, so a mix that passes builds.
-    pub fn check_scaled(&self, num_lines: u32, rate_scale: f64) -> Result<(), ZeroRateTenant> {
+    pub fn check_scaled(
+        &self,
+        num_lines: u32,
+        rate_scale: f64,
+        horizon_s: f64,
+    ) -> Result<(), TenantRateError> {
         for t in &self.tenants {
-            let (field, value, scaled) = match &t.kind {
-                TenantKind::Synthetic { rate, .. } => ("rate", *rate, rate * rate_scale),
-                TenantKind::Suite { id, scale } => (
-                    "scale",
-                    *scale,
-                    id.nominal_rate(num_lines) * (scale * rate_scale),
-                ),
+            let (field, value) = match &t.kind {
+                TenantKind::Synthetic { rate, .. } => ("rate", *rate),
+                TenantKind::Suite { scale, .. } => ("scale", *scale),
             };
-            if scaled <= 0.0 {
-                return Err(ZeroRateTenant {
+            let scaled_rate = t.scaled_rate(num_lines, rate_scale);
+            let ops = scaled_rate * horizon_s;
+            if scaled_rate <= 0.0 || !ops.is_finite() || ops > MAX_TENANT_OPS {
+                return Err(TenantRateError {
                     tenant: t.name.clone(),
                     field,
                     value,
                     rate_scale,
+                    scaled_rate,
+                    horizon_s,
                 });
             }
         }
@@ -228,8 +274,9 @@ impl TenantMixSpec {
     /// # Panics
     ///
     /// Panics if `rate_scale` is not finite and positive, or if a
-    /// tenant's scaled rate rounds to zero, which
-    /// [`TenantMixSpec::check_scaled`] reports as an error beforehand.
+    /// tenant's scaled rate rounds to zero. [`TenantMixSpec::check_scaled`]
+    /// reports that as an error beforehand, as it does rates too high for
+    /// a horizon, which build but never reach it.
     /// Spec-level validation (rates, fractions, names) happens at parse
     /// time.
     pub fn build(&self, num_lines: u32, rate_scale: f64, seed: u64) -> TenantMix {
@@ -627,14 +674,16 @@ mod tests {
         let ok: TenantMixSpec = "a:rate=1e-306;b:suite=db-oltp,scale=1e-300"
             .parse()
             .expect("valid");
-        assert_eq!(ok.check_scaled(1024, 0.5), Ok(()));
+        assert_eq!(ok.check_scaled(1024, 0.5, 3600.0), Ok(()));
         for (spec, field) in [
             ("a:rate=1;b:rate=5e-324", "rate"),
             ("a:rate=1;b:suite=db-oltp,scale=5e-324", "scale"),
         ] {
             let spec: TenantMixSpec = spec.parse().expect("valid");
-            assert_eq!(spec.check_scaled(1024, 1.0), Ok(()));
-            let err = spec.check_scaled(1024, 0.5).expect_err("rounds to zero");
+            assert_eq!(spec.check_scaled(1024, 1.0, 3600.0), Ok(()));
+            let err = spec
+                .check_scaled(1024, 0.5, 3600.0)
+                .expect_err("rounds to zero");
             assert_eq!((err.tenant.as_str(), err.field), ("b", field));
             assert!(err.to_string().contains("tenant \"b\""), "{err}");
         }

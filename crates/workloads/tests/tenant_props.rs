@@ -1,7 +1,8 @@
 //! Never-panics property for tenant mix specs: any spec string the parser
-//! accepts, split over 1–64 shards the way the fleet splits it, either
-//! fails `check_scaled` with a typed error or builds a mix whose first
-//! draws are finite, time-ordered and in range.
+//! accepts, split over 1–64 shards the way the fleet splits it and run to
+//! a horizon, either fails `check_scaled` with a typed error or expects a
+//! finite number of operations of at most 2³² per tenant and builds a mix
+//! whose first draws are finite, time-ordered and in range.
 //!
 //! The vendored proptest subset only draws primitives, so spec strings
 //! are derived from `u64` seeds. Rates and scales come from a pool that
@@ -11,7 +12,7 @@
 //! all see their edge cases.
 
 use pcm_memsim::TraceSource;
-use pcm_workloads::TenantMixSpec;
+use pcm_workloads::{TenantMixSpec, MAX_TENANT_OPS};
 use proptest::prelude::*;
 
 /// Splitmix64 step: turns one seed into a stream of well-mixed words.
@@ -110,20 +111,25 @@ fn spec_string(seed: u64) -> String {
 }
 
 /// Parses the spec derived from `seed`; if it is accepted and passes
-/// `check_scaled` at `1/shards` over `lines` lines, builds it and draws
+/// `check_scaled` at `1/shards` over `lines` lines and `horizon_s`,
+/// checks each tenant's expected operation count, builds it and draws
 /// eight ops.
-fn split_and_draw(seed: u64, shards: u32, lines: u32) {
+fn split_and_draw(seed: u64, shards: u32, lines: u32, horizon_s: f64) {
     let text = spec_string(seed);
     let Ok(spec) = text.parse::<TenantMixSpec>() else {
         return;
     };
     let rate_scale = 1.0 / shards as f64;
-    if let Err(e) = spec.check_scaled(lines, rate_scale) {
+    if let Err(e) = spec.check_scaled(lines, rate_scale, horizon_s) {
         assert!(
             spec.tenants.iter().any(|t| t.name == e.tenant),
             "{text}: {e}"
         );
         return;
+    }
+    for t in &spec.tenants {
+        let ops = t.scaled_rate(lines, rate_scale) * horizon_s;
+        assert!(ops.is_finite() && ops <= MAX_TENANT_OPS, "{text}: {ops}");
     }
     let mut mix = spec.build(lines, rate_scale, seed);
     let mut last = 0.0f64;
@@ -143,7 +149,8 @@ proptest! {
         seed in 0u64..u64::MAX,
         shards in 1u32..65,
         lines in 1u32..4097,
+        horizon_exp in 0.0f64..9.0,
     ) {
-        split_and_draw(seed, shards, lines);
+        split_and_draw(seed, shards, lines, 10f64.powf(horizon_exp));
     }
 }
