@@ -53,25 +53,14 @@ pub struct FaultEngine {
     /// (see [`shared_occupancy`]), so the tables are built once, not once
     /// per bank or fleet shard.
     occupancy_dist: &'static PrecomputedMultinomial,
-    /// The zero-wear prefix `w₀`: the endurance CDF is exactly 0.0 at
-    /// every wear in `1..=w₀`, so a write reaching such a wear fails no
-    /// cell and draws nothing (see [`zero_wear_prefix`]).
+    /// The zero-wear prefix `w₀`: the largest wear up to 2¹⁶ with
+    /// `fail_cdf(w) == 0.0` at every `1 ≤ w ≤ w₀`, so a write reaching
+    /// such a wear fails no cell and draws nothing. The scan in
+    /// [`Self::new`] stops at the first nonzero value, so it does not
+    /// assume the CDF is monotone in floating point. The default
+    /// endurance (10⁶ writes, σ 0.25) gives 66; [`EnduranceSpec::nominal`]
+    /// gives 6,646.
     zero_wear: u32,
-}
-
-/// Largest wear the zero-wear scan evaluates.
-const ZERO_WEAR_SCAN: u32 = 1 << 16;
-
-/// The largest `w₀ ≤ 2¹⁶` with `endurance.fail_cdf(w) == 0.0` for every
-/// `1 ≤ w ≤ w₀`, found by evaluating `w = 1, 2, …` up to the first
-/// nonzero value, so it holds even where the CDF is not monotone in
-/// floating point. The default accelerated endurance (10⁶ writes, σ 0.25)
-/// gives 66; [`EnduranceSpec::nominal`] gives 6,646.
-fn zero_wear_prefix(endurance: &EnduranceSpec) -> u32 {
-    (1..=ZERO_WEAR_SCAN)
-        .take_while(|&w| endurance.fail_cdf(u64::from(w)) == 0.0)
-        .last()
-        .unwrap_or(0)
 }
 
 /// The uniform occupancy distribution over `levels` levels, built on first
@@ -108,7 +97,9 @@ impl FaultEngine {
             num_levels,
             conflict_prob: 1.0 - 1.0 / num_levels as f64,
             occupancy_dist: shared_occupancy(num_levels),
-            zero_wear: zero_wear_prefix(&endurance),
+            zero_wear: (1..=1u32 << 16)
+                .take_while(|&w| endurance.fail_cdf(u64::from(w)) == 0.0)
+                .count() as u32,
         }
     }
 
@@ -237,7 +228,7 @@ impl FaultEngine {
             let mut p2s = [0.0f64; MAX_LEVELS];
             self.model
                 .p_up_levels(line.age_at(now), &mut p2s[..self.num_levels]);
-            self.draw_drift(line, now, &p2s, rng);
+            self.draw_drift(line, now, p2s, rng);
         }
         line.persistent_bit_errors()
     }
@@ -277,7 +268,7 @@ impl FaultEngine {
             &mut trs[..self.num_levels],
         );
         if now > line.last_eval {
-            self.draw_drift(line, now, &p2s, rng);
+            self.draw_drift(line, now, p2s, rng);
         }
         let transient = self.draw_transient(line, trs, rng);
         (line.persistent_bit_errors(), transient)
@@ -290,7 +281,7 @@ impl FaultEngine {
         &self,
         line: &mut LineState,
         now: SimTime,
-        p2s: &[f64; MAX_LEVELS],
+        p2s: [f64; MAX_LEVELS],
         rng: &mut R,
     ) {
         let age1 = line.last_eval.since(line.last_write);
@@ -572,8 +563,10 @@ mod tests {
             assert_eq!(endurance.fail_cdf(u64::from(w0)), 0.0);
             assert!(endurance.fail_cdf(u64::from(w0) + 1) > 0.0);
         }
-        let wide = EnduranceSpec::new(1e6, 8.0);
-        assert_eq!(zero_wear_prefix(&wide), 0);
+        let wide = DeviceConfig::builder()
+            .endurance(EnduranceSpec::new(1e6, 8.0))
+            .build();
+        assert_eq!(FaultEngine::new(&wide, 288).zero_wear, 0);
     }
 
     /// Writes a fresh line from wear 1 to `wear` and returns the next
