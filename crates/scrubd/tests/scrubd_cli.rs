@@ -165,21 +165,21 @@ fn rejects_malformed_fleet_configs() {
                 "mix = alpha:rate=40;beta:rate=10,read=0.5",
                 "mix = a:rate=1e300,read=0.5",
             ),
-            "tenant \"a\": rate=1e300 asks for",
+            "tenant \"a\": rate=1e300 scaled by 0.25 asks for",
         ),
         (
             &GOOD_CONFIG.replace(
                 "mix = alpha:rate=40;beta:rate=10,read=0.5",
                 "mix = a:suite=db-oltp,scale=1e308",
             ),
-            "tenant \"a\": scale=1e308 asks for",
+            "tenant \"a\": scale=1e308 scaled by 0.25 asks for",
         ),
         (
             &GOOD_CONFIG.replace(
                 "mix = alpha:rate=40;beta:rate=10,read=0.5",
                 "mix = a:rate=1e9,read=0.5",
             ),
-            "more than 2^32",
+            "more than 2^32 operations over the horizon",
         ),
     ];
     for (i, (text, needle)) in cases.iter().enumerate() {

@@ -40,6 +40,5 @@ pub use record::RecordedTrace;
 pub use suite::WorkloadId;
 pub use tenant::{
     TenantKind, TenantMix, TenantMixSpec, TenantPattern, TenantRateError, TenantSpec,
-    MAX_TENANT_OPS,
 };
 pub use zipf::Zipf;

@@ -126,16 +126,6 @@ impl TenantSpec {
             TenantKind::Suite { id, scale } => id.nominal_rate(num_lines) * scale,
         }
     }
-
-    /// The tenant's mean demand rate in ops/s once its mix is built over
-    /// `num_lines` lines at `rate_scale`, with the products
-    /// [`TenantMixSpec::build`] computes.
-    pub fn scaled_rate(&self, num_lines: u32, rate_scale: f64) -> f64 {
-        match &self.kind {
-            TenantKind::Synthetic { rate, .. } => rate * rate_scale,
-            TenantKind::Suite { id, scale } => id.nominal_rate(num_lines) * (scale * rate_scale),
-        }
-    }
 }
 
 impl fmt::Display for TenantSpec {
@@ -159,15 +149,8 @@ impl fmt::Display for TenantSpec {
     }
 }
 
-/// Most operations a tenant may ask of one shard over the horizon: 2³².
-/// At that bound the mean gap between its arrivals is at least 2²⁰ ulps
-/// of any clock value up to the horizon, so simulated time moves.
-pub const MAX_TENANT_OPS: f64 = 4_294_967_296.0;
-
 /// A tenant whose scaled demand rate no run can serve: the rejection
-/// [`TenantMixSpec::check_scaled`] returns. Either the rate rounds to
-/// zero, or it is not finite, or over the horizon it asks for more than
-/// [`MAX_TENANT_OPS`] operations.
+/// [`TenantMixSpec::check_scaled`] returns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantRateError {
     /// The tenant's name.
@@ -178,32 +161,24 @@ pub struct TenantRateError {
     pub value: f64,
     /// The factor the mix was scaled by.
     pub rate_scale: f64,
-    /// The tenant's scaled rate in ops/s.
+    /// The scaled rate in ops/s: zero, or too high for the horizon.
     pub scaled_rate: f64,
-    /// The horizon the rate was checked over, in seconds.
-    pub horizon_s: f64,
 }
 
 impl fmt::Display for TenantRateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "tenant {:?}: {}={:?} ",
-            self.tenant, self.field, self.value
-        )?;
-        if self.scaled_rate <= 0.0 {
+        let (name, field, value, by) = (&self.tenant, self.field, self.value, self.rate_scale);
+        if self.scaled_rate > 0.0 {
             write!(
                 f,
-                "rounds to a zero demand rate when scaled by {:?}",
-                self.rate_scale
+                "tenant {name:?}: {field}={value:?} scaled by {by:?} asks for {:e} ops/s, \
+                 more than 2^32 operations over the horizon",
+                self.scaled_rate
             )
         } else {
             write!(
                 f,
-                "asks for {:e} operations over {:?} s when scaled by {:?}, more than 2^32",
-                self.scaled_rate * self.horizon_s,
-                self.horizon_s,
-                self.rate_scale
+                "tenant {name:?}: {field}={value:?} rounds to a zero demand rate when scaled by {by:?}"
             )
         }
     }
@@ -226,17 +201,17 @@ impl TenantMixSpec {
         self.tenants.iter().map(|t| t.nominal_rate(num_lines)).sum()
     }
 
-    /// Checks that every tenant's demand rate, once the mix is built over
-    /// `num_lines` lines at `rate_scale`, is one a run of `horizon_s`
-    /// seconds can serve. The parser accepts any finite positive `rate=`
-    /// or `scale=`, but the product with a small `rate_scale` (a fleet
-    /// passes `1/shards`) can round to zero, and no stream runs at rate
-    /// zero; a huge product can overflow, or ask for more operations
-    /// than any run executes, with gaps too small to move the clock. A
-    /// tenant passes when its scaled rate is positive and its expected
-    /// operation count, scaled rate × `horizon_s`, is at most
-    /// [`MAX_TENANT_OPS`]. The scaled rates are the ones
-    /// [`TenantMixSpec::build`] computes, so a mix that passes builds.
+    /// Checks that every tenant keeps a demand rate a run of `horizon_s`
+    /// seconds can serve when the mix is built over `num_lines` lines at
+    /// `rate_scale`. The parser accepts any finite positive `rate=` or
+    /// `scale=`, but the product with a small `rate_scale` (a fleet passes
+    /// `1/shards`) can round to zero, and no stream runs at rate zero. A
+    /// huge product can overflow, or ask for so many operations that the
+    /// gaps between them no longer move the clock, so the expected count,
+    /// scaled rate × `horizon_s`, must be at most 2³²: then the mean gap
+    /// is at least 2²⁰ ulps of any clock value up to the horizon. The
+    /// products are the ones [`TenantMixSpec::build`] computes, so a mix
+    /// that passes builds.
     pub fn check_scaled(
         &self,
         num_lines: u32,
@@ -244,20 +219,22 @@ impl TenantMixSpec {
         horizon_s: f64,
     ) -> Result<(), TenantRateError> {
         for t in &self.tenants {
-            let (field, value) = match &t.kind {
-                TenantKind::Synthetic { rate, .. } => ("rate", *rate),
-                TenantKind::Suite { scale, .. } => ("scale", *scale),
+            let (field, value, scaled_rate) = match &t.kind {
+                TenantKind::Synthetic { rate, .. } => ("rate", *rate, rate * rate_scale),
+                TenantKind::Suite { id, scale } => (
+                    "scale",
+                    *scale,
+                    id.nominal_rate(num_lines) * (scale * rate_scale),
+                ),
             };
-            let scaled_rate = t.scaled_rate(num_lines, rate_scale);
             let ops = scaled_rate * horizon_s;
-            if scaled_rate <= 0.0 || !ops.is_finite() || ops > MAX_TENANT_OPS {
+            if scaled_rate <= 0.0 || !ops.is_finite() || ops > 4_294_967_296.0 {
                 return Err(TenantRateError {
                     tenant: t.name.clone(),
                     field,
                     value,
                     rate_scale,
                     scaled_rate,
-                    horizon_s,
                 });
             }
         }
