@@ -53,13 +53,10 @@ pub struct FaultEngine {
     /// (see [`shared_occupancy`]), so the tables are built once, not once
     /// per bank or fleet shard.
     occupancy_dist: &'static PrecomputedMultinomial,
-    /// The zero-wear prefix `w₀`: the largest wear up to 2¹⁶ with
-    /// `fail_cdf(w) == 0.0` at every `1 ≤ w ≤ w₀`, so a write reaching
-    /// such a wear fails no cell and draws nothing. The scan in
-    /// [`Self::new`] stops at the first nonzero value, so it does not
-    /// assume the CDF is monotone in floating point. The default
-    /// endurance (10⁶ writes, σ 0.25) gives 66; [`EnduranceSpec::nominal`]
-    /// gives 6,646.
+    /// The zero-wear prefix `w₀`, the largest wear up to 2¹⁶ with
+    /// `fail_cdf(w) == 0.0` at every `1 ≤ w ≤ w₀`: a write reaching such a
+    /// wear fails no cell. [`Self::new`] scans up from `w = 1` to the first
+    /// nonzero value, so the CDF need not be monotone in floating point.
     zero_wear: u32,
 }
 
@@ -134,10 +131,8 @@ impl FaultEngine {
 
     /// Applies a (re)write at `now`: resets the drift clock and failures,
     /// re-rolls data occupancy, advances wear, and may permanently fail
-    /// cells whose endurance is exhausted. A write whose new wear lies in
-    /// the engine's zero-wear prefix skips both endurance-CDF evaluations:
-    /// there the failure probability is exactly 0 and the wear draw
-    /// consumes no uniform, so skipping it changes nothing.
+    /// cells whose endurance is exhausted. A write into the zero-wear
+    /// prefix skips the endurance CDF, whose wear draw would draw nothing.
     pub fn on_write<R: Rng + ?Sized>(&self, line: &mut LineState, now: SimTime, rng: &mut R) {
         let w1 = line.wear;
         line.wear = line.wear.saturating_add(1);

@@ -201,17 +201,13 @@ impl TenantMixSpec {
         self.tenants.iter().map(|t| t.nominal_rate(num_lines)).sum()
     }
 
-    /// Checks that every tenant keeps a demand rate a run of `horizon_s`
-    /// seconds can serve when the mix is built over `num_lines` lines at
-    /// `rate_scale`. The parser accepts any finite positive `rate=` or
-    /// `scale=`, but the product with a small `rate_scale` (a fleet passes
-    /// `1/shards`) can round to zero, and no stream runs at rate zero. A
-    /// huge product can overflow, or ask for so many operations that the
-    /// gaps between them no longer move the clock, so the expected count,
-    /// scaled rate × `horizon_s`, must be at most 2³²: then the mean gap
-    /// is at least 2²⁰ ulps of any clock value up to the horizon. The
-    /// products are the ones [`TenantMixSpec::build`] computes, so a mix
-    /// that passes builds.
+    /// Checks that every tenant's demand rate, once the mix is built over
+    /// `num_lines` lines at `rate_scale`, is one a run of `horizon_s`
+    /// seconds can serve: positive, since a small `rate_scale` (a fleet
+    /// passes `1/shards`) can round a rate to zero, and expecting at most
+    /// 2³² operations, at which the mean gap is still 2²⁰ ulps of any clock
+    /// value up to the horizon. The products are the ones
+    /// [`TenantMixSpec::build`] computes, so a mix that passes builds.
     pub fn check_scaled(
         &self,
         num_lines: u32,
