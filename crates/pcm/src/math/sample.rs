@@ -1043,8 +1043,9 @@ mod tests {
         assert!(caught > 0, "no uniform exposed the down-first order");
     }
 
-    /// The bottom-up walk as it was before the zero floor, kept verbatim:
-    /// `qⁿ` first, then the walk from the uniform.
+    /// The bottom-up walk as it was before the zero floor, the reference
+    /// the floored lane must match: `qⁿ` first, then the walk from the
+    /// uniform.
     fn model_inv_bottom<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64) -> u32 {
         let q = 1.0 - p;
         if q == 1.0 {
@@ -1083,7 +1084,7 @@ mod tests {
             .collect()
     }
 
-    /// Draws, through `lane` and through the parent walk, the uniforms
+    /// Draws, through `lane` and through the reference walk, the uniforms
     /// that bracket the computed `qⁿ` of each pair: 0, the largest
     /// 2⁻⁵³-grid value below `qⁿ`, the smallest at or above it, and
     /// 1 − 2⁻⁵³. Describes the first disagreement in outcome or in
