@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Digests recorded from an earlier build, by pin name.
-const PINS: [(&str, u64); 15] = [
+const PINS: [(&str, u64); 14] = [
     ("multinomial-4", 0xf0eb_4ac0_a4f6_f34e),
     ("multinomial-2", 0x4e6c_06d6_17e2_24ea),
     ("fault-default", 0x1b03_84a9_bf3b_030d),
@@ -37,7 +37,6 @@ const PINS: [(&str, u64); 15] = [
     ("classify-full-line", 0xb2a6_e311_a55c_09a7),
     ("zipf", 0x5d0c_965f_533a_350c),
     ("binomial", 0xb204_ddfe_59ba_4617),
-    ("binomial-past-table", 0x7bbf_9056_f985_f1d6),
     ("read-fused-default", 0xc7b8_5d34_8c10_2b7e),
     ("read-fused-drift4x", 0xd4a2_7025_327e_ea6f),
     ("read-split-default", 0xc7b8_5d34_8c10_2b7e),
@@ -201,15 +200,13 @@ fn binomial_ps(n: u32) -> Vec<f64> {
     ps
 }
 
-/// Eight `sample_binomial` draws at every `n` of `ns`, for each of
-/// [`binomial_ps`]. The `binomial` pin draws every `n` in `0..=600`,
-/// 2,032 (an SLC line under RS(254,64)) and 4,096 (the last `n` the mode
-/// walk serves); `binomial-past-table` draws 4,097 and 100,000 (the
-/// bottom walk past the ln-factorial table).
-fn binomial(ns: impl IntoIterator<Item = u32>, seed: u64) -> u64 {
+/// Eight `sample_binomial` draws at every `n` in `0..=600`, at 2,032 (an
+/// SLC line under RS(254,64)) and at 4,096 (the largest `n` the sampler
+/// accepts), for each of [`binomial_ps`].
+fn binomial(seed: u64) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut h = Fnv::new();
-    for n in ns {
+    for n in (0..=600u32).chain([2_032, 4_096]) {
         for p in binomial_ps(n) {
             for _ in 0..8 {
                 h.u64(u64::from(sample_binomial(&mut rng, n, p)));
@@ -322,8 +319,7 @@ fn every_kernel_matches_its_recorded_digest() {
         ("classify", classify(15)),
         ("classify-full-line", classify_full_line(16)),
         ("zipf", zipf(17)),
-        ("binomial", binomial((0..=600).chain([2_032, 4_096]), 18)),
-        ("binomial-past-table", binomial([4_097, 100_000], 23)),
+        ("binomial", binomial(18)),
         (
             "read-fused-default",
             reads(&DeviceConfig::default(), read_fused, 19),

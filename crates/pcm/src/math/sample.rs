@@ -73,8 +73,10 @@ pub fn sample_lognormal<R: Rng + ?Sized>(rng: &mut R, ln_median: f64, sigma_ln: 
 /// Mean above which the mode-centred inversion beats the bottom-up walk.
 const BINOMIAL_MODE_CUTOFF: f64 = 10.0;
 
-/// Largest `n` the ln-factorial table covers (every `n` the simulator
-/// draws is far below this; larger `n` falls back to the bottom-up walk).
+/// Largest `n` the binomial samplers accept: the ln-factorial table's
+/// size. Every `n` the simulator draws, at most a line's 2,040 cells, is
+/// far below it. Past it the bottom-up walk's `qⁿ` underflows once `n·p`
+/// exceeds about 745, and the walk would return `n` on every draw.
 const LN_FACT_MAX_N: usize = 4096;
 
 /// `ln(k!)` for `k ≤ LN_FACT_MAX_N`, built once on first use.
@@ -106,6 +108,11 @@ fn ln_fact_table() -> &'static [f64] {
 /// uniform is consumed per sample, which also makes the draw count
 /// deterministic.
 ///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 1]`, or if `n` exceeds 4,096 (the
+/// ln-factorial table; see `LN_FACT_MAX_N`).
+///
 /// # Examples
 ///
 /// ```
@@ -121,6 +128,10 @@ fn ln_fact_table() -> &'static [f64] {
 #[inline(always)]
 pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64) -> u32 {
     assert!((0.0..=1.0).contains(&p), "binomial p out of [0,1]: {p}");
+    assert!(
+        n as usize <= LN_FACT_MAX_N,
+        "binomial n {n} exceeds {LN_FACT_MAX_N}"
+    );
     if n == 0 || p <= 0.0 {
         return 0;
     }
@@ -133,7 +144,7 @@ pub fn sample_binomial<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64) -> u32 {
     } else {
         (1.0 - p, true)
     };
-    let k = if n as f64 * ps < BINOMIAL_MODE_CUTOFF || n as usize > LN_FACT_MAX_N {
+    let k = if n as f64 * ps < BINOMIAL_MODE_CUTOFF {
         binomial_inv_bottom(rng, n, ps)
     } else {
         binomial_inv_mode(rng, n, ps)
@@ -180,8 +191,7 @@ fn powi_u32(mut x: f64, mut n: u32) -> f64 {
 ///   subtraction; `4(n + 1)ε` is exact), which lifts it at most
 ///   `2u + u²` above `1 − np − 4(n + 1)ε`. The slack
 ///   `4(n + 1)ε = 8(n + 1)u` exceeds `(2n + 1)u + u²` for every `n`.
-/// - If `np ≥ 1` the floor is negative and no uniform falls below it, so
-///   the `n > 4,096` bottom walk, where `qⁿ` may underflow, stays sound.
+/// - If `np ≥ 1` the floor is negative and no uniform falls below it.
 ///
 /// Without the slack the floor can exceed the computed power, as at
 /// `(n, p) = (14, 7.230198336980701e-10)`; a test keeps that tripwire.
@@ -567,9 +577,14 @@ impl PrecomputedMultinomial {
     ///
     /// # Panics
     ///
-    /// Panics if `out.len() != self.len()`.
+    /// Panics if `out.len() != self.len()`, or if `n` exceeds 4,096 (the
+    /// limit of [`sample_binomial`]).
     pub fn sample_into<R: Rng + ?Sized>(&self, rng: &mut R, n: u32, out: &mut [u32]) {
         assert_eq!(out.len(), self.len(), "multinomial buffer length mismatch");
+        assert!(
+            n as usize <= LN_FACT_MAX_N,
+            "multinomial n {n} exceeds {LN_FACT_MAX_N}"
+        );
         let mut remaining_n = n;
         for (slot, cat) in out.iter_mut().zip(&self.categories) {
             let k = cat.sample(rng, remaining_n);
@@ -591,7 +606,7 @@ impl PrecomputedCategory {
         if self.cond >= 1.0 {
             return n;
         }
-        let k = if n as f64 * self.ps < BINOMIAL_MODE_CUTOFF || n as usize > LN_FACT_MAX_N {
+        let k = if n as f64 * self.ps < BINOMIAL_MODE_CUTOFF {
             binomial_inv_bottom(rng, n, self.ps)
         } else {
             self.table(n).locate(rng.gen())
@@ -691,6 +706,26 @@ mod tests {
         }
         let mean = sum as f64 / 10_000.0;
         assert!((mean - 45.0).abs() < 0.2, "mean {mean}");
+    }
+
+    /// Past the ln-factorial table the bottom walk's `qⁿ` underflows
+    /// (at `n·p` above about 745 it returned `n` on every draw), so both
+    /// entry points reject such `n` rather than sample it.
+    #[test]
+    #[should_panic(expected = "binomial n 4097 exceeds 4096")]
+    fn binomial_rejects_n_past_the_table() {
+        sample_binomial(&mut StdRng::seed_from_u64(1), 4_097, 0.01);
+    }
+
+    #[test]
+    #[should_panic(expected = "multinomial n 4097 exceeds 4096")]
+    fn multinomial_rejects_n_past_the_table() {
+        let mut out = [0u32; 4];
+        PrecomputedMultinomial::new(&[0.25; 4]).sample_into(
+            &mut StdRng::seed_from_u64(1),
+            4_097,
+            &mut out,
+        );
     }
 
     #[test]
@@ -797,7 +832,7 @@ mod tests {
             ([288, 288, 288, 288], [0.001, 0.02, 0.25, 0.9]),
             ([0, 288, 0, 5], [0.0, 1e-6, 0.3, 0.5]),
             ([288, 288, 288, 288], [1e-323, 1e-17, 0.999999, 1.0]),
-            ([10, 8192, 40, 0], [0.5, 0.4, 0.997, 0.25]),
+            ([10, 4096, 40, 0], [0.5, 0.4, 0.997, 0.25]),
             ([1, 2, 3, 4], [0.9999, 0.0001, 0.7, 0.3]),
         ];
         for (i, &(ns, ps)) in cases.iter().enumerate() {
@@ -925,7 +960,7 @@ mod tests {
         if cat.cond >= 1.0 {
             return n;
         }
-        let k = if n as f64 * cat.ps < BINOMIAL_MODE_CUTOFF || n as usize > LN_FACT_MAX_N {
+        let k = if n as f64 * cat.ps < BINOMIAL_MODE_CUTOFF {
             binomial_inv_bottom(rng, n, cat.ps)
         } else {
             model_inv_mode(rng, n, cat.ps, cat.ln_ps, cat.ln_qs)
@@ -950,7 +985,7 @@ mod tests {
     /// seeded spread.
     fn probe_uniforms(cat: &PrecomputedCategory, n: u32) -> Vec<f64> {
         let mut us = vec![0.0, uniform_at(1.0), 0.5, 0.9, 0.99, 0.999, 0.999_999];
-        if n >= 1 && n as f64 * cat.ps >= BINOMIAL_MODE_CUTOFF && n as usize <= LN_FACT_MAX_N {
+        if n >= 1 && n as f64 * cat.ps >= BINOMIAL_MODE_CUTOFF {
             let table = ModeTable::new(n, cat.ps, cat.ln_ps, cat.ln_qs);
             let mut mass = 0.0;
             for &pmf in &table.terms[..table.len] {
@@ -967,15 +1002,14 @@ mod tests {
 
     /// Draws every probe uniform through `sample` and through the model
     /// at every `n` in `0..=1,124` (past the mode-path cutoff and across
-    /// several slot chunks), at 2,032 (an SLC line under RS(254,64)), at
-    /// 4,095 and 4,096 (the last mode-path `n`) and at 4,097 (past the
-    /// ln-factorial table), and describes the first disagreement in
-    /// outcome or in uniforms consumed.
+    /// several slot chunks), at 2,032 (an SLC line under RS(254,64)) and at
+    /// 4,095 and 4,096 (the last `n` the samplers accept), and describes
+    /// the first disagreement in outcome or in uniforms consumed.
     fn first_divergence(
         cat: &PrecomputedCategory,
         sample: impl Fn(&mut Scripted, u32) -> u32,
     ) -> Option<String> {
-        for n in (0..=1_124).chain([2_032, 4_095, 4_096, 4_097]) {
+        for n in (0..=1_124).chain([2_032, 4_095, 4_096]) {
             for u in probe_uniforms(cat, n) {
                 let (mut a, mut b) = (Scripted::new(&[u]), Scripted::new(&[u]));
                 let (got, want) = (sample(&mut a, n), model_sample(cat, &mut b, n));
@@ -1003,10 +1037,7 @@ mod tests {
             // The shared walk alone, as `sample_binomial` draws it.
             assert_eq!(
                 first_divergence(&cat, |rng, n| {
-                    if n == 0
-                        || (n as f64) * cat.ps < BINOMIAL_MODE_CUTOFF
-                        || n as usize > LN_FACT_MAX_N
-                    {
+                    if n == 0 || (n as f64) * cat.ps < BINOMIAL_MODE_CUTOFF {
                         cat.sample(rng, n)
                     } else {
                         binomial_inv_mode(rng, n, cat.ps)
@@ -1025,10 +1056,7 @@ mod tests {
             .iter()
             .filter(|cat| {
                 first_divergence(cat, |rng, n| {
-                    if n == 0
-                        || (n as f64) * cat.ps < BINOMIAL_MODE_CUTOFF
-                        || n as usize > LN_FACT_MAX_N
-                    {
+                    if n == 0 || (n as f64) * cat.ps < BINOMIAL_MODE_CUTOFF {
                         return cat.sample(rng, n);
                     }
                     let mut table = ModeTable::new(n, cat.ps, cat.ln_ps, cat.ln_qs);
