@@ -10,7 +10,7 @@ use pcm_model::{DeviceConfig, DriftParams};
 use pcm_workloads::WorkloadId;
 use scrub_core::DemandTraffic;
 
-use crate::experiments::{baseline_policy, combined_policy, run_reps};
+use crate::experiments::{baseline_policy, combined_policy, rep_jobs, rep_means, run_grid};
 use crate::scale::Scale;
 
 /// Drift severity multipliers swept.
@@ -32,22 +32,35 @@ pub fn run(scale: Scale) -> String {
         "UE_reduction",
         "write_ratio",
     ]);
-    for sigma in SIGMAS {
-        for nu_scale in NU_SCALES {
+    let points: Vec<(f64, f64)> = SIGMAS
+        .iter()
+        .flat_map(|&sigma| NU_SCALES.map(|nu_scale| (sigma, nu_scale)))
+        .collect();
+    // Per point: the basic job block, then the combined one.
+    let jobs = points
+        .iter()
+        .flat_map(|&(sigma, nu_scale)| {
             let device = DeviceConfig::builder()
                 .drift(DriftParams::new(sigma, 1.0).with_scale(nu_scale))
                 .build();
-            let b = run_reps(&scale, &device, &base_code, &base_policy, &traffic, 0xE10);
-            let c = run_reps(&scale, &device, &comb_code, &comb_policy, &traffic, 0xE10);
-            table.row(vec![
-                format!("{nu_scale:.1}"),
-                format!("{sigma:.1}"),
-                fmt_count(b.ue),
-                fmt_count(c.ue),
-                fmt_percent(percent_reduction(b.ue, c.ue)),
-                fmt_ratio(improvement_ratio(b.scrub_writes, c.scrub_writes)),
-            ]);
-        }
+            [
+                rep_jobs(&scale, &device, &base_code, &base_policy, &traffic, 0xE10),
+                rep_jobs(&scale, &device, &comb_code, &comb_policy, &traffic, 0xE10),
+            ]
+        })
+        .flatten()
+        .collect();
+    let metrics = rep_means(&scale, &run_grid(jobs));
+    for (&(sigma, nu_scale), pair) in points.iter().zip(metrics.chunks(2)) {
+        let (b, c) = (pair[0], pair[1]);
+        table.row(vec![
+            format!("{nu_scale:.1}"),
+            format!("{sigma:.1}"),
+            fmt_count(b.ue),
+            fmt_count(c.ue),
+            fmt_percent(percent_reduction(b.ue, c.ue)),
+            fmt_ratio(improvement_ratio(b.scrub_writes, c.scrub_writes)),
+        ]);
     }
     out.push_str(&table.render());
     out.push_str(

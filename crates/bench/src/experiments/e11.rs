@@ -8,7 +8,7 @@ use pcm_ecc::CodeSpec;
 use pcm_model::DeviceConfig;
 use scrub_core::PolicyKind;
 
-use crate::experiments::run_suite;
+use crate::experiments::{run_grid, suite_jobs, suite_means};
 use crate::scale::Scale;
 
 const INTERVAL_S: f64 = 900.0;
@@ -83,8 +83,13 @@ pub fn run(scale: Scale) -> String {
         "energy_uJ",
         "mean_wear",
     ]);
-    for (label, code, policy) in variants() {
-        let m = run_suite(&scale, &dev, &code, &policy, 0xE11);
+    let variants = variants();
+    let jobs = variants
+        .iter()
+        .flat_map(|(_, code, policy)| suite_jobs(&scale, &dev, code, policy, 0xE11))
+        .collect();
+    let metrics = suite_means(&scale, &run_grid(jobs));
+    for ((label, _, _), m) in variants.into_iter().zip(metrics) {
         table.row(vec![
             label.to_string(),
             fmt_count(m.ue),

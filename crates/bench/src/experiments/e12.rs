@@ -9,7 +9,7 @@ use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
 use scrub_core::{DemandTraffic, PolicyKind};
 
-use crate::experiments::{combined_policy, run_reps};
+use crate::experiments::{combined_policy, rep_jobs, rep_means, run_grid};
 use crate::scale::Scale;
 
 /// Runs E12 and renders its tables.
@@ -18,6 +18,23 @@ pub fn run(scale: Scale) -> String {
     let (code, _) = combined_policy();
     let traffic_of = DemandTraffic::suite(WorkloadId::DbOltp);
     let mut out = String::from("E12: capacity and interval scaling (combined+BCH6, db-oltp)\n\n");
+    let capacities = [1u32, 2, 4].map(|factor| (scale.num_lines / 4) * factor);
+    let intervals = [300.0, 900.0, 2700.0, 8100.0];
+    // One grid: the capacity points' job blocks, then the intervals'.
+    let capacity_jobs = capacities.iter().flat_map(|&num_lines| {
+        let sub = Scale { num_lines, ..scale };
+        let policy = PolicyKind::combined_default(900.0);
+        rep_jobs(&sub, &dev, &code, &policy, &traffic_of, 0xE12)
+    });
+    let interval_jobs = intervals.iter().flat_map(|&interval_s| {
+        let policy = PolicyKind::combined_default(interval_s);
+        rep_jobs(&scale, &dev, &code, &policy, &traffic_of, 0xE12)
+    });
+    let metrics = rep_means(
+        &scale,
+        &run_grid(capacity_jobs.chain(interval_jobs).collect()),
+    );
+    let (capacity_metrics, interval_metrics) = metrics.split_at(capacities.len());
 
     // Part A: capacity sweep at fixed policy.
     let mut cap = Table::new(vec![
@@ -27,17 +44,7 @@ pub fn run(scale: Scale) -> String {
         "energy_nJ/line-day",
     ]);
     let days = scale.horizon_s / 86_400.0;
-    for factor in [1u32, 2, 4] {
-        let num_lines = (scale.num_lines / 4) * factor;
-        let sub = Scale { num_lines, ..scale };
-        let m = run_reps(
-            &sub,
-            &dev,
-            &code,
-            &PolicyKind::combined_default(900.0),
-            &traffic_of,
-            0xE12,
-        );
+    for (&num_lines, m) in capacities.iter().zip(capacity_metrics) {
         let gib = num_lines as f64 * 64.0 / (1u64 << 30) as f64;
         cap.row(vec![
             num_lines.to_string(),
@@ -50,15 +57,7 @@ pub fn run(scale: Scale) -> String {
 
     // Part B: base-interval sweep at fixed capacity.
     let mut intv = Table::new(vec!["base_interval", "UEs", "scrub_writes", "energy_uJ"]);
-    for interval_s in [300.0, 900.0, 2700.0, 8100.0] {
-        let m = run_reps(
-            &scale,
-            &dev,
-            &code,
-            &PolicyKind::combined_default(interval_s),
-            &traffic_of,
-            0xE12,
-        );
+    for (interval_s, m) in intervals.iter().zip(interval_metrics) {
         intv.row(vec![
             format!("{interval_s:.0}s"),
             fmt_count(m.ue),

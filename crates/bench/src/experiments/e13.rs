@@ -17,9 +17,10 @@ use pcm_ecc::CodeSpec;
 use pcm_memsim::inject::{SeuClause, StuckClause};
 use pcm_memsim::{CampaignSpec, RecoveryConfig, RepairConfig};
 use pcm_model::{DeviceConfig, EnduranceSpec};
-use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport};
+use scrub_core::{DemandTraffic, PolicyKind, SimConfig};
 use scrub_telemetry as tel;
 
+use crate::experiments::run_grid;
 use crate::runner;
 use crate::scale::Scale;
 
@@ -105,7 +106,7 @@ pub struct LifetimeRow {
     pub degraded_banks: f64,
 }
 
-fn run_one(scale: &Scale, policy: &PolicyKind, seed: u64, threads: usize) -> SimReport {
+fn sim_config(scale: &Scale, policy: &PolicyKind, seed: u64) -> SimConfig {
     let mut builder = SimConfig::builder();
     builder
         .num_lines(scale.num_lines)
@@ -115,23 +116,26 @@ fn run_one(scale: &Scale, policy: &PolicyKind, seed: u64, threads: usize) -> Sim
         .traffic(DemandTraffic::Idle)
         .horizon_s(scale.horizon_s)
         .seed(seed)
-        .threads(threads)
         .fault_campaign(runner::fault_campaign().unwrap_or_else(|| default_campaign(scale)))
         .repair(RepairConfig::default())
         .ue_recovery(RecoveryConfig::default());
-    super::run_config(builder.build())
+    builder.build()
 }
 
 /// Computes the lifetime table without rendering.
 pub fn compute(scale: Scale) -> Vec<LifetimeRow> {
-    let threads = scrub_exec::default_threads();
-    roster()
+    let roster = roster();
+    let jobs = roster
+        .iter()
+        .flat_map(|(_, policy)| {
+            (0..scale.reps).map(move |rep| sim_config(&scale, policy, 0xE13 + rep as u64 * 1000))
+        })
+        .collect();
+    let reports = run_grid(jobs);
+    roster
         .into_iter()
-        .map(|(label, policy)| {
-            let (outer, inner) = super::split_threads(threads, scale.reps as usize);
-            let reports: Vec<SimReport> = scrub_exec::par_map(outer, 0..scale.reps, |_, rep| {
-                run_one(&scale, &policy, 0xE13 + rep as u64 * 1000, inner)
-            });
+        .zip(reports.chunks(scale.reps as usize))
+        .map(|((label, _), reports)| {
             let n = reports.len() as f64;
             let mut row = LifetimeRow {
                 label,
@@ -143,7 +147,7 @@ pub fn compute(scale: Scale) -> Vec<LifetimeRow> {
                 recovered: 0.0,
                 degraded_banks: 0.0,
             };
-            for r in &reports {
+            for r in reports {
                 match r.first_unrepairable_s {
                     Some(s) => row.lifetime_s += s,
                     None => {

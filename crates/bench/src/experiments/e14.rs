@@ -18,9 +18,10 @@ use pcm_analysis::{fmt_count, Table};
 use pcm_ecc::CodeSpec;
 use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
-use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport};
+use scrub_core::{DemandTraffic, PolicyKind};
 use scrub_telemetry as tel;
 
+use crate::experiments::{rep_jobs, run_grid};
 use crate::runner;
 use crate::scale::Scale;
 
@@ -109,26 +110,8 @@ pub struct BudgetRow {
     pub read_latency_ns: f64,
 }
 
-fn run_one(scale: &Scale, policy: &PolicyKind, seed: u64, threads: usize) -> SimReport {
-    let mut builder = SimConfig::builder();
-    builder
-        .num_lines(scale.num_lines)
-        .device(DeviceConfig::default())
-        .code(CodeSpec::bch_line(6))
-        .policy(policy.clone())
-        .traffic(DemandTraffic::suite(WorkloadId::DbOltp))
-        .horizon_s(scale.horizon_s)
-        .seed(seed)
-        .threads(threads);
-    if let Some(spec) = runner::fault_campaign() {
-        builder.fault_campaign(spec);
-    }
-    super::run_config(builder.build())
-}
-
 /// Computes the budget table without rendering.
 pub fn compute(scale: Scale) -> Vec<BudgetRow> {
-    let threads = scrub_exec::default_threads();
     let roster = roster(&scale);
     if tel::enabled() {
         // The run-time bound CI checks `starvation_max_lag` against, from
@@ -139,13 +122,17 @@ pub fn compute(scale: Scale) -> Vec<BudgetRow> {
             .expect("the roster has budgeted tour rows");
         tel::set_value("e14.progress_bound_slots", bound as f64);
     }
+    let (device, code) = (DeviceConfig::default(), CodeSpec::bch_line(6));
+    let traffic = DemandTraffic::suite(WorkloadId::DbOltp);
+    let jobs = roster
+        .iter()
+        .flat_map(|(_, _, policy)| rep_jobs(&scale, &device, &code, policy, &traffic, 0xE14))
+        .collect();
+    let reports = run_grid(jobs);
     roster
         .into_iter()
-        .map(|(label, iops, policy)| {
-            let (outer, inner) = super::split_threads(threads, scale.reps as usize);
-            let reports: Vec<SimReport> = scrub_exec::par_map(outer, 0..scale.reps, |_, rep| {
-                run_one(&scale, &policy, 0xE14 + rep as u64 * 1000, inner)
-            });
+        .zip(reports.chunks(scale.reps as usize))
+        .map(|((label, iops, _), reports)| {
             let n = reports.len() as f64;
             let mut row = BudgetRow {
                 label: label.clone(),
@@ -156,7 +143,7 @@ pub fn compute(scale: Scale) -> Vec<BudgetRow> {
                 throttled: 0.0,
                 read_latency_ns: 0.0,
             };
-            for r in &reports {
+            for r in reports {
                 row.ue_per_gib_day += r.ue_per_gib_day();
                 row.probes += r.stats.scrub_probes as f64;
                 row.scrub_writes += r.stats.scrub_writebacks as f64;

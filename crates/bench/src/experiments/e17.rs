@@ -31,9 +31,10 @@ use pcm_ecc::CodeSpec;
 use pcm_memsim::CampaignSpec;
 use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
-use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport};
+use scrub_core::{DemandTraffic, PolicyKind, SimConfig};
 use scrub_telemetry as tel;
 
+use crate::experiments::run_grid;
 use crate::runner;
 use crate::scale::Scale;
 
@@ -172,58 +173,44 @@ pub struct E17Results {
     pub codes: Vec<CodeRow>,
 }
 
-fn run_one(
-    scale: &Scale,
-    code: &CodeSpec,
-    policy: &PolicyKind,
-    campaign: &CampaignSpec,
-    seed: u64,
-    threads: usize,
-) -> SimReport {
-    let mut builder = SimConfig::builder();
-    builder
-        .num_lines(scale.num_lines)
-        .device(DeviceConfig::default())
-        .code(code.clone())
-        .policy(policy.clone())
-        .traffic(DemandTraffic::suite(WorkloadId::DbOltp))
-        .horizon_s(scale.horizon_s)
-        .seed(seed)
-        .threads(threads)
-        .fault_campaign(*campaign);
-    super::run_config(builder.build())
-}
-
 /// Minimum rep count for both tables. Single-run write-back totals
 /// jitter by roughly the head-to-head margin (a few tens of events at
 /// quick scale), so the gates compare multi-seed means instead of one
 /// draw.
 const MIN_REPS: u32 = 5;
 
-fn reps(
+fn rep_count(scale: &Scale) -> u32 {
+    scale.reps.max(MIN_REPS)
+}
+
+/// One configuration's jobs, one per rep, seeded `0xE17 + rep·1000`.
+fn rep_jobs(
     scale: &Scale,
     code: &CodeSpec,
     policy: &PolicyKind,
     campaign: &CampaignSpec,
-    threads: usize,
-) -> Vec<SimReport> {
-    let n = scale.reps.max(MIN_REPS);
-    let (outer, inner) = super::split_threads(threads, n as usize);
-    scrub_exec::par_map(outer, 0..n, |_, rep| {
-        run_one(
-            scale,
-            code,
-            policy,
-            campaign,
-            0xE17 + rep as u64 * 1000,
-            inner,
-        )
-    })
+) -> Vec<SimConfig> {
+    (0..rep_count(scale))
+        .map(|rep| {
+            let mut builder = SimConfig::builder();
+            builder
+                .num_lines(scale.num_lines)
+                .device(DeviceConfig::default())
+                .code(code.clone())
+                .policy(policy.clone())
+                .traffic(DemandTraffic::suite(WorkloadId::DbOltp))
+                .horizon_s(scale.horizon_s)
+                .seed(0xE17 + rep as u64 * 1000)
+                .fault_campaign(*campaign);
+            builder.build()
+        })
+        .collect()
 }
 
-/// Computes both tables without rendering.
+/// Computes both tables without rendering. Each policy-table row is its
+/// own job grid, so the profiler counter deltas around it are that row's;
+/// the code table is one grid.
 pub fn compute(scale: Scale) -> E17Results {
-    let threads = scrub_exec::default_threads();
     if tel::enabled() {
         // The run-time progress bound for the profiled policy, the
         // shadow of the tour's model-checked ScrubProgress property.
@@ -247,7 +234,7 @@ pub fn compute(scale: Scale) -> E17Results {
                 tel::counter_value(tel::Counter::ProfilerDirtyProbes),
                 tel::counter_value(tel::Counter::ScrubProbes),
             ];
-            let reports = reps(&scale, &bch, &policy, &campaign, threads);
+            let reports = run_grid(rep_jobs(&scale, &bch, &policy, &campaign));
             let after = [
                 tel::counter_value(tel::Counter::ProfilerHits),
                 tel::counter_value(tel::Counter::ProfilerMisses),
@@ -299,45 +286,53 @@ pub fn compute(scale: Scale) -> E17Results {
         .collect();
 
     let burst = burst_campaign(&scale);
-    let codes = [
+    let code_roster = [
         ("bch-6".to_string(), CodeSpec::bch_line(6), THETA),
         ("rs:72,64".to_string(), CodeSpec::rs_line(72, 64), 1),
-    ]
-    .into_iter()
-    .map(|(label, code, theta)| {
-        // 4x the nominal budget: the code table compares ECC strength,
-        // so probes should not be the bottleneck the way they are in the
-        // budget-focused policy table.
-        let policy = profiled_kind(&scale, theta, 4.0);
-        let reports = reps(&scale, &code, &policy, &burst, threads);
-        let n = reports.len() as f64;
-        let mut row = CodeRow {
-            label: label.clone(),
-            ue_per_gib_day: 0.0,
-            ue_events: 0.0,
-            probes: 0.0,
-            scrub_writes: 0.0,
-        };
-        for r in &reports {
-            row.ue_per_gib_day += r.ue_per_gib_day();
-            row.ue_events += r.uncorrectable() as f64;
-            row.probes += r.stats.scrub_probes as f64;
-            row.scrub_writes += r.stats.scrub_writebacks as f64;
-        }
-        row.ue_per_gib_day /= n;
-        row.ue_events /= n;
-        row.probes /= n;
-        row.scrub_writes /= n;
-        if tel::enabled() {
-            tel::set_value(
-                &format!("e17.code.{label}.ue_per_gib_day"),
-                row.ue_per_gib_day,
-            );
-            tel::set_value(&format!("e17.code.{label}.ue_events"), row.ue_events);
-        }
-        row
-    })
-    .collect::<Vec<_>>();
+    ];
+    let jobs = code_roster
+        .iter()
+        .flat_map(|(_, code, theta)| {
+            // 4x the nominal budget: the code table compares ECC strength,
+            // so probes should not be the bottleneck the way they are in
+            // the budget-focused policy table.
+            let policy = profiled_kind(&scale, *theta, 4.0);
+            rep_jobs(&scale, code, &policy, &burst)
+        })
+        .collect();
+    let reports = run_grid(jobs);
+    let codes = code_roster
+        .into_iter()
+        .zip(reports.chunks(rep_count(&scale) as usize))
+        .map(|((label, _, _), reports)| {
+            let n = reports.len() as f64;
+            let mut row = CodeRow {
+                label: label.clone(),
+                ue_per_gib_day: 0.0,
+                ue_events: 0.0,
+                probes: 0.0,
+                scrub_writes: 0.0,
+            };
+            for r in reports {
+                row.ue_per_gib_day += r.ue_per_gib_day();
+                row.ue_events += r.uncorrectable() as f64;
+                row.probes += r.stats.scrub_probes as f64;
+                row.scrub_writes += r.stats.scrub_writebacks as f64;
+            }
+            row.ue_per_gib_day /= n;
+            row.ue_events /= n;
+            row.probes /= n;
+            row.scrub_writes /= n;
+            if tel::enabled() {
+                tel::set_value(
+                    &format!("e17.code.{label}.ue_per_gib_day"),
+                    row.ue_per_gib_day,
+                );
+                tel::set_value(&format!("e17.code.{label}.ue_events"), row.ue_events);
+            }
+            row
+        })
+        .collect::<Vec<_>>();
     if tel::enabled() {
         let find = |l: &str| codes.iter().find(|r| r.label == l).map(|r| r.ue_events);
         if let (Some(b), Some(r)) = (find("bch-6"), find("rs:72,64")) {

@@ -11,7 +11,7 @@ use pcm_ecc::CodeSpec;
 use pcm_model::DeviceConfig;
 use scrub_core::{DemandTraffic, PolicyKind};
 
-use crate::experiments::run_reps;
+use crate::experiments::{rep_jobs, rep_means, run_grid};
 use crate::scale::Scale;
 
 /// Sweep intervals reported (seconds, label).
@@ -38,15 +38,21 @@ pub fn run(scale: Scale) -> String {
         "scrub_energy_uJ",
     ]);
     let days = scale.horizon_s / 86_400.0;
-    for (interval_s, label) in INTERVALS {
-        let m = run_reps(
-            &scale,
-            &dev,
-            &code,
-            &PolicyKind::Basic { interval_s },
-            &DemandTraffic::Idle,
-            0xE2,
-        );
+    let jobs = INTERVALS
+        .iter()
+        .flat_map(|&(interval_s, _)| {
+            rep_jobs(
+                &scale,
+                &dev,
+                &code,
+                &PolicyKind::Basic { interval_s },
+                &DemandTraffic::Idle,
+                0xE2,
+            )
+        })
+        .collect();
+    let metrics = rep_means(&scale, &run_grid(jobs));
+    for ((_, label), m) in INTERVALS.into_iter().zip(metrics) {
         table.row(vec![
             label.to_string(),
             fmt_count(m.ue),

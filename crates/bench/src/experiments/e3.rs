@@ -11,7 +11,7 @@ use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
 use scrub_core::{DemandTraffic, PolicyKind};
 
-use crate::experiments::run_reps;
+use crate::experiments::{rep_jobs, rep_means, run_grid};
 use crate::scale::Scale;
 
 const INTERVAL_S: f64 = 900.0;
@@ -30,29 +30,28 @@ pub fn run(scale: Scale) -> String {
         "writes_lazy",
         "energy_lazy_uJ",
     ]);
-    for code in standard_code_ladder() {
-        let eager = run_reps(
-            &scale,
-            &dev,
-            &code,
-            &PolicyKind::Basic {
-                interval_s: INTERVAL_S,
-            },
-            &traffic,
-            0xE3,
-        );
-        let theta = code.guaranteed_t().saturating_sub(1).max(1);
-        let lazy = run_reps(
-            &scale,
-            &dev,
-            &code,
-            &PolicyKind::Threshold {
-                interval_s: INTERVAL_S,
-                theta,
-            },
-            &traffic,
-            0xE3,
-        );
+    let ladder = standard_code_ladder();
+    // Per code: the eager job block, then the lazy one.
+    let jobs = ladder
+        .iter()
+        .flat_map(|code| {
+            let theta = code.guaranteed_t().saturating_sub(1).max(1);
+            [
+                PolicyKind::Basic {
+                    interval_s: INTERVAL_S,
+                },
+                PolicyKind::Threshold {
+                    interval_s: INTERVAL_S,
+                    theta,
+                },
+            ]
+            .map(|policy| rep_jobs(&scale, &dev, code, &policy, &traffic, 0xE3))
+        })
+        .flatten()
+        .collect();
+    let metrics = rep_means(&scale, &run_grid(jobs));
+    for (code, pair) in ladder.iter().zip(metrics.chunks(2)) {
+        let (eager, lazy) = (pair[0], pair[1]);
         table.row(vec![
             code.name().to_string(),
             fmt_percent(code.storage_overhead() * 100.0),

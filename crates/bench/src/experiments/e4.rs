@@ -9,7 +9,7 @@ use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
 use scrub_core::{DemandTraffic, PolicyKind};
 
-use crate::experiments::run_reps;
+use crate::experiments::{rep_jobs, rep_means, run_grid};
 use crate::scale::Scale;
 
 const INTERVAL_S: f64 = 900.0;
@@ -29,18 +29,17 @@ pub fn run(scale: Scale) -> String {
         "mean_wear",
     ]);
     let mut theta1_writes = None;
-    for theta in 1..=6u32 {
-        let m = run_reps(
-            &scale,
-            &dev,
-            &code,
-            &PolicyKind::Threshold {
+    let jobs = (1..=6u32)
+        .flat_map(|theta| {
+            let policy = PolicyKind::Threshold {
                 interval_s: INTERVAL_S,
                 theta,
-            },
-            &traffic,
-            0xE4,
-        );
+            };
+            rep_jobs(&scale, &dev, &code, &policy, &traffic, 0xE4)
+        })
+        .collect();
+    let metrics = rep_means(&scale, &run_grid(jobs));
+    for (theta, m) in (1..=6u32).zip(metrics) {
         let base = *theta1_writes.get_or_insert(m.scrub_writes);
         table.row(vec![
             theta.to_string(),

@@ -7,7 +7,7 @@ use pcm_ecc::CodeSpec;
 use pcm_model::DeviceConfig;
 use scrub_core::PolicyKind;
 
-use crate::experiments::{run_suite, Metrics};
+use crate::experiments::{run_grid, suite_jobs, suite_means, Metrics};
 use crate::scale::Scale;
 
 const INTERVAL_S: f64 = 900.0;
@@ -67,9 +67,16 @@ pub fn roster() -> Vec<(&'static str, CodeSpec, PolicyKind)> {
 /// Runs the whole roster, suite-averaged.
 pub fn compute(scale: Scale) -> Vec<(&'static str, Metrics)> {
     let dev = DeviceConfig::default();
-    roster()
+    let roster = roster();
+    let jobs = roster
+        .iter()
+        .flat_map(|(_, code, policy)| suite_jobs(&scale, &dev, code, policy, 0xE5))
+        .collect();
+    let metrics = suite_means(&scale, &run_grid(jobs));
+    roster
         .into_iter()
-        .map(|(label, code, policy)| (label, run_suite(&scale, &dev, &code, &policy, 0xE5)))
+        .zip(metrics)
+        .map(|((label, _, _), m)| (label, m))
         .collect()
 }
 

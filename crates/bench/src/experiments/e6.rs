@@ -12,7 +12,9 @@ use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
 use scrub_telemetry as tel;
 
-use crate::experiments::{baseline_policy, combined_policy, run_suite, Metrics};
+use crate::experiments::{
+    baseline_policy, combined_policy, run_grid, suite_jobs, suite_means, Metrics,
+};
 use crate::scale::Scale;
 
 /// Computed headline comparison.
@@ -43,24 +45,21 @@ impl Headline {
 
 /// Computes the headline comparison without rendering.
 ///
-/// When the telemetry recorder is enabled, each suite runs under its own
-/// phase scope (crediting the total simulated span it covered) and the
-/// headline metrics are recorded as bit-exact `e6.*` values.
+/// Each suite is its own job grid. When the telemetry recorder is
+/// enabled, each runs under its own phase scope (crediting the total
+/// simulated span it covered) and the headline metrics are recorded as
+/// bit-exact `e6.*` values.
 pub fn compute(scale: Scale) -> Headline {
     let dev = DeviceConfig::default();
-    let (base_code, base_policy) = baseline_policy();
-    let (comb_code, comb_policy) = combined_policy();
     let suite_span_s = scale.horizon_s * (WorkloadId::all().len() as u32 * scale.reps) as f64;
-    let basic = {
-        let mut scope = tel::phase("e6.basic_suite");
+    let suite = |phase: &str, (code, policy)| {
+        let mut scope = tel::phase(phase);
         scope.add_sim_span(suite_span_s);
-        run_suite(&scale, &dev, &base_code, &base_policy, 0xE6)
+        let reports = run_grid(suite_jobs(&scale, &dev, &code, &policy, 0xE6));
+        suite_means(&scale, &reports)[0]
     };
-    let combined = {
-        let mut scope = tel::phase("e6.combined_suite");
-        scope.add_sim_span(suite_span_s);
-        run_suite(&scale, &dev, &comb_code, &comb_policy, 0xE6)
-    };
+    let basic = suite("e6.basic_suite", baseline_policy());
+    let combined = suite("e6.combined_suite", combined_policy());
     let h = Headline { basic, combined };
     if tel::enabled() {
         for (prefix, m) in [("e6.basic", &h.basic), ("e6.combined", &h.combined)] {

@@ -9,7 +9,7 @@ use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
 use scrub_core::DemandTraffic;
 
-use crate::experiments::{baseline_policy, combined_policy, run_reps};
+use crate::experiments::{baseline_policy, combined_policy, rep_jobs, rep_means, run_grid};
 use crate::scale::Scale;
 
 /// Runs E7 and renders its table.
@@ -26,10 +26,21 @@ pub fn run(scale: Scale) -> String {
         "write_ratio",
         "energy_reduction",
     ]);
-    for id in WorkloadId::all() {
-        let traffic = DemandTraffic::suite(id);
-        let b = run_reps(&scale, &dev, &base_code, &base_policy, &traffic, 0xE7);
-        let c = run_reps(&scale, &dev, &comb_code, &comb_policy, &traffic, 0xE7);
+    // Per workload: the basic job block, then the combined one.
+    let jobs = WorkloadId::all()
+        .into_iter()
+        .flat_map(|id| {
+            let traffic = DemandTraffic::suite(id);
+            [
+                rep_jobs(&scale, &dev, &base_code, &base_policy, &traffic, 0xE7),
+                rep_jobs(&scale, &dev, &comb_code, &comb_policy, &traffic, 0xE7),
+            ]
+        })
+        .flatten()
+        .collect();
+    let metrics = rep_means(&scale, &run_grid(jobs));
+    for (id, pair) in WorkloadId::all().into_iter().zip(metrics.chunks(2)) {
+        let (b, c) = (pair[0], pair[1]);
         table.row(vec![
             id.name().to_string(),
             fmt_count(b.ue),

@@ -12,7 +12,7 @@ use pcm_model::{DeviceConfig, EnduranceSpec};
 use pcm_workloads::WorkloadId;
 use scrub_core::{DemandTraffic, PolicyKind};
 
-use crate::experiments::run_reps;
+use crate::experiments::{rep_jobs, rep_means, run_grid};
 use crate::scale::Scale;
 
 /// Sweep intervals, most aggressive first.
@@ -50,15 +50,26 @@ pub fn run(scale: Scale) -> String {
         "mean_wear",
         "energy_uJ",
     ]);
-    for (interval_s, label) in INTERVALS {
-        let m = run_reps(
-            &scale,
-            &device,
-            &code,
-            &PolicyKind::Basic { interval_s },
-            &traffic,
-            0xE8,
-        );
+    // The fixed-rate sweep, then the adaptive policy, which should land
+    // near the good part of the curve without being told where it is.
+    let mut rows: Vec<(&str, PolicyKind)> = INTERVALS
+        .iter()
+        .map(|&(interval_s, label)| (label, PolicyKind::Basic { interval_s }))
+        .collect();
+    rows.push((
+        "adaptive",
+        PolicyKind::Adaptive {
+            interval_s: 900.0,
+            theta: 3,
+            regions: 64,
+        },
+    ));
+    let jobs = rows
+        .iter()
+        .flat_map(|(_, policy)| rep_jobs(&scale, &device, &code, policy, &traffic, 0xE8))
+        .collect();
+    let metrics = rep_means(&scale, &run_grid(jobs));
+    for ((label, _), m) in rows.into_iter().zip(metrics) {
         table.row(vec![
             label.to_string(),
             fmt_count(m.ue),
@@ -68,28 +79,6 @@ pub fn run(scale: Scale) -> String {
             fmt_count(m.scrub_energy_uj),
         ]);
     }
-    // The adaptive policy should land near the good part of the curve
-    // without being told where it is.
-    let adaptive = run_reps(
-        &scale,
-        &device,
-        &code,
-        &PolicyKind::Adaptive {
-            interval_s: 900.0,
-            theta: 3,
-            regions: 64,
-        },
-        &traffic,
-        0xE8,
-    );
-    table.row(vec![
-        "adaptive".to_string(),
-        fmt_count(adaptive.ue),
-        fmt_count(adaptive.worn_cells),
-        fmt_count(adaptive.scrub_writes),
-        format!("{:.1}", adaptive.mean_wear),
-        fmt_count(adaptive.scrub_energy_uj),
-    ]);
     out.push_str(&table.render());
     out.push_str(
         "\nExpected shape: a U-curve. Aggressive intervals minimize drift UEs but\n\

@@ -14,7 +14,7 @@ use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
 use scrub_core::DemandTraffic;
 
-use crate::experiments::{roster_for_bandwidth, run_reps};
+use crate::experiments::{rep_jobs, rep_means, roster_for_bandwidth, run_grid};
 use crate::scale::Scale;
 
 /// Reference DIMM capacity the utilization is scaled to.
@@ -36,8 +36,13 @@ pub fn run(scale: Scale) -> String {
         "est_read_latency_ns",
         "latency_overhead",
     ]);
-    for (label, code, policy) in roster_for_bandwidth() {
-        let m = run_reps(&scale, &dev, &code, &policy, &traffic, 0xE9);
+    let roster = roster_for_bandwidth();
+    let jobs = roster
+        .iter()
+        .flat_map(|(_, code, policy)| rep_jobs(&scale, &dev, code, policy, &traffic, 0xE9))
+        .collect();
+    let metrics = rep_means(&scale, &run_grid(jobs));
+    for ((label, _, _), m) in roster.into_iter().zip(metrics) {
         let share = (m.scrub_utilization * capacity_factor).min(0.99);
         let latency = if share >= 0.9 {
             BASE_READ_NS * 10.0

@@ -3,6 +3,11 @@
 //! Every experiment is a pure function `run(scale) -> String` returning
 //! the rendered tables; the `exp_*` binaries print them and the
 //! `experiments` bench target runs them all in quick mode.
+//!
+//! The simulating experiments build their whole sweep as one list of
+//! `SimConfig` jobs, hand it to [`run_grid`], and regroup the reports in
+//! input order. Threads therefore go to whole simulations, never to the
+//! short bank sweeps inside one.
 
 pub mod e1;
 pub mod e10;
@@ -35,7 +40,7 @@ use crate::scale::Scale;
 /// `scrub_core::run_split`, serializing and resuming the full state at
 /// every boundary; the determinism contract makes this invisible in the
 /// output.
-pub(crate) fn run_config(config: SimConfig) -> SimReport {
+fn run_config(config: SimConfig) -> SimReport {
     match crate::runner::checkpoint_every_s() {
         Some(every_s) => {
             scrub_core::run_split(config, every_s)
@@ -46,46 +51,108 @@ pub(crate) fn run_config(config: SimConfig) -> SimReport {
     }
 }
 
-/// Builds and runs one simulation on `threads` bank-sweep workers.
-///
-/// Results are bit-identical for every thread count (the simulator's
-/// determinism contract), so the split between outer job-level and inner
-/// bank-level parallelism is purely a scheduling decision. When the
-/// process has a `--fault-campaign` installed, it is attached to every
-/// simulation (the campaign's own seed keeps that deterministic too), and
-/// `--checkpoint-every` splits it as [`run_config`] describes.
-pub(crate) fn run_sim(
-    scale: &Scale,
-    device: DeviceConfig,
-    code: CodeSpec,
-    policy: PolicyKind,
-    traffic: DemandTraffic,
-    seed: u64,
-    threads: usize,
-) -> SimReport {
-    let mut builder = SimConfig::builder();
-    builder
-        .num_lines(scale.num_lines)
-        .device(device)
-        .code(code)
-        .policy(policy)
-        .traffic(traffic)
-        .horizon_s(scale.horizon_s)
-        .seed(seed)
-        .threads(threads);
-    if let Some(spec) = crate::runner::fault_campaign() {
-        builder.fault_campaign(spec);
-    }
-    run_config(builder.build())
+/// Runs a grid of independent simulations on the process's thread
+/// budget ([`scrub_exec::default_threads`]), one whole simulation per
+/// job, and returns the reports in input order. Each job keeps
+/// `SimConfig`'s single sweep thread, so a simulation never spawns
+/// workers of its own. Every job's seed is fixed by its config, so the
+/// reports are bit-identical for every budget.
+pub(crate) fn run_grid(configs: Vec<SimConfig>) -> Vec<SimReport> {
+    scrub_exec::par_map(scrub_exec::default_threads(), configs, |_, c| run_config(c))
 }
 
-/// Splits a thread budget between outer (job fan-out) and inner (per-bank
-/// sweep) parallelism: with more than one independent job, the outer level
-/// gets the whole budget and each simulation runs its sweeps inline.
-fn split_threads(budget: usize, jobs: usize) -> (usize, usize) {
-    let outer = budget.max(1).min(jobs.max(1));
-    let inner = if outer > 1 { 1 } else { budget.max(1) };
-    (outer, inner)
+/// One configuration's jobs at the scale's size and horizon, one per
+/// rep, seeded `base_seed + rep·1000`. When the process has a
+/// `--fault-campaign` installed, every job attaches it (the campaign's
+/// own seed keeps that deterministic too).
+pub(crate) fn rep_jobs(
+    scale: &Scale,
+    device: &DeviceConfig,
+    code: &CodeSpec,
+    policy: &PolicyKind,
+    traffic: &DemandTraffic,
+    base_seed: u64,
+) -> Vec<SimConfig> {
+    (0..scale.reps)
+        .map(|rep| {
+            let mut builder = SimConfig::builder();
+            builder
+                .num_lines(scale.num_lines)
+                .device(device.clone())
+                .code(code.clone())
+                .policy(policy.clone())
+                .traffic(traffic.clone())
+                .horizon_s(scale.horizon_s)
+                .seed(base_seed + rep as u64 * 1000);
+            if let Some(spec) = crate::runner::fault_campaign() {
+                builder.fault_campaign(spec);
+            }
+            builder.build()
+        })
+        .collect()
+}
+
+/// One configuration's jobs over the whole workload suite: workload
+/// major, then rep (see [`rep_jobs`]).
+pub(crate) fn suite_jobs(
+    scale: &Scale,
+    device: &DeviceConfig,
+    code: &CodeSpec,
+    policy: &PolicyKind,
+    base_seed: u64,
+) -> Vec<SimConfig> {
+    WorkloadId::all()
+        .into_iter()
+        .flat_map(|id| {
+            rep_jobs(
+                scale,
+                device,
+                code,
+                policy,
+                &DemandTraffic::suite(id),
+                base_seed,
+            )
+        })
+        .collect()
+}
+
+/// Rep means of a grid of [`rep_jobs`] blocks, one per configuration in
+/// input order.
+pub(crate) fn rep_means(scale: &Scale, reports: &[SimReport]) -> Vec<Metrics> {
+    reports
+        .chunks(scale.reps as usize)
+        .map(Metrics::of)
+        .collect()
+}
+
+/// Suite means of a grid of [`suite_jobs`] blocks, one per configuration
+/// in input order: each workload's rep mean divided by the workload
+/// count, summed in suite order (f64 accumulation order is part of the
+/// determinism contract).
+pub(crate) fn suite_means(scale: &Scale, reports: &[SimReport]) -> Vec<Metrics> {
+    let workloads = WorkloadId::all().len();
+    reports
+        .chunks(scale.reps as usize * workloads)
+        .map(|suite| {
+            let per_workload = rep_means(scale, suite);
+            assert_eq!(per_workload.len(), workloads);
+            let n = workloads as f64;
+            let mut m = Metrics::default();
+            for w in &per_workload {
+                m.ue += w.ue / n;
+                m.demand_ue += w.demand_ue / n;
+                m.scrub_writes += w.scrub_writes / n;
+                m.scrub_probes += w.scrub_probes / n;
+                m.scrub_energy_uj += w.scrub_energy_uj / n;
+                m.mean_wear += w.mean_wear / n;
+                m.worn_cells += w.worn_cells / n;
+                m.scrub_utilization += w.scrub_utilization / n;
+                m.read_latency_ns += w.read_latency_ns / n;
+                m.measured_latency_ns += w.measured_latency_ns / n;
+            }
+            m
+        })
+        .collect()
 }
 
 /// Aggregated metrics over repeated seeds (averages).
@@ -134,128 +201,6 @@ impl Metrics {
     }
 }
 
-/// Runs a configuration once per rep seed and aggregates, fanning the
-/// rep jobs out over [`scrub_exec::default_threads`] workers.
-pub(crate) fn run_reps(
-    scale: &Scale,
-    device: &DeviceConfig,
-    code: &CodeSpec,
-    policy: &PolicyKind,
-    traffic: &DemandTraffic,
-    base_seed: u64,
-) -> Metrics {
-    run_reps_threads(
-        scale,
-        device,
-        code,
-        policy,
-        traffic,
-        base_seed,
-        scrub_exec::default_threads(),
-    )
-}
-
-/// [`run_reps`] with an explicit thread budget. Each rep's seed depends
-/// only on `(base_seed, rep)`, so the aggregate is bit-identical for every
-/// budget; `par_map` additionally returns reports in rep order.
-pub fn run_reps_threads(
-    scale: &Scale,
-    device: &DeviceConfig,
-    code: &CodeSpec,
-    policy: &PolicyKind,
-    traffic: &DemandTraffic,
-    base_seed: u64,
-    threads: usize,
-) -> Metrics {
-    let (outer, inner) = split_threads(threads, scale.reps as usize);
-    let reports: Vec<SimReport> = scrub_exec::par_map(outer, 0..scale.reps, |_, rep| {
-        run_sim(
-            scale,
-            device.clone(),
-            code.clone(),
-            policy.clone(),
-            traffic.clone(),
-            base_seed + rep as u64 * 1000,
-            inner,
-        )
-    });
-    Metrics::of(&reports)
-}
-
-/// Averages a metric across the whole workload suite, fanning the
-/// `workload × rep` grid out over [`scrub_exec::default_threads`] workers.
-pub(crate) fn run_suite(
-    scale: &Scale,
-    device: &DeviceConfig,
-    code: &CodeSpec,
-    policy: &PolicyKind,
-    base_seed: u64,
-) -> Metrics {
-    run_suite_threads(
-        scale,
-        device,
-        code,
-        policy,
-        base_seed,
-        scrub_exec::default_threads(),
-    )
-}
-
-/// [`run_suite`] with an explicit thread budget.
-///
-/// The whole `workload × rep` grid is flattened into one job list so the
-/// pool stays busy even when `reps == 1`. Every job's seed is a pure
-/// function of `(base_seed, rep)` and its RNG streams of `(seed, bank)`,
-/// so results are independent of scheduling; reports are regrouped by
-/// workload in suite order before averaging (f64 accumulation order is
-/// part of the determinism contract).
-pub fn run_suite_threads(
-    scale: &Scale,
-    device: &DeviceConfig,
-    code: &CodeSpec,
-    policy: &PolicyKind,
-    base_seed: u64,
-    threads: usize,
-) -> Metrics {
-    let workloads = WorkloadId::all();
-    let jobs: Vec<(WorkloadId, u32)> = workloads
-        .iter()
-        .flat_map(|&id| (0..scale.reps).map(move |rep| (id, rep)))
-        .collect();
-    let (outer, inner) = split_threads(threads, jobs.len());
-    let reports: Vec<SimReport> = scrub_exec::par_map(outer, jobs, |_, (id, rep)| {
-        run_sim(
-            scale,
-            device.clone(),
-            code.clone(),
-            policy.clone(),
-            DemandTraffic::suite(id),
-            base_seed + rep as u64 * 1000,
-            inner,
-        )
-    });
-    let per_workload: Vec<Metrics> = reports
-        .chunks(scale.reps as usize)
-        .map(Metrics::of)
-        .collect();
-    assert_eq!(per_workload.len(), workloads.len());
-    let n = per_workload.len() as f64;
-    let mut m = Metrics::default();
-    for w in &per_workload {
-        m.ue += w.ue / n;
-        m.demand_ue += w.demand_ue / n;
-        m.scrub_writes += w.scrub_writes / n;
-        m.scrub_probes += w.scrub_probes / n;
-        m.scrub_energy_uj += w.scrub_energy_uj / n;
-        m.mean_wear += w.mean_wear / n;
-        m.worn_cells += w.worn_cells / n;
-        m.scrub_utilization += w.scrub_utilization / n;
-        m.read_latency_ns += w.read_latency_ns / n;
-        m.measured_latency_ns += w.measured_latency_ns / n;
-    }
-    m
-}
-
 /// The evaluation's baseline configuration: DRAM-style basic scrub over
 /// SECDED at a 15-minute sweep.
 pub(crate) fn baseline_policy() -> (CodeSpec, PolicyKind) {
@@ -301,7 +246,7 @@ mod tests {
             mc_cells: 100,
         };
         let (code, policy) = baseline_policy();
-        let m = run_reps(
+        let jobs = rep_jobs(
             &scale,
             &DeviceConfig::default(),
             &code,
@@ -309,6 +254,10 @@ mod tests {
             &DemandTraffic::Idle,
             9,
         );
-        assert!(m.scrub_probes > 0.0);
+        let reports = run_grid(jobs);
+        let m = rep_means(&scale, &reports);
+        assert_eq!(m.len(), 1);
+        assert_eq!(m[0], Metrics::of(&reports));
+        assert!(m[0].scrub_probes > 0.0);
     }
 }

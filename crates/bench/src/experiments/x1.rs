@@ -15,18 +15,19 @@ use pcm_ecc::CodeSpec;
 use pcm_memsim::ProbeKind;
 use pcm_model::{DeviceConfig, SensingMode};
 use pcm_workloads::WorkloadId;
-use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport};
+use scrub_core::{DemandTraffic, PolicyKind, SimConfig};
 
+use crate::experiments::run_grid;
 use crate::scale::Scale;
 
-fn run_one(
+fn sim_config(
     scale: &Scale,
     device: DeviceConfig,
     probe_kind: ProbeKind,
     wear_leveling: Option<u32>,
     inband: Option<u32>,
     seed: u64,
-) -> SimReport {
+) -> SimConfig {
     let mut b = SimConfig::builder();
     b.num_lines(scale.num_lines)
         .device(device)
@@ -45,7 +46,7 @@ fn run_one(
     if let Some(spec) = crate::runner::fault_campaign() {
         b.fault_campaign(spec);
     }
-    super::run_config(b.build())
+    b.build()
 }
 
 /// Runs X1 and renders its table.
@@ -54,10 +55,10 @@ pub fn run(scale: Scale) -> String {
     let time_aware = DeviceConfig::builder()
         .sensing(SensingMode::AgeCompensated)
         .build();
-    let rows: Vec<(&str, SimReport)> = vec![
+    let rows = [
         (
             "combined (paper)",
-            run_one(
+            sim_config(
                 &scale,
                 nominal.clone(),
                 ProbeKind::FullDecode,
@@ -68,11 +69,11 @@ pub fn run(scale: Scale) -> String {
         ),
         (
             "+time-aware sensing",
-            run_one(&scale, time_aware, ProbeKind::FullDecode, None, None, 0xA1),
+            sim_config(&scale, time_aware, ProbeKind::FullDecode, None, None, 0xA1),
         ),
         (
             "+CRC-first probes",
-            run_one(
+            sim_config(
                 &scale,
                 nominal.clone(),
                 ProbeKind::CrcThenDecode,
@@ -83,7 +84,7 @@ pub fn run(scale: Scale) -> String {
         ),
         (
             "+start-gap leveling",
-            run_one(
+            sim_config(
                 &scale,
                 nominal.clone(),
                 ProbeKind::FullDecode,
@@ -94,9 +95,10 @@ pub fn run(scale: Scale) -> String {
         ),
         (
             "+in-band scrub",
-            run_one(&scale, nominal, ProbeKind::FullDecode, None, Some(4), 0xA1),
+            sim_config(&scale, nominal, ProbeKind::FullDecode, None, Some(4), 0xA1),
         ),
     ];
+    let (labels, jobs): (Vec<&str>, Vec<SimConfig>) = rows.into_iter().unzip();
     let mut out =
         String::from("X1: extension mechanisms on top of the combined scrub (web-serve)\n\n");
     let mut table = Table::new(vec![
@@ -107,7 +109,7 @@ pub fn run(scale: Scale) -> String {
         "max_wear",
         "wl_copies",
     ]);
-    for (label, r) in rows {
+    for (label, r) in labels.into_iter().zip(run_grid(jobs)) {
         table.row(vec![
             label.to_string(),
             fmt_count(r.uncorrectable() as f64),

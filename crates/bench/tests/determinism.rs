@@ -2,12 +2,12 @@
 //!
 //! The acceptance bar for the parallel execution layer: rendered
 //! experiment output — tables formatted from f64 aggregates, so any bit
-//! that drifts shows up — must be *byte-identical* whether the
-//! `workload × rep` grid runs on one worker or eight. Seeds are pure
+//! that drifts shows up — must be *byte-identical* whether an
+//! experiment's job grid runs on one worker or eight. Seeds are pure
 //! functions of `(base_seed, rep)` and RNG streams of `(seed, bank)`, so
 //! scheduling must not be observable.
 
-use scrub_bench::experiments::{e13, e5, e6};
+use scrub_bench::experiments::{e13, e14, e3, e5, e6, x1};
 use scrub_bench::Scale;
 
 fn tiny(num_lines: u32, hours: f64) -> Scale {
@@ -30,20 +30,30 @@ fn experiment_output_is_byte_identical_across_thread_counts() {
     // repair hierarchy, and runs UE recovery — all of which must stay on
     // the per-bank RNG streams to keep scheduling unobservable.
     let e13_scale = tiny(512, 6.0);
+    // Per-configuration grids (E3's code ladder, E14's budget sweep) and
+    // X1's five extension runs, each one grid.
+    let small = tiny(256, 2.0);
+    let run_all = || {
+        [
+            e6::run(e6_scale),
+            e5::run(e5_scale),
+            e13::run(e13_scale),
+            e3::run(small),
+            e14::run(small),
+            x1::run(small),
+        ]
+    };
 
     scrub_exec::set_default_threads(1);
-    let e6_seq = e6::run(e6_scale);
-    let e5_seq = e5::run(e5_scale);
-    let e13_seq = e13::run(e13_scale);
-
+    let seq = run_all();
     scrub_exec::set_default_threads(8);
-    let e6_par = e6::run(e6_scale);
-    let e5_par = e5::run(e5_scale);
-    let e13_par = e13::run(e13_scale);
-
+    let par = run_all();
     scrub_exec::set_default_threads(0); // back to auto for other tests
 
-    assert_eq!(e6_seq, e6_par, "E6 output depends on thread count");
-    assert_eq!(e5_seq, e5_par, "E5 output depends on thread count");
-    assert_eq!(e13_seq, e13_par, "E13 output depends on thread count");
+    for (name, (s, p)) in ["E6", "E5", "E13", "E3", "E14", "X1"]
+        .into_iter()
+        .zip(seq.iter().zip(&par))
+    {
+        assert_eq!(s, p, "{name} output depends on thread count");
+    }
 }

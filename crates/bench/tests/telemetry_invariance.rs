@@ -26,7 +26,7 @@ struct SimRow {
 /// Replicates the suite average bit-for-bit: per-workload chunks are
 /// summed in event order and divided by `reps` (as in `Metrics::of`),
 /// then each workload mean is divided by the workload count and summed
-/// in suite order (as in `run_suite_threads`). f64 accumulation order is
+/// in suite order (as in `suite_means`). f64 accumulation order is
 /// part of the determinism contract, so the fold order here must match.
 fn suite_average(rows: &[SimRow], reps: usize, pick: impl Fn(&SimRow) -> f64) -> f64 {
     let n_w = (rows.len() / reps) as f64;
