@@ -19,14 +19,15 @@ const MAX_BATCH_SLOTS: usize = 1 << 16;
 
 /// Fewest slots a batch must hold before its sweep is split across
 /// threads; shorter batches sweep on the calling thread. Measured on a
-/// 2-vCPU VM: spawning a sweep's workers costs about 150 µs (66 s over
-/// 429,604 pools of a two-thread run), and a slot about 0.27 µs
-/// (`idle-basic-secded`: 3,145,729 probes in 0.86 s). Two workers save
-/// half the slots' time, so a split only breaks even near 1,100 slots;
-/// at 4,096 it saves about 550 µs, over three spawns' worth. Demand
-/// traffic cuts batches at every op, so under load nearly all of them
-/// stay inline, while an idle memory's batches (up to
-/// [`MAX_BATCH_SLOTS`]) still split. The choice never changes a result.
+/// 2-vCPU VM: spawning a sweep's workers costs about 120–150 µs (52–66 s
+/// over the 429,604 pools of a two-thread quick E3 cut to a 1 h
+/// horizon), and a slot about 0.27 µs (`idle-basic-secded`: 3,145,729
+/// probes in 0.86 s). Two workers save half the slots' time, so a split
+/// only breaks even near 900–1,100 slots; at 4,096 it saves about
+/// 550 µs, over three spawns' worth. Demand traffic cuts batches at
+/// every op, so under load nearly all of them stay inline, while an idle
+/// memory's batches (up to [`MAX_BATCH_SLOTS`]) still split. The choice
+/// never changes a result.
 const MIN_PARALLEL_BATCH_SLOTS: usize = 4096;
 
 /// Test-only tripwire: when set, each batch leaves the slot clock one
