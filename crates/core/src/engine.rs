@@ -42,6 +42,13 @@ pub fn set_skewed_batch_for_test(on: bool) {
     SKEW_BATCH.store(on, Ordering::Relaxed);
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Batches this thread has passed the split gate with more than one
+    /// thread, so a test can tell that its runs reach the parallel sweep.
+    pub(crate) static SPLIT_BATCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Engine-side counters (memory-side counters live in
 /// [`pcm_memsim::MemStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -243,6 +250,10 @@ impl ScrubEngine {
         } else {
             threads
         };
+        #[cfg(test)]
+        if threads > 1 {
+            SPLIT_BATCHES.with(|n| n.set(n.get() + 1));
+        }
         let outcome = mem.scrub_sweep(
             &SweepPlan {
                 first: plan.first,

@@ -124,8 +124,11 @@ pub struct SimConfig {
     /// How scrub probes check lines (full decode vs. CRC-first).
     pub probe_kind: ProbeKind,
     /// Worker threads for bank-parallel scrub sweeps inside this
-    /// simulation. Results are bit-identical for every value (randomness
-    /// is keyed to banks, not execution order); 1 runs fully inline.
+    /// simulation. Only sweep batches of at least 4,096 slots split (the
+    /// engine's `MIN_PARALLEL_BATCH_SLOTS`); shorter ones, which include
+    /// nearly every batch under demand traffic, run inline. Results are
+    /// bit-identical for every value (randomness is keyed to banks, not
+    /// execution order); 1 runs fully inline.
     pub threads: usize,
     /// Deterministic fault campaign layered on the stochastic fault
     /// engine ([`pcm_memsim::CampaignSpec`]), or `None` for the baseline.
@@ -256,8 +259,9 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the worker-thread count for bank-parallel scrub sweeps
-    /// (0 is treated as 1). Any value produces bit-identical results.
+    /// Sets the worker-thread count for bank-parallel scrub sweeps of at
+    /// least 4,096 slots (0 is treated as 1; see [`SimConfig::threads`]).
+    /// Any value produces bit-identical results.
     pub fn threads(&mut self, n: usize) -> &mut Self {
         self.threads = n.max(1);
         self
@@ -401,9 +405,10 @@ impl Simulation {
     /// The event loop merges the demand-trace stream with scrub slots in
     /// timestamp order, so policies see a realistic interleaving of
     /// drift-clock resets and probes. Runs of scrub slots with no demand
-    /// op in between are executed as bank-parallel batches (on
-    /// `config.threads` workers) when the policy supports batch planning
-    /// — bit-identical to executing every slot through
+    /// op in between are executed as bank-parallel batches when the
+    /// policy supports batch planning — on `config.threads` workers once
+    /// a batch holds at least 4,096 slots, inline below that —
+    /// bit-identical to executing every slot through
     /// [`ScrubEngine::step`].
     pub fn run(self) -> SimReport {
         self.finish()
@@ -1047,13 +1052,19 @@ mod tests {
     }
 
     /// The execution-layer contract at full-simulation granularity: for
-    /// every batchable policy, under both idle and demand-interleaved
+    /// every batchable policy, under idle, sparse and dense demand
     /// traffic, batched sweeps on 1 and 8 threads produce identical
     /// reports — every counter, every energy total, every f64, bit for
-    /// bit. (That batches match slot-by-slot stepping is the reference
-    /// loop's job in `crates/bench/tests/engine_differential.rs`.)
+    /// bit. The idle runs split one batch that starts at line 0. Sparse
+    /// archive traffic (a few ops in 16 h, whose 49,152 slots fit under
+    /// the batch cap) must split at least two batches, so at least one
+    /// starts mid-sweep right after a demand op. Kv-cache ops cut every
+    /// batch below the split gate, so both of its runs sweep inline.
+    /// (That batches match slot-by-slot stepping is the reference loop's
+    /// job in `crates/bench/tests/engine_differential.rs`.)
     #[test]
     fn batched_runs_are_bit_identical_across_thread_counts() {
+        use crate::engine::SPLIT_BATCHES;
         let policies = [
             PolicyKind::Basic { interval_s: 1200.0 },
             PolicyKind::Threshold {
@@ -1066,27 +1077,42 @@ mod tests {
                 min_age_s: 600.0,
             },
         ];
+        // (traffic, horizon in hours, fewest batches the 8-thread run splits)
         let traffics = [
-            DemandTraffic::Idle,
-            DemandTraffic::suite(WorkloadId::KvCache),
+            (DemandTraffic::Idle, 3.0, 1),
+            (
+                DemandTraffic::Suite {
+                    id: WorkloadId::Archive,
+                    rate_scale: 1.0 / 512.0,
+                },
+                16.0,
+                2,
+            ),
+            (DemandTraffic::suite(WorkloadId::KvCache), 3.0, 0),
         ];
         for policy in &policies {
-            for traffic in &traffics {
+            for (traffic, hours, min_split) in &traffics {
                 let cfg = |threads: usize| {
                     SimConfig::builder()
                         .num_lines(1024)
                         .policy(policy.clone())
                         .code(CodeSpec::bch_line(6))
                         .traffic(traffic.clone())
-                        .horizon_s(3.0 * 3600.0)
+                        .horizon_s(hours * 3600.0)
                         .seed(33)
                         .threads(threads)
                         .build()
                 };
                 let serial = Simulation::new(cfg(1)).run();
+                let before = SPLIT_BATCHES.with(|n| n.get());
                 let parallel = Simulation::new(cfg(8)).run();
+                let split = SPLIT_BATCHES.with(|n| n.get()) - before;
                 assert_eq!(serial, parallel, "{policy:?}/{traffic:?}");
                 assert!(serial.stats.scrub_probes > 0);
+                assert!(
+                    split >= *min_split,
+                    "{policy:?}/{traffic:?}: {split} split batches"
+                );
             }
         }
     }
