@@ -240,6 +240,11 @@ fn binomial_inv_bottom<R: Rng + ?Sized>(rng: &mut R, n: u32, p: f64) -> u32 {
 /// [`sample_binomial`] calls, inlined into one loop. Lanes with `n = 0`
 /// or `p ≤ 0` consume nothing and yield 0, exactly as the scalar sampler
 /// does.
+///
+/// # Panics
+///
+/// Panics as [`sample_binomial`] does if any lane's `p` is outside
+/// `[0, 1]` or its `n` exceeds 4,096.
 pub fn sample_binomial4<R: Rng + ?Sized>(rng: &mut R, ns: [u32; 4], ps: [f64; 4]) -> [u32; 4] {
     let mut out = [0u32; 4];
     for l in 0..4 {
@@ -412,7 +417,8 @@ impl ModeTable {
 ///
 /// # Panics
 ///
-/// Panics if `probs` is empty, contains negatives, or sums far from 1.
+/// Panics if `probs` is empty, contains negatives, or sums far from 1, or
+/// if `n` exceeds 4,096 (the limit of [`sample_binomial`]).
 pub fn sample_multinomial<R: Rng + ?Sized>(rng: &mut R, n: u32, probs: &[f64]) -> Vec<u32> {
     let mut out = vec![0u32; probs.len()];
     sample_multinomial_into(rng, n, probs, &mut out);
@@ -425,8 +431,8 @@ pub fn sample_multinomial<R: Rng + ?Sized>(rng: &mut R, n: u32, probs: &[f64]) -
 ///
 /// # Panics
 ///
-/// Panics on the same invalid `probs` as [`sample_multinomial`], or if the
-/// buffer length does not match.
+/// Panics on the same invalid `probs` or `n` as [`sample_multinomial`], or
+/// if the buffer length does not match.
 pub fn sample_multinomial_into<R: Rng + ?Sized>(
     rng: &mut R,
     n: u32,
@@ -443,6 +449,10 @@ pub fn sample_multinomial_into<R: Rng + ?Sized>(
     assert!(
         probs.iter().all(|&p| p >= 0.0),
         "multinomial probabilities must be nonnegative"
+    );
+    assert!(
+        n as usize <= LN_FACT_MAX_N,
+        "multinomial n {n} exceeds {LN_FACT_MAX_N}"
     );
     let mut remaining_n = n;
     let mut remaining_p = 1.0f64;
