@@ -34,7 +34,7 @@ use pcm_workloads::WorkloadId;
 use scrub_core::{DemandTraffic, PolicyKind, SimConfig};
 use scrub_telemetry as tel;
 
-use crate::experiments::run_grid;
+use crate::experiments::{rep_jobs, run_grid};
 use crate::runner;
 use crate::scale::Scale;
 
@@ -183,28 +183,31 @@ fn rep_count(scale: &Scale) -> u32 {
     scale.reps.max(MIN_REPS)
 }
 
-/// One configuration's jobs, one per rep, seeded `0xE17 + rep·1000`.
-fn rep_jobs(
+/// One configuration's db-oltp jobs under `campaign`: at least
+/// [`MIN_REPS`] reps, seeded `0xE17 + rep·1000`.
+fn campaign_jobs(
     scale: &Scale,
     code: &CodeSpec,
     policy: &PolicyKind,
     campaign: &CampaignSpec,
 ) -> Vec<SimConfig> {
-    (0..rep_count(scale))
-        .map(|rep| {
-            let mut builder = SimConfig::builder();
-            builder
-                .num_lines(scale.num_lines)
-                .device(DeviceConfig::default())
-                .code(code.clone())
-                .policy(policy.clone())
-                .traffic(DemandTraffic::suite(WorkloadId::DbOltp))
-                .horizon_s(scale.horizon_s)
-                .seed(0xE17 + rep as u64 * 1000)
-                .fault_campaign(*campaign);
-            builder.build()
-        })
-        .collect()
+    let scale = Scale {
+        reps: rep_count(scale),
+        ..*scale
+    };
+    let traffic = DemandTraffic::suite(WorkloadId::DbOltp);
+    let mut jobs = rep_jobs(
+        &scale,
+        &DeviceConfig::default(),
+        code,
+        policy,
+        &traffic,
+        0xE17,
+    );
+    for job in &mut jobs {
+        job.fault_campaign = Some(*campaign);
+    }
+    jobs
 }
 
 /// Computes both tables without rendering. Each policy-table row is its
@@ -234,7 +237,7 @@ pub fn compute(scale: Scale) -> E17Results {
                 tel::counter_value(tel::Counter::ProfilerDirtyProbes),
                 tel::counter_value(tel::Counter::ScrubProbes),
             ];
-            let reports = run_grid(rep_jobs(&scale, &bch, &policy, &campaign));
+            let reports = run_grid(campaign_jobs(&scale, &bch, &policy, &campaign));
             let after = [
                 tel::counter_value(tel::Counter::ProfilerHits),
                 tel::counter_value(tel::Counter::ProfilerMisses),
@@ -297,7 +300,7 @@ pub fn compute(scale: Scale) -> E17Results {
             // so probes should not be the bottleneck the way they are in
             // the budget-focused policy table.
             let policy = profiled_kind(&scale, *theta, 4.0);
-            rep_jobs(&scale, code, &policy, &burst)
+            campaign_jobs(&scale, code, &policy, &burst)
         })
         .collect();
     let reports = run_grid(jobs);
