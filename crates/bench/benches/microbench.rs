@@ -104,7 +104,7 @@ fn bench_fault_engine(c: &mut Criterion) {
 }
 
 fn bench_sim_throughput(c: &mut Criterion) {
-    c.bench_function("scrub_sweep_4k_lines_basic", |b| {
+    c.bench_function("engine_step_4k_lines_basic", |b| {
         b.iter_batched(
             || {
                 let mem = Memory::new(
@@ -125,7 +125,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    c.bench_function("scrub_sweep_4k_lines_combined", |b| {
+    c.bench_function("engine_step_4k_lines_combined", |b| {
         b.iter_batched(
             || {
                 let mem = Memory::new(

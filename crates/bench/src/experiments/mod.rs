@@ -53,10 +53,10 @@ fn run_config(config: SimConfig) -> SimReport {
 
 /// Runs a grid of independent simulations on the process's thread
 /// budget ([`scrub_exec::default_threads`]), one whole simulation per
-/// job, and returns the reports in input order. Each job keeps
-/// `SimConfig`'s single sweep thread, so a simulation never spawns
-/// workers of its own. Every job's seed is fixed by its config, so the
-/// reports are bit-identical for every budget.
+/// job, and returns the reports in input order. A simulation runs on
+/// the worker that calls it and never spawns workers of its own. Every
+/// job's seed is fixed by its config, so the reports are bit-identical
+/// for every budget.
 pub(crate) fn run_grid(configs: Vec<SimConfig>) -> Vec<SimReport> {
     scrub_exec::par_map(scrub_exec::default_threads(), configs, |_, c| run_config(c))
 }

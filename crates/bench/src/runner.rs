@@ -15,6 +15,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use pcm_memsim::CampaignSpec;
+use scrub_core::tick;
 use scrub_telemetry as tel;
 use tel::json::{escape, fmt_f64};
 
@@ -175,11 +176,17 @@ fn parse_opts(exp: &str) -> Opts {
             }
             "--horizon-s" => {
                 let raw = value();
+                // The slot clock holds ~146 years of nanoseconds.
                 match raw.parse::<f64>() {
-                    Ok(s) if s.is_finite() && s > 0.0 => opts.horizon_s = Some(s),
+                    Ok(s) if s > 0.0 && tick::checked_ticks_from_secs(s).is_some() => {
+                        opts.horizon_s = Some(s)
+                    }
                     _ => fail(
                         exp,
-                        &format!("--horizon-s must be a positive finite number, got {raw:?}"),
+                        &format!(
+                            "--horizon-s must be a positive number of seconds \
+                             the simulation clock can hold (~146 years), got {raw:?}"
+                        ),
                     ),
                 }
             }

@@ -41,7 +41,6 @@ fn config() -> SimConfig {
         .traffic(DemandTraffic::suite(pcm_workloads::WorkloadId::DbOltp))
         .horizon_s(HORIZON_S)
         .seed(4242)
-        .threads(1)
         .fault_campaign(
             "seed=11;stuck=lines:32,cells:3;seu=lines:128,count:2,window:3600"
                 .parse()

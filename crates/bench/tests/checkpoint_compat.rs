@@ -32,7 +32,6 @@ fn config(policy: PolicyKind) -> SimConfig {
         .traffic(DemandTraffic::suite(pcm_workloads::WorkloadId::KvCache))
         .horizon_s(3.0 * 3600.0)
         .seed(77)
-        .threads(1)
         .fault_campaign(
             "seed=7;stuck=lines:32,cells:3;seu=lines:128,count:2,window:3600;\
              intermittent=lines:4,cells:2,period:600;burst=lines:2,bits:5,at:5400"

@@ -1,6 +1,6 @@
-//! Negative-path coverage for the bench runner's `--scrub-iops` flag on
-//! the E14 binary: malformed budgets die with exit 2 and a one-line
-//! stderr before any simulation starts.
+//! Negative-path coverage for the bench runner's `--scrub-iops` and
+//! `--horizon-s` flags on the E14 binary: malformed values die with exit
+//! 2 and a one-line stderr before any simulation starts.
 
 use std::process::Command;
 
@@ -29,6 +29,22 @@ fn scrub_iops_rejects_bad_budgets() {
         assert!(stderr.contains("--scrub-iops"), "{stderr}");
         assert!(out.stdout.is_empty(), "must fail before running");
     }
+}
+
+/// A horizon the simulation clock cannot hold (~146 years of
+/// nanoseconds) is a one-line error, not a panic.
+#[test]
+fn horizon_past_the_clock_is_rejected() {
+    let out = run(&["--quick", "--horizon-s", "1e12"]);
+    assert_eq!(out.status.code(), Some(2), "--horizon-s 1e12 should exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.trim_end().lines().count(),
+        1,
+        "one-line stderr expected:\n{stderr}"
+    );
+    assert!(stderr.contains("--horizon-s"), "{stderr}");
+    assert!(out.stdout.is_empty(), "must fail before running");
 }
 
 #[test]

@@ -1,18 +1,20 @@
 //! The simulation loop against a slot-by-slot reference.
 //!
 //! `Simulation::run` takes one shortcut through the scrub-slot grid:
-//! batched sweeps (`ScrubPolicy::plan_batch` hands the slots before the
-//! next demand op to `Memory::scrub_sweep`). The [`reference`] loop does
-//! not: it merges the demand trace with the slot grid and executes every
-//! slot through `ScrubEngine::step`, using public calls only. For every
-//! mechanism, under an active fault campaign, with demand traffic and
-//! without, the run must match the reference exactly — report, telemetry
-//! counters, and the multiset of write-back decision events — and split
-//! runs must match the straight run.
+//! batched sweeps (`ScrubPolicy::plan_batch` commits the slots before the
+//! next demand op, and `ScrubEngine::step_batch` runs them without asking
+//! the policy slot by slot). The [`reference`] loop does not: it merges
+//! the demand trace with the slot grid and executes every slot through
+//! `ScrubEngine::step`, using public calls only. For every mechanism,
+//! under an active fault campaign, with demand traffic and without, the
+//! run must match the reference exactly — report, telemetry counters, and
+//! the multiset of write-back decision events — and split runs must match
+//! the straight run.
 //!
-//! Events are compared as sorted multisets: a batched sweep emits its
-//! decisions bank by bank rather than slot by slot, and sequence numbers
-//! and worker ids are scheduling artifacts, not results.
+//! A batch runs its slots in slot order, so its decisions arrive in the
+//! order stepping emits them. Events are still compared as sorted
+//! multisets: sequence numbers and worker ids are scheduling artifacts,
+//! not results.
 //!
 //! The telemetry recorder is process-global, so everything lives in ONE
 //! test function — this file being its own integration-test binary
@@ -38,7 +40,6 @@ fn config(policy: &PolicyKind, traffic: &DemandTraffic) -> SimConfig {
         .traffic(traffic.clone())
         .horizon_s(3.0 * 3600.0)
         .seed(77)
-        .threads(1)
         .fault_campaign(
             "seed=7;stuck=lines:32,cells:3;seu=lines:128,count:2,window:3600;\
              intermittent=lines:4,cells:2,period:600;burst=lines:2,bits:5,at:5400"
@@ -143,14 +144,6 @@ fn event_multiset(docs: &[tel::Document], decisions_only: bool) -> Vec<(u64, Str
     v
 }
 
-/// Whether a batched sweep ran: it journals its decisions bank by bank,
-/// so some event is journaled after a later-timed one.
-fn journal_shows_batches(doc: &tel::Document) -> bool {
-    doc.events
-        .windows(2)
-        .any(|w| w[0].worker == w[1].worker && w[0].seq > w[1].seq)
-}
-
 /// Runs `config` split at `k` evenly spaced checkpoints with a full
 /// serialize/deserialize round-trip at each. Returns the final report
 /// and the per-segment telemetry documents.
@@ -193,7 +186,6 @@ fn simulation_matches_the_slot_by_slot_reference() {
             regions: 64,
         },
     ));
-    let mut batched = false;
     for (label, policy) in policies {
         for traffic in &traffics {
             let case = format!("{label}/{traffic:?}");
@@ -227,7 +219,6 @@ fn simulation_matches_the_slot_by_slot_reference() {
                 "{case}: no campaign boundaries crossed; the harness is not \
                  exercising marker emission"
             );
-            batched |= journal_shows_batches(&run_doc);
 
             // Split runs land on the same report, and their merged
             // telemetry on the same simulation and decision events.
@@ -242,14 +233,12 @@ fn simulation_matches_the_slot_by_slot_reference() {
             }
         }
     }
-    assert!(
-        batched,
-        "no journal shows a batched sweep; the batch path is not being exercised"
-    );
 
     // Tripwire: the harness must be able to fail. A deliberately skewed
     // batch (leaves the slot clock one slot late) must diverge from the
-    // reference for a batching mechanism.
+    // reference for a batching mechanism. The skew acts only inside a
+    // batch, so the divergence also shows that the basic/kv-cache case
+    // above ran the batch path.
     tel::set_enabled(false);
     let cfg = config(&PolicyKind::Basic { interval_s: 900.0 }, &traffics[0]);
     let expected = reference(&cfg, &Simulation::new(cfg.clone()).run());

@@ -24,7 +24,6 @@ fn config(policy: &PolicyKind) -> SimConfig {
         .traffic(DemandTraffic::suite(pcm_workloads::WorkloadId::KvCache))
         .horizon_s(3.0 * 3600.0)
         .seed(77)
-        .threads(1)
         .fault_campaign(
             "seed=7;stuck=lines:32,cells:3;seu=lines:128,count:2,window:3600"
                 .parse()

@@ -1,16 +1,13 @@
-//! Thread-budget tripwire: threads go to whole simulations, not to the
-//! short bank sweeps inside one.
+//! Thread-budget tripwire: threads go to whole simulations, never to the
+//! work inside one.
 //!
 //! With a two-thread budget, an experiment's grid spawns exactly one
-//! worker pool; a simulation under demand traffic spawns none, because
-//! every op cuts its sweep batches below the engine's split gate; and an
-//! idle simulation, whose batches pass the gate, still splits its sweeps
-//! without moving a bit of its report. Pools are counted by the
-//! telemetry recorder's `exec_pools` counter, which is process-global,
-//! so everything lives in ONE test function in this binary.
+//! worker pool, and a simulation spawns none, even an idle one whose
+//! whole horizon is one sweep batch. Pools are counted by the telemetry
+//! recorder's `exec_pools` counter, which is process-global, so
+//! everything lives in ONE test function in this binary.
 
 use pcm_ecc::CodeSpec;
-use pcm_workloads::WorkloadId;
 use scrub_bench::experiments::e3;
 use scrub_bench::Scale;
 use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport, Simulation};
@@ -23,16 +20,16 @@ fn pools_spawned<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (tel::counter_value(tel::Counter::ExecPools) - before, out)
 }
 
-/// A basic-scrub simulation over 1,024 lines in 8 banks for two hours.
-fn basic(traffic: DemandTraffic, threads: usize) -> SimReport {
+/// An idle basic-scrub simulation over 1,024 lines in 8 banks for two
+/// hours.
+fn idle_basic() -> SimReport {
     let mut b = SimConfig::builder();
     b.num_lines(1024)
         .code(CodeSpec::secded_line())
         .policy(PolicyKind::Basic { interval_s: 900.0 })
-        .traffic(traffic)
+        .traffic(DemandTraffic::Idle)
         .horizon_s(2.0 * 3600.0)
-        .seed(7)
-        .threads(threads);
+        .seed(7);
     Simulation::new(b.build()).run()
 }
 
@@ -50,13 +47,10 @@ fn threads_go_to_whole_simulations() {
     let (pools, _) = pools_spawned(|| e3::run(tiny));
     assert_eq!(pools, 1, "E3's 14 simulations are one grid");
 
-    let oltp = DemandTraffic::suite(WorkloadId::DbOltp);
-    let (pools, _) = pools_spawned(|| basic(oltp, 2));
-    assert_eq!(pools, 0, "demand ops keep every sweep batch inline");
-
-    // With no demand, the 8,192 slots of the horizon are one batch.
-    let (pools, split) = pools_spawned(|| basic(DemandTraffic::Idle, 2));
-    assert!(pools > 0, "a batch past the gate splits across banks");
+    // With no demand, the 8,193 slots from t = 0 to the horizon are one
+    // batch, and basic scrub probes in every one.
+    let (pools, report) = pools_spawned(idle_basic);
+    assert_eq!(pools, 0, "a simulation runs on the calling thread");
+    assert_eq!(report.stats.scrub_probes, 8193);
     scrub_exec::set_default_threads(0);
-    assert_eq!(split, basic(DemandTraffic::Idle, 1));
 }

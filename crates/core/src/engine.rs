@@ -1,34 +1,14 @@
 //! The scrub engine: drives a policy against a memory — one slot at a
-//! time, or whole batches of slots executed bank-parallel when the policy
-//! can commit to them in advance.
+//! time, or whole batches of slots the policy can commit to in advance.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use pcm_memsim::{LineAddr, Memory, SimTime, SweepPlan};
+use pcm_memsim::{AccessResult, LineAddr, Memory, SimTime};
 use scrub_checkpoint::{CheckpointError, Reader, Writer};
 use scrub_telemetry as tel;
 
 use crate::policy::{ScrubAction, ScrubContext, ScrubPolicy};
 use crate::tick;
-
-/// Upper bound on slots executed per batch, to keep the slot-time scratch
-/// vector bounded. Batch boundaries do not affect results (each slot's
-/// randomness is keyed to its line's bank stream), so the cap is purely a
-/// memory-footprint knob.
-const MAX_BATCH_SLOTS: usize = 1 << 16;
-
-/// Fewest slots a batch must hold before its sweep is split across
-/// threads; shorter batches sweep on the calling thread. Measured on a
-/// 2-vCPU VM: spawning a sweep's workers costs about 120–150 µs (52–66 s
-/// over the 429,604 pools of a two-thread quick E3 cut to a 1 h
-/// horizon), and a slot about 0.27 µs (`idle-basic-secded`: 3,145,729
-/// probes in 0.86 s). Two workers save half the slots' time, so a split
-/// only breaks even near 900–1,100 slots; at 4,096 it saves about
-/// 550 µs, over three spawns' worth. Demand traffic cuts batches at
-/// every op, so under load nearly all of them stay inline, while an idle
-/// memory's batches (up to [`MAX_BATCH_SLOTS`]) still split. The choice
-/// never changes a result.
-const MIN_PARALLEL_BATCH_SLOTS: usize = 4096;
 
 /// Test-only tripwire: when set, each batch leaves the slot clock one
 /// slot late — it skips a slot that slot-by-slot stepping executes. The
@@ -40,13 +20,6 @@ static SKEW_BATCH: AtomicBool = AtomicBool::new(false);
 #[doc(hidden)]
 pub fn set_skewed_batch_for_test(on: bool) {
     SKEW_BATCH.store(on, Ordering::Relaxed);
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Batches this thread has passed the split gate with more than one
-    /// thread, so a test can tell that its runs reach the parallel sweep.
-    pub(crate) static SPLIT_BATCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Engine-side counters (memory-side counters live in
@@ -96,8 +69,7 @@ pub struct ScrubEngine {
     next_slot_tick: u64,
     stats: EngineStats,
     /// The policy declined a batch plan, so it never batches: later slots
-    /// skip laying out the slot grid up to the next demand op, which
-    /// costs up to `MAX_BATCH_SLOTS` steps per slot.
+    /// skip counting the slot grid up to the next demand op.
     batches_declined: bool,
 }
 
@@ -166,38 +138,9 @@ impl ScrubEngine {
             self.policy.next_action(&ctx)
         };
         match action {
-            ScrubAction::Probe(addr) => {
-                self.stats.probe_slots += 1;
-                tel::counter_add(tel::Counter::EngineProbeSlots, 1);
-                let result = mem.scrub_probe(addr, now);
-                let wants = {
-                    let ctx = ScrubContext { now, mem };
-                    self.policy.wants_writeback(addr, &result, &ctx)
-                };
-                let forced = result.outcome.is_uncorrectable();
-                if forced {
-                    // Data restored from higher-level redundancy; the line
-                    // itself must be rewritten either way.
-                    self.stats.forced_writebacks += 1;
-                    tel::counter_add(tel::Counter::EngineForcedWritebacks, 1);
-                    mem.scrub_writeback(addr, now);
-                } else if wants {
-                    self.stats.policy_writebacks += 1;
-                    tel::counter_add(tel::Counter::EnginePolicyWritebacks, 1);
-                    mem.scrub_writeback(addr, now);
-                }
-                if tel::enabled() {
-                    tel::event(
-                        now.secs(),
-                        tel::EventKind::WritebackDecision {
-                            addr: addr.0,
-                            observed_bits: result.persistent_bits,
-                            fired: forced || wants,
-                            forced,
-                        },
-                    );
-                }
-            }
+            ScrubAction::Probe(addr) => self.probe_slot(mem, addr, now, |policy, result, mem| {
+                policy.wants_writeback(addr, result, &ScrubContext { now, mem })
+            }),
             ScrubAction::Idle => {
                 self.stats.idle_slots += 1;
                 tel::counter_add(tel::Counter::EngineIdleSlots, 1);
@@ -208,83 +151,104 @@ impl ScrubEngine {
 
     /// Executes every slot from [`ScrubEngine::next_slot`] up to `horizon`
     /// (and strictly before `demand_due`, which takes priority on ties) as
-    /// one bank-parallel batch, if the policy supports batch planning.
+    /// one batch, if the policy supports batch planning.
     ///
     /// Returns `false` — executing nothing — when the policy cannot batch;
     /// the caller falls back to [`ScrubEngine::step`]. When it returns
     /// `true`, the memory, the policy's cursor, and the engine counters are
     /// in exactly the state the equivalent sequence of `step` calls would
-    /// have produced, for any `threads` value. A batch of fewer than 4,096
-    /// slots (`MIN_PARALLEL_BATCH_SLOTS`) sweeps on the calling thread
-    /// whatever `threads` says.
+    /// have produced.
     pub fn step_batch(
         &mut self,
         mem: &mut Memory,
         horizon: SimTime,
         demand_due: Option<SimTime>,
-        threads: usize,
     ) -> bool {
-        let now = self.next_slot();
-        if self.batches_declined || now > horizon || demand_due.is_some_and(|d| now >= d) {
+        let start_tick = self.next_slot_tick;
+        let due = |tk: u64| {
+            let t = tick::time_from_ticks(tk);
+            t <= horizon && demand_due.is_none_or(|d| t < d)
+        };
+        if self.batches_declined || !due(start_tick) {
             return false;
         }
+        // Count the slots on the tick grid `step` walks before consulting
+        // the policy: plan_batch commits its cursor for exactly that many.
         let gap_ticks = self.gap_ticks;
-        // Slot times on the same tick grid slot-at-a-time stepping walks,
-        // so batch timestamps match `step` bit-for-bit.
-        let mut times: Vec<SimTime> = Vec::new();
-        let mut tk = self.next_slot_tick;
-        let mut t = now;
-        while t <= horizon && demand_due.is_none_or(|d| t < d) && times.len() < MAX_BATCH_SLOTS {
-            times.push(t);
-            tk += gap_ticks;
-            t = tick::time_from_ticks(tk);
+        let mut end_tick = start_tick;
+        let mut slots = 0;
+        while due(end_tick) {
+            slots += 1;
+            end_tick += gap_ticks;
         }
-        // Only consult the policy once the batch extent is known:
-        // plan_batch commits cursor state for exactly `times.len()` slots.
-        let Some(plan) = self.policy.plan_batch(times.len() as u64) else {
+        let Some(plan) = self.policy.plan_batch(slots) else {
             self.batches_declined = true;
             return false;
         };
-        let threads = if times.len() < MIN_PARALLEL_BATCH_SLOTS {
-            1
-        } else {
-            threads
-        };
-        #[cfg(test)]
-        if threads > 1 {
-            SPLIT_BATCHES.with(|n| n.set(n.get() + 1));
+        let rule = plan.rule;
+        let lines = mem.geometry().num_lines();
+        let mut line = plan.first.0;
+        let mut idle = 0;
+        for tk in (start_tick..end_tick).step_by(gap_ticks as usize) {
+            let now = tick::time_from_ticks(tk);
+            let addr = LineAddr(line);
+            // The age gate reads the line's write time and draws nothing,
+            // as the policy's `MinAge` gate does when stepping.
+            if mem.line(addr).age_at(now) < plan.min_age_s {
+                idle += 1;
+            } else {
+                self.probe_slot(mem, addr, now, |_, result, _| rule.fires(result));
+            }
+            line = if line + 1 == lines { 0 } else { line + 1 };
         }
-        let outcome = mem.scrub_sweep(
-            &SweepPlan {
-                first: plan.first,
-                times: &times,
-                min_age_s: plan.min_age_s,
-                rule: plan.rule,
-            },
-            threads,
-        );
-        self.stats.probe_slots += outcome.probe_slots;
-        self.stats.idle_slots += outcome.idle_slots;
-        self.stats.policy_writebacks += outcome.policy_writebacks;
-        self.stats.forced_writebacks += outcome.forced_writebacks;
-        if tel::enabled() {
-            tel::counter_add(tel::Counter::EngineProbeSlots, outcome.probe_slots);
-            tel::counter_add(tel::Counter::EngineIdleSlots, outcome.idle_slots);
-            tel::counter_add(
-                tel::Counter::EnginePolicyWritebacks,
-                outcome.policy_writebacks,
-            );
-            tel::counter_add(
-                tel::Counter::EngineForcedWritebacks,
-                outcome.forced_writebacks,
-            );
-        }
-        self.policy.on_batch_idle(outcome.idle_slots);
-        self.next_slot_tick = tk;
+        self.stats.idle_slots += idle;
+        tel::counter_add(tel::Counter::EngineIdleSlots, idle);
+        self.policy.on_batch_idle(idle);
+        self.next_slot_tick = end_tick;
         if SKEW_BATCH.load(Ordering::Relaxed) {
             self.next_slot_tick += gap_ticks;
         }
         true
+    }
+
+    /// Runs one probed slot: the probe, the write-back that an
+    /// uncorrectable result forces or `wants` chooses, the counters, and
+    /// the decision event. `wants` sees every result, forced or not, so
+    /// a policy observes each probe exactly once.
+    fn probe_slot(
+        &mut self,
+        mem: &mut Memory,
+        addr: LineAddr,
+        now: SimTime,
+        wants: impl FnOnce(&mut ScrubPolicy, &AccessResult, &Memory) -> bool,
+    ) {
+        self.stats.probe_slots += 1;
+        tel::counter_add(tel::Counter::EngineProbeSlots, 1);
+        let result = mem.scrub_probe(addr, now);
+        let wants = wants(&mut self.policy, &result, mem);
+        let forced = result.outcome.is_uncorrectable();
+        if forced {
+            // Data restored from higher-level redundancy; the line
+            // itself must be rewritten either way.
+            self.stats.forced_writebacks += 1;
+            tel::counter_add(tel::Counter::EngineForcedWritebacks, 1);
+            mem.scrub_writeback(addr, now);
+        } else if wants {
+            self.stats.policy_writebacks += 1;
+            tel::counter_add(tel::Counter::EnginePolicyWritebacks, 1);
+            mem.scrub_writeback(addr, now);
+        }
+        if tel::enabled() {
+            tel::event(
+                now.secs(),
+                tel::EventKind::WritebackDecision {
+                    addr: addr.0,
+                    observed_bits: result.persistent_bits,
+                    fired: forced || wants,
+                    forced,
+                },
+            );
+        }
     }
 
     /// Serializes the engine's mutable state: the policy's name (as an
@@ -333,7 +297,7 @@ impl ScrubEngine {
 mod tests {
     use super::*;
     use pcm_ecc::CodeSpec;
-    use pcm_memsim::MemGeometry;
+    use pcm_memsim::{LineState, MemGeometry};
     use pcm_model::DeviceConfig;
 
     fn mem(code: CodeSpec, lines: u32, seed: u64) -> Memory {
@@ -393,9 +357,25 @@ mod tests {
         );
     }
 
-    /// The determinism contract of the whole execution layer, at engine
-    /// granularity: a batch (at several thread counts) leaves memory,
-    /// policy, and counters bit-identical to slot-at-a-time stepping.
+    /// Steps every slot up to `horizon` one at a time.
+    fn step_to(engine: &mut ScrubEngine, mem: &mut Memory, horizon: SimTime) {
+        while engine.next_slot() <= horizon {
+            engine.step(mem);
+        }
+    }
+
+    /// Asserts that two memories hold the same counters, energy and lines.
+    fn assert_same_memory(a: &Memory, b: &Memory) {
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.energy(), b.energy());
+        for addr in a.geometry().iter_lines() {
+            assert_eq!(a.line(addr), b.line(addr), "line {addr}");
+        }
+    }
+
+    /// The determinism contract at engine granularity: a batch leaves
+    /// memory, policy, and counters bit-identical to slot-at-a-time
+    /// stepping.
     #[test]
     fn step_batch_matches_sequential_steps_exactly() {
         let policies = [
@@ -403,39 +383,53 @@ mod tests {
             ScrubPolicy::threshold(7200.0, 64, 4),
             ScrubPolicy::age_aware(7200.0, 64, 4, 1800.0),
         ];
-        // 5,121 slots at 112.5 s: with no demand one batch holds them
-        // all, enough to take the multi-thread sweep path.
+        // 5,121 slots at 112.5 s: with no demand one batch holds them all.
         let horizon = SimTime::from_secs(160.0 * 3600.0);
         for policy in &policies {
             let mut seq_mem = mem(CodeSpec::bch_line(6), 64, 90);
             let mut seq = ScrubEngine::new(policy.clone());
-            while seq.next_slot() <= horizon {
-                seq.step(&mut seq_mem);
-            }
-            let slots = seq.stats().probe_slots + seq.stats().idle_slots;
-            assert!(slots > MIN_PARALLEL_BATCH_SLOTS as u64, "{slots} slots");
-            for threads in [1usize, 8] {
-                let mut bat_mem = mem(CodeSpec::bch_line(6), 64, 90);
-                let mut bat = ScrubEngine::new(policy.clone());
-                let mut batches = 0;
-                while bat.next_slot() <= horizon {
-                    assert!(bat.step_batch(&mut bat_mem, horizon, None, threads));
-                    batches += 1;
-                }
-                assert_eq!(batches, 1, "threads={threads}");
-                assert_eq!(bat.stats(), seq.stats(), "threads={threads}");
-                assert_eq!(bat.next_slot(), seq.next_slot(), "threads={threads}");
-                assert_eq!(bat_mem.stats(), seq_mem.stats(), "threads={threads}");
-                assert_eq!(bat_mem.energy(), seq_mem.energy(), "threads={threads}");
-                for i in 0..64 {
-                    assert_eq!(
-                        bat_mem.line(LineAddr(i)),
-                        seq_mem.line(LineAddr(i)),
-                        "line {i} threads={threads}"
-                    );
-                }
-            }
+            step_to(&mut seq, &mut seq_mem, horizon);
+            let mut bat_mem = mem(CodeSpec::bch_line(6), 64, 90);
+            let mut bat = ScrubEngine::new(policy.clone());
+            assert!(bat.step_batch(&mut bat_mem, horizon, None));
+            assert!(bat.next_slot() > horizon, "one batch holds every slot");
+            assert_eq!(bat.stats(), seq.stats());
+            assert_eq!(bat.next_slot(), seq.next_slot());
+            assert_same_memory(&bat_mem, &seq_mem);
         }
+    }
+
+    /// A batch of an age-aware policy over freshly written lines idles
+    /// them and draws nothing for them: they keep the state their demand
+    /// write left, and the memory ends equal to stepping's.
+    #[test]
+    fn batch_age_filter_skips_young_lines_without_draws() {
+        // Slot k probes line k at 10k s. Each odd line is rewritten 5 s
+        // before its slot; the even lines below 60 are under 600 s old.
+        let policy = ScrubPolicy::age_aware(2560.0, 256, 2, 600.0);
+        let horizon = SimTime::from_secs(2550.0);
+        let odd = || (1..256u32).step_by(2).map(LineAddr);
+        let fresh = || {
+            let mut m = mem(CodeSpec::bch_line(6), 256, 92);
+            for addr in odd() {
+                m.demand_write(addr, SimTime::from_secs(10.0 * f64::from(addr.0) - 5.0));
+            }
+            m
+        };
+        let mut seq_mem = fresh();
+        let mut seq = ScrubEngine::new(policy.clone());
+        step_to(&mut seq, &mut seq_mem, horizon);
+        let mut bat_mem = fresh();
+        let written: Vec<LineState> = odd().map(|a| *bat_mem.line(a)).collect();
+        let mut bat = ScrubEngine::new(policy);
+        assert!(bat.step_batch(&mut bat_mem, horizon, None));
+        assert_eq!(bat.stats().idle_slots, 128 + 30);
+        assert_eq!(bat_mem.stats().scrub_probes, 98);
+        for (addr, state) in odd().zip(&written) {
+            assert_eq!(bat_mem.line(addr), state, "line {addr}");
+        }
+        assert_eq!(bat.stats(), seq.stats());
+        assert_same_memory(&bat_mem, &seq_mem);
     }
 
     #[test]
@@ -445,11 +439,11 @@ mod tests {
         // Slots at t = 0, 10, 20, ...; demand due exactly at t = 30 (a tie
         // goes to demand, so slot 30 must NOT run).
         let due = Some(SimTime::from_secs(30.0));
-        assert!(e.step_batch(&mut m, SimTime::from_secs(1000.0), due, 1));
+        assert!(e.step_batch(&mut m, SimTime::from_secs(1000.0), due));
         assert_eq!(e.stats().probe_slots, 3);
         assert_eq!(e.next_slot(), SimTime::from_secs(30.0));
         // With the demand due *at* next_slot, there is nothing to batch.
-        assert!(!e.step_batch(&mut m, SimTime::from_secs(1000.0), due, 1));
+        assert!(!e.step_batch(&mut m, SimTime::from_secs(1000.0), due));
     }
 
     #[test]

@@ -61,4 +61,5 @@ pub use policy::{BatchPlan, ScrubAction, ScrubContext, ScrubPolicy, SweepCursor}
 pub use profiled::{ProfileParams, RiskProfile};
 pub use report::SimReport;
 pub use sim::{DemandTraffic, SimConfig, SimConfigBuilder, Simulation};
+pub use threshold::SweepRule;
 pub use tour::{TokenBucket, TourBudget, TourCursor};

@@ -1,13 +1,13 @@
 //! The scrub policy: one type composed along the three axes of the
 //! Scrubbing TLA spec — see [`ScrubPolicy`].
 
-use pcm_memsim::{AccessResult, LineAddr, Memory, SimTime, SweepRule};
+use pcm_memsim::{AccessResult, LineAddr, Memory, SimTime};
 use scrub_checkpoint::{CheckpointError, Reader, Writer};
 
 use crate::adaptive::RegionScheduler;
 use crate::age_aware::AgeGate;
 use crate::profiled::{ProfileParams, RiskProfile};
-use crate::threshold::{fires, lazy};
+use crate::threshold::{fires, lazy, SweepRule};
 use crate::tour::{TokenBucket, TourBudget, TourCursor};
 
 /// Salt mixed into the run seed for the tour kind's per-bank origins.
@@ -29,9 +29,9 @@ pub struct ScrubContext<'a> {
 /// [`ScrubPolicy::plan_batch`]. Only a sweep without a token bucket can
 /// express itself this way: its slot decisions are *local* (fixed
 /// cadence, cursor order, per-line probe/write-back rules with no
-/// cross-line feedback), so the batch executes bank-parallel via
-/// [`Memory::scrub_sweep`] with results bit-identical to the
-/// slot-at-a-time path.
+/// cross-line feedback), so the engine runs the batch without asking the
+/// policy slot by slot, with results bit-identical to the slot-at-a-time
+/// path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchPlan {
     /// Line targeted by the first slot of the batch; subsequent slots
@@ -87,7 +87,7 @@ enum Gate {
 /// * the **gate** says whether the slot may probe now: always, only
 ///   lines at least `min_age_s` old, or only with a token from the bucket
 ///   shared with demand traffic ([`TokenBucket`]);
-/// * the **write-back rule** says what a detection triggers: memsim's
+/// * the **write-back rule** says what a detection triggers: a
 ///   [`SweepRule`], plus an unconditional write-back on uncorrectable
 ///   results.
 ///
@@ -549,8 +549,8 @@ impl ScrubPolicy {
     }
 
     /// Commits to the next `slots` slots as one batch, advancing the
-    /// sweep cursor past them, and describes the batch for parallel
-    /// execution. Only a sweep without a token bucket plans batches; the
+    /// sweep cursor past them, and describes the batch for the engine to
+    /// run. Only a sweep without a token bucket plans batches; the
     /// other kinds return `None` — on every call, so after one `None` the
     /// engine stops asking.
     pub fn plan_batch(&mut self, slots: u64) -> Option<BatchPlan> {

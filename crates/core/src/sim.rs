@@ -123,13 +123,6 @@ pub struct SimConfig {
     pub inband_writeback_theta: Option<u32>,
     /// How scrub probes check lines (full decode vs. CRC-first).
     pub probe_kind: ProbeKind,
-    /// Worker threads for bank-parallel scrub sweeps inside this
-    /// simulation. Only sweep batches of at least 4,096 slots split (the
-    /// engine's `MIN_PARALLEL_BATCH_SLOTS`); shorter ones, which include
-    /// nearly every batch under demand traffic, run inline. Results are
-    /// bit-identical for every value (randomness is keyed to banks, not
-    /// execution order); 1 runs fully inline.
-    pub threads: usize,
     /// Deterministic fault campaign layered on the stochastic fault
     /// engine ([`pcm_memsim::CampaignSpec`]), or `None` for the baseline.
     pub fault_campaign: Option<CampaignSpec>,
@@ -164,7 +157,6 @@ pub struct SimConfigBuilder {
     wear_leveling: Option<u32>,
     inband_writeback_theta: Option<u32>,
     probe_kind: ProbeKind,
-    threads: usize,
     fault_campaign: Option<CampaignSpec>,
     repair: Option<RepairConfig>,
     ue_recovery: Option<RecoveryConfig>,
@@ -184,7 +176,6 @@ impl Default for SimConfigBuilder {
             wear_leveling: None,
             inband_writeback_theta: None,
             probe_kind: ProbeKind::FullDecode,
-            threads: 1,
             fault_campaign: None,
             repair: None,
             ue_recovery: None,
@@ -259,11 +250,12 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the worker-thread count for bank-parallel scrub sweeps of at
-    /// least 4,096 slots (0 is treated as 1; see [`SimConfig::threads`]).
-    /// Any value produces bit-identical results.
-    pub fn threads(&mut self, n: usize) -> &mut Self {
-        self.threads = n.max(1);
+    /// Does nothing: a simulation runs on the thread that calls it. Kept
+    /// only because `scrub_perf/src/workload.rs` calls it, and that file
+    /// changes only with the benchmark; the next benchmark change drops
+    /// the call and this method.
+    #[doc(hidden)]
+    pub fn threads(&mut self, _n: usize) -> &mut Self {
         self
     }
 
@@ -313,7 +305,6 @@ impl SimConfigBuilder {
             wear_leveling: self.wear_leveling,
             inband_writeback_theta: self.inband_writeback_theta,
             probe_kind: self.probe_kind,
-            threads: self.threads,
             fault_campaign: self.fault_campaign,
             repair: self.repair,
             ue_recovery: self.ue_recovery,
@@ -405,10 +396,8 @@ impl Simulation {
     /// The event loop merges the demand-trace stream with scrub slots in
     /// timestamp order, so policies see a realistic interleaving of
     /// drift-clock resets and probes. Runs of scrub slots with no demand
-    /// op in between are executed as bank-parallel batches when the
-    /// policy supports batch planning — on `config.threads` workers once
-    /// a batch holds at least 4,096 slots, inline below that —
-    /// bit-identical to executing every slot through
+    /// op in between are executed as batches when the policy supports
+    /// batch planning, bit-identical to executing every slot through
     /// [`ScrubEngine::step`].
     pub fn run(self) -> SimReport {
         self.finish()
@@ -552,11 +541,10 @@ impl Simulation {
     ///
     /// The config must describe the *same run* as the one checkpointed:
     /// a fingerprint (seed, geometry, horizon, policy, code, traffic,
-    /// campaign, repair knobs — everything except `threads`, which only
-    /// shapes execution, never results) is embedded in the snapshot and
-    /// verified. Custom trace sources installed via
-    /// [`Simulation::with_trace`] cannot be rebuilt from config alone and
-    /// are rejected at checkpoint time, not here.
+    /// campaign, repair knobs) is embedded in the snapshot and verified.
+    /// Custom trace sources installed via [`Simulation::with_trace`]
+    /// cannot be rebuilt from config alone and are rejected at checkpoint
+    /// time, not here.
     ///
     /// # Errors
     ///
@@ -758,16 +746,15 @@ impl Simulation {
     }
 
     /// Executes the scrub slot at the engine's clock: the slots before the
-    /// next demand op run as one bank-parallel batch if the policy can
-    /// plan one, else this one slot steps.
+    /// next demand op run as one batch if the policy can plan one, else
+    /// this one slot steps.
     fn exec_scrub_slot(&mut self, stop: SimTime) {
         let demand_due = self.pending.map(|op| op.at);
         let engine = self
             .engine
             .as_mut()
             .expect("a due scrub slot implies an engine");
-        let threads = self.config.threads.max(1);
-        if !engine.step_batch(&mut self.memory, stop, demand_due, threads) {
+        if !engine.step_batch(&mut self.memory, stop, demand_due) {
             engine.step(&mut self.memory);
         }
     }
@@ -886,7 +873,6 @@ fn emit_campaign_marker(t: f64, label: &str) {
 /// Canonical encoding of everything in a [`SimConfig`] that determines the
 /// simulated trajectory. Embedded in snapshots and verified on resume so a
 /// snapshot cannot silently continue under a different run's configuration.
-/// `threads` is deliberately excluded: it shapes execution, never results.
 fn fingerprint(config: &SimConfig) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u64(config.seed);
@@ -1049,72 +1035,6 @@ mod tests {
         let r = Simulation::new(config).run();
         assert_eq!(r.stats.scrub_probes, 0);
         assert_eq!(r.stats.demand_reads, 0);
-    }
-
-    /// The execution-layer contract at full-simulation granularity: for
-    /// every batchable policy, under idle, sparse and dense demand
-    /// traffic, batched sweeps on 1 and 8 threads produce identical
-    /// reports — every counter, every energy total, every f64, bit for
-    /// bit. The idle runs split one batch that starts at line 0. Sparse
-    /// archive traffic (a few ops in 16 h, whose 49,152 slots fit under
-    /// the batch cap) must split at least two batches, so at least one
-    /// starts mid-sweep right after a demand op. Kv-cache ops cut every
-    /// batch below the split gate, so both of its runs sweep inline.
-    /// (That batches match slot-by-slot stepping is the reference loop's
-    /// job in `crates/bench/tests/engine_differential.rs`.)
-    #[test]
-    fn batched_runs_are_bit_identical_across_thread_counts() {
-        use crate::engine::SPLIT_BATCHES;
-        let policies = [
-            PolicyKind::Basic { interval_s: 1200.0 },
-            PolicyKind::Threshold {
-                interval_s: 1200.0,
-                theta: 4,
-            },
-            PolicyKind::AgeAware {
-                interval_s: 1200.0,
-                theta: 4,
-                min_age_s: 600.0,
-            },
-        ];
-        // (traffic, horizon in hours, fewest batches the 8-thread run splits)
-        let traffics = [
-            (DemandTraffic::Idle, 3.0, 1),
-            (
-                DemandTraffic::Suite {
-                    id: WorkloadId::Archive,
-                    rate_scale: 1.0 / 512.0,
-                },
-                16.0,
-                2,
-            ),
-            (DemandTraffic::suite(WorkloadId::KvCache), 3.0, 0),
-        ];
-        for policy in &policies {
-            for (traffic, hours, min_split) in &traffics {
-                let cfg = |threads: usize| {
-                    SimConfig::builder()
-                        .num_lines(1024)
-                        .policy(policy.clone())
-                        .code(CodeSpec::bch_line(6))
-                        .traffic(traffic.clone())
-                        .horizon_s(hours * 3600.0)
-                        .seed(33)
-                        .threads(threads)
-                        .build()
-                };
-                let serial = Simulation::new(cfg(1)).run();
-                let before = SPLIT_BATCHES.with(|n| n.get());
-                let parallel = Simulation::new(cfg(8)).run();
-                let split = SPLIT_BATCHES.with(|n| n.get()) - before;
-                assert_eq!(serial, parallel, "{policy:?}/{traffic:?}");
-                assert!(serial.stats.scrub_probes > 0);
-                assert!(
-                    split >= *min_split,
-                    "{policy:?}/{traffic:?}: {split} split batches"
-                );
-            }
-        }
     }
 
     #[test]

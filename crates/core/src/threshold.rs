@@ -1,4 +1,5 @@
-//! The write-back rule of the lazy-correction mechanisms.
+//! The write-back rules: the eager rule of DRAM-style scrub and the lazy
+//! rule of the lazy-correction mechanisms.
 //!
 //! A probe is a read plus a syndrome check (cheap); a write-back is an
 //! expensive, wear-inducing program. With a `t`-correcting code, errors
@@ -7,7 +8,33 @@
 //! rate by roughly the number of sweeps a line takes to accumulate θ
 //! errors.
 
-use pcm_memsim::{AccessResult, SweepRule};
+use pcm_ecc::ClassifyOutcome;
+use pcm_memsim::AccessResult;
+
+/// The write-back rule a probed line that was not uncorrectable follows.
+/// Uncorrectable lines are always written back (forced) before this rule
+/// is consulted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SweepRule {
+    /// Write back on any decoder activity (the Basic policy's rule).
+    AnyError,
+    /// Write back when persistent errors reach `theta` (lazy write-back).
+    Threshold {
+        /// Persistent-bit-error threshold.
+        theta: u32,
+    },
+}
+
+impl SweepRule {
+    /// Whether this rule requests a write-back for a probe result that was
+    /// not uncorrectable.
+    pub fn fires(&self, result: &AccessResult) -> bool {
+        match *self {
+            SweepRule::AnyError => !matches!(result.outcome, ClassifyOutcome::Clean),
+            SweepRule::Threshold { theta } => result.persistent_bits >= theta,
+        }
+    }
+}
 
 /// Lazy write-back at `theta` accumulated persistent errors.
 ///
@@ -30,7 +57,6 @@ pub(crate) fn fires(rule: SweepRule, result: &AccessResult) -> bool {
 mod tests {
     use super::*;
     use crate::ScrubPolicy;
-    use pcm_ecc::ClassifyOutcome;
 
     fn res(bits: u32, outcome: ClassifyOutcome) -> AccessResult {
         AccessResult {
@@ -38,6 +64,20 @@ mod tests {
             persistent_bits: bits,
             new_ue: false,
         }
+    }
+
+    #[test]
+    fn any_error_fires_on_corrected_not_clean() {
+        let r = SweepRule::AnyError;
+        assert!(!r.fires(&res(0, ClassifyOutcome::Clean)));
+        assert!(r.fires(&res(1, ClassifyOutcome::Corrected { bits: 1 })));
+    }
+
+    #[test]
+    fn threshold_fires_on_persistent_count() {
+        let r = SweepRule::Threshold { theta: 3 };
+        assert!(!r.fires(&res(2, ClassifyOutcome::Corrected { bits: 2 })));
+        assert!(r.fires(&res(3, ClassifyOutcome::Corrected { bits: 3 })));
     }
 
     #[test]

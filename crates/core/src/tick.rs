@@ -44,13 +44,32 @@ pub const MAX_TICK: u64 = 1 << 62;
 pub fn ticks_from_secs(s: f64) -> u64 {
     assert!(s.is_finite(), "time must be finite, got {s}");
     assert!(s >= 0.0, "time must be non-negative, got {s}");
+    checked_ticks_from_secs(s).unwrap_or_else(|| {
+        panic!(
+            "time {s} s overflows the tick clock (max ~{:.0} years)",
+            MAX_TICK as f64 / TICKS_PER_SEC / (365.25 * 86_400.0)
+        )
+    })
+}
+
+/// [`ticks_from_secs`] without the panic: `None` for a time the tick
+/// clock cannot hold (NaN, infinite, negative, or beyond [`MAX_TICK`]).
+/// Front ends check user-supplied horizons and slot gaps with it before
+/// they build a config.
+///
+/// # Examples
+///
+/// ```
+/// use scrub_core::tick;
+/// assert_eq!(tick::checked_ticks_from_secs(1.5), Some(1_500_000_000));
+/// assert_eq!(tick::checked_ticks_from_secs(1e12), None);
+/// assert_eq!(tick::checked_ticks_from_secs(f64::NAN), None);
+/// // A gap under half a nanosecond rounds to zero ticks.
+/// assert_eq!(tick::checked_ticks_from_secs(1e-300), Some(0));
+/// ```
+pub fn checked_ticks_from_secs(s: f64) -> Option<u64> {
     let t = (s * TICKS_PER_SEC).round();
-    assert!(
-        t <= MAX_TICK as f64,
-        "time {s} s overflows the tick clock (max ~{:.0} years)",
-        MAX_TICK as f64 / TICKS_PER_SEC / (365.25 * 86_400.0)
-    );
-    t as u64
+    (s >= 0.0 && t <= MAX_TICK as f64).then_some(t as u64)
 }
 
 /// Converts ticks back to seconds.

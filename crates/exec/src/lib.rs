@@ -2,9 +2,8 @@
 //!
 //! A minimal work-stealing job pool built on `std::thread::scope`, with no
 //! external dependencies. It exists to fan out *independent, deterministic*
-//! jobs — whole simulations in the bench harness, per-bank sweep shards
-//! inside one simulation, and the fleet's shard rounds — without changing
-//! any result bit.
+//! jobs — whole simulations in the bench harness's job grids and the
+//! fleet's shard rounds — without changing any result bit.
 //!
 //! One entry point, [`par_map`], maps a function over any exact-size
 //! iterator: owned items (a `Vec`, an index range) or disjoint `&mut`
@@ -157,8 +156,8 @@ impl PackedRange {
 }
 
 /// Runs `f(i)` exactly once for every `i in 0..n` across `threads`
-/// workers with work stealing. `threads <= 1` (or `n <= 1`) runs inline
-/// in index order without spawning.
+/// workers with work stealing. Always spawns; [`par_map`] runs the
+/// one-thread and one-item cases inline before it gets here.
 fn run_indices<F>(threads: usize, n: usize, f: F)
 where
     F: Fn(usize) + Sync,
@@ -167,26 +166,6 @@ where
     // mid-pool is not a supported use, and one load keeps the disabled
     // path down to a single branch.
     let tel_on = tel::enabled();
-    if threads <= 1 || n <= 1 {
-        for i in 0..n {
-            f(i);
-        }
-        if tel_on {
-            tel::counter_add(tel::Counter::ExecPools, 1);
-            tel::counter_add(tel::Counter::ExecTasks, n as u64);
-            tel::gauge_max(tel::Gauge::ExecJobsHighWater, n as u64);
-            tel::gauge_max(tel::Gauge::ExecWorkersHighWater, 1);
-            tel::event(
-                0.0,
-                tel::EventKind::ExecWorker {
-                    worker: 0,
-                    tasks: n as u64,
-                    steals: 0,
-                },
-            );
-        }
-        return;
-    }
     assert!(n <= u32::MAX as usize, "job count exceeds u32 index space");
     let workers = threads.min(n);
     if tel_on {
@@ -310,7 +289,7 @@ mod tests {
 
     #[test]
     fn run_indices_visits_each_exactly_once() {
-        for threads in [1, 2, 4, 8] {
+        for threads in [2, 4, 8] {
             let n = 1000;
             let counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
             run_indices(threads, n, |i| {
@@ -360,7 +339,7 @@ mod tests {
         thread_local! {
             static HITS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
         }
-        run_indices(1, 10, |_| HITS.with(|h| h.set(h.get() + 1)));
+        par_map(1, 0..10, |_, _| HITS.with(|h| h.set(h.get() + 1)));
         assert_eq!(HITS.with(|h| h.get()), 10);
     }
 

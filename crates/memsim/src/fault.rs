@@ -38,7 +38,7 @@ use crate::time::SimTime;
 pub struct FaultEngine {
     /// Shared, immutable drift LUTs — one set per distinct device config
     /// process-wide (see [`DeviceConfig::drift_model_shared`]), safely
-    /// referenced from every bank worker during parallel sweeps.
+    /// referenced from every simulation a job grid runs at once.
     model: Arc<DriftModel>,
     endurance: EnduranceSpec,
     cells_per_line: u32,
@@ -63,7 +63,7 @@ pub struct FaultEngine {
 /// The uniform occupancy distribution over `levels` levels, built on first
 /// use and shared by every engine with that level count process-wide, the
 /// way [`DeviceConfig::drift_model_shared`] shares drift tables. Its
-/// tables fill in behind `OnceLock`s, so bank-parallel sweeps share it
+/// tables fill in behind `OnceLock`s, so concurrent simulations share it
 /// safely.
 fn shared_occupancy(levels: usize) -> &'static PrecomputedMultinomial {
     static DISTS: [OnceLock<PrecomputedMultinomial>; MAX_LEVELS + 1] =

@@ -13,14 +13,12 @@
 //!   algorithms");
 //! * [`TimingModel`]/[`BandwidthTracker`] — channel-utilization bookkeeping
 //!   behind the performance-overhead experiment;
-//! * [`TraceSource`] — the workload interface;
-//! * [`SweepPlan`]/[`Memory::scrub_sweep`] — bank-parallel execution of a
-//!   batch of scrub slots, bit-identical to the one-at-a-time path.
+//! * [`TraceSource`] — the workload interface.
 //!
 //! The memory owns its randomness: construction takes a seed, and each
-//! bank shard runs an independent RNG stream derived from it, which is
-//! what makes the parallel sweep deterministic (see the [`memory`] module
-//! docs).
+//! bank shard runs an independent RNG stream derived from it, so results
+//! do not depend on the order in which banks are touched (see the
+//! [`memory`] module docs).
 //!
 //! # Quick start
 //!
@@ -48,7 +46,6 @@ mod line;
 pub mod memory;
 mod repair;
 mod stats;
-mod sweep;
 mod time;
 mod timing;
 mod trace;
@@ -62,7 +59,6 @@ pub use line::{LineState, MAX_LEVELS};
 pub use memory::{splitmix64, AccessResult, Memory, ProbeKind};
 pub use repair::{RecoveryConfig, RepairConfig};
 pub use stats::MemStats;
-pub use sweep::{SweepOutcome, SweepPlan, SweepRule};
 pub use time::SimTime;
 pub use timing::{BandwidthTracker, TimingModel};
 pub use trace::{MemOp, OpKind, TraceSource};

@@ -1,17 +1,18 @@
 //! The simulated main memory: bank-sharded line array + fault engine +
 //! ECC + ledgers.
 //!
-//! # Randomness ownership and deterministic parallelism
+//! # Randomness ownership
 //!
 //! The memory owns its randomness: each bank shard carries an independent
 //! `StdRng` stream derived (SplitMix-style) from `(master seed, bank)`,
 //! and every stochastic draw an operation makes comes from the stream of
 //! the bank the target line lives in. Because draws are keyed to the bank
-//! rather than to global execution order, a full scrub sweep can execute
-//! its banks *in parallel* — or sequentially, or in any order — and
-//! produce bit-identical results. Counters and energy ledgers are likewise
-//! kept per bank and merged in fixed bank order at read time, so even
-//! floating-point accumulation is order-stable across thread counts.
+//! rather than to global execution order, a line's outcome depends only
+//! on the operations its own bank has seen: the scrub engine's batched
+//! sweeps and slot-by-slot stepping produce bit-identical results.
+//! Counters and energy ledgers are likewise kept per bank and merged in
+//! fixed bank order at read time, so floating-point accumulation is
+//! order-stable too.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -33,7 +34,6 @@ use crate::inject::{CampaignSpec, Injector};
 use crate::line::LineState;
 use crate::repair::{RecoveryConfig, RepairConfig, RepairState};
 use crate::stats::MemStats;
-use crate::sweep::{SweepOutcome, SweepPlan};
 use crate::time::SimTime;
 use crate::timing::{BandwidthTracker, TimingModel};
 use crate::wear_level::StartGap;
@@ -83,8 +83,7 @@ fn bank_stream_seed(master: u64, bank: u32) -> u64 {
 
 /// One bank's partition of the memory: its lines (addresses congruent to
 /// the bank index modulo the bank count), its RNG stream, and its slice of
-/// every ledger. Shards are fully independent, which is what makes
-/// bank-parallel sweeps deterministic.
+/// every ledger. Shards are fully independent of one another.
 #[derive(Debug, Clone)]
 struct BankShard {
     lines: Vec<LineState>,
@@ -303,7 +302,7 @@ impl OpCtx<'_> {
         } else if repair.spare_available() {
             // Stage 2: retire the line into the bank's spare pool. The
             // spare is a fresh line drawn from the bank's own RNG stream
-            // (deterministic at any thread count); the remap table points
+            // (independent of other banks); the remap table points
             // the address at it from now on.
             repair.spares_used += 1;
             let fresh = self.engine.fresh_line(now, &mut shard.rng);
@@ -465,7 +464,7 @@ impl OpCtx<'_> {
 /// energy/timing/statistics ledgers. Storage is sharded by bank (low-order
 /// address interleaving), each shard owning an independent RNG stream
 /// derived from the construction seed — see the module docs for why this
-/// makes scrub sweeps bank-parallelizable without losing determinism.
+/// makes results independent of the order in which banks are touched.
 ///
 /// # Examples
 ///
@@ -535,9 +534,9 @@ impl Memory {
 
     /// Attaches a deterministic fault campaign. Stuck-at clusters are
     /// injected into their target lines immediately (from the campaign's
-    /// own RNG, in address order — independent of bank streams and thread
-    /// count); SEUs, intermittent cells, and bursts manifest at decode
-    /// time as pure functions of the line's write epoch.
+    /// own RNG, in address order — independent of bank streams); SEUs,
+    /// intermittent cells, and bursts manifest at decode time as pure
+    /// functions of the line's write epoch.
     pub fn attach_campaign(&mut self, spec: &CampaignSpec) {
         let injector = Injector::new(spec, self.geom.num_lines());
         // The campaign's physical cell placement draws from its own
@@ -1129,95 +1128,11 @@ impl Memory {
         let (ctx, shards) = self.parts();
         ctx.scrub_writeback(&mut shards[bank], slot, addr.0, now);
     }
-
-    /// Executes a planned run of consecutive scrub slots as one
-    /// bank-parallel sweep segment (see [`SweepPlan`]).
-    ///
-    /// Slot `k` targets line `(plan.first + k) mod num_lines` at
-    /// `plan.times[k]`. Slots are partitioned by bank; each bank worker
-    /// processes its slots in slot order using the bank's own RNG stream,
-    /// so the result is bit-identical for every `threads` value —
-    /// including 1, which runs inline — and identical to issuing the same
-    /// probes one at a time through [`Memory::scrub_probe`] /
-    /// [`Memory::scrub_writeback`] with the engine's per-slot rules.
-    pub fn scrub_sweep(&mut self, plan: &SweepPlan<'_>, threads: usize) -> SweepOutcome {
-        let num_lines = self.geom.num_lines();
-        let banks = self.geom.banks() as usize;
-        // Partition slot indices by target bank, preserving slot order.
-        let mut by_bank: Vec<Vec<u32>> = vec![Vec::new(); banks];
-        for k in 0..plan.times.len() {
-            let addr = (plan.first.0 as u64 + k as u64) % num_lines as u64;
-            by_bank[(addr % banks as u64) as usize].push(k as u32);
-        }
-        let ctx = OpCtx {
-            engine: &self.engine,
-            code: &self.code,
-            device: &self.device,
-            timing: &self.timing,
-            mlc: self.mlc,
-            probe_kind: self.probe_kind,
-            injector: self.injector.as_deref(),
-            recovery: self.recovery,
-        };
-        let first = plan.first.0 as u64;
-        let times = plan.times;
-        let min_age_s = plan.min_age_s;
-        let rule = plan.rule;
-        // One decision event per probe, as slot-by-slot stepping emits.
-        let decisions = tel::enabled();
-        let jobs = self.shards.iter_mut().zip(by_bank);
-        let outcomes = scrub_exec::par_map(threads, jobs, |_, (shard, slots)| {
-            let mut out = SweepOutcome::default();
-            for &k in &slots {
-                let now = times[k as usize];
-                let addr = (first + k as u64) % num_lines as u64;
-                let slot = (addr / banks as u64) as usize;
-                // Age filter first: a skipped slot draws no randomness,
-                // exactly like the sequential policy returning Idle.
-                if shard.lines[shard.resolve(slot)].age_at(now) < min_age_s {
-                    out.idle_slots += 1;
-                    continue;
-                }
-                out.probe_slots += 1;
-                let result = ctx.scrub_probe(shard, slot, addr as u32, now);
-                let forced = result.outcome.is_uncorrectable();
-                let fired = forced || rule.fires(&result);
-                if forced {
-                    // Data restored from higher-level redundancy; the line
-                    // itself must be rewritten either way.
-                    out.forced_writebacks += 1;
-                    ctx.scrub_writeback(shard, slot, addr as u32, now);
-                } else if fired {
-                    out.policy_writebacks += 1;
-                    ctx.scrub_writeback(shard, slot, addr as u32, now);
-                }
-                if decisions {
-                    tel::event(
-                        now.secs(),
-                        tel::EventKind::WritebackDecision {
-                            addr: addr as u32,
-                            observed_bits: result.persistent_bits,
-                            fired,
-                            forced,
-                        },
-                    );
-                }
-            }
-            out
-        });
-        // Merge outcomes in fixed bank order.
-        let mut total = SweepOutcome::default();
-        for out in &outcomes {
-            total.absorb(out);
-        }
-        total
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::SweepRule;
 
     fn mem(code: CodeSpec) -> Memory {
         Memory::new(MemGeometry::new(256, 4), DeviceConfig::default(), code, 61)
@@ -1421,65 +1336,6 @@ mod tests {
         let r0_rev = rev.scrub_probe(LineAddr(0), day);
         assert_eq!(r0_fwd, r0_rev);
         assert_eq!(r1_fwd, r1_rev);
-    }
-
-    #[test]
-    fn sweep_matches_single_probe_path_at_any_thread_count() {
-        let day = SimTime::from_secs(86_400.0);
-        let times: Vec<SimTime> = (0..256).map(|k| day + k as f64).collect();
-        // Reference: one probe at a time through the public ops, applying
-        // the same threshold rule by hand.
-        let mut reference = mem(CodeSpec::bch_line(6));
-        let mut ref_out = SweepOutcome::default();
-        for k in 0..256u32 {
-            let now = times[k as usize];
-            let r = reference.scrub_probe(LineAddr(k), now);
-            ref_out.probe_slots += 1;
-            if r.outcome.is_uncorrectable() {
-                ref_out.forced_writebacks += 1;
-                reference.scrub_writeback(LineAddr(k), now);
-            } else if r.persistent_bits >= 3 {
-                ref_out.policy_writebacks += 1;
-                reference.scrub_writeback(LineAddr(k), now);
-            }
-        }
-        for threads in [1, 4] {
-            let mut m = mem(CodeSpec::bch_line(6));
-            let plan = SweepPlan {
-                first: LineAddr(0),
-                times: &times,
-                min_age_s: 0.0,
-                rule: SweepRule::Threshold { theta: 3 },
-            };
-            let out = m.scrub_sweep(&plan, threads);
-            assert_eq!(out, ref_out, "threads={threads}");
-            assert_eq!(m.stats(), reference.stats(), "threads={threads}");
-            assert_eq!(m.energy(), reference.energy(), "threads={threads}");
-            for i in 0..256 {
-                assert_eq!(m.line(LineAddr(i)), reference.line(LineAddr(i)));
-            }
-        }
-    }
-
-    #[test]
-    fn sweep_age_filter_skips_young_lines_without_draws() {
-        let now = SimTime::from_secs(1000.0);
-        let mut m = mem(CodeSpec::bch_line(6));
-        // Refresh half the lines just before the sweep.
-        for i in 0..128u32 {
-            m.demand_write(LineAddr(i), SimTime::from_secs(999.0));
-        }
-        let times: Vec<SimTime> = (0..256).map(|k| now + k as f64 * 0.01).collect();
-        let plan = SweepPlan {
-            first: LineAddr(0),
-            times: &times,
-            min_age_s: 600.0,
-            rule: SweepRule::Threshold { theta: 2 },
-        };
-        let out = m.scrub_sweep(&plan, 2);
-        assert_eq!(out.idle_slots, 128);
-        assert_eq!(out.probe_slots, 128);
-        assert_eq!(m.stats().scrub_probes, 128);
     }
 
     fn checkpointable_mem(spec: &CampaignSpec) -> Memory {

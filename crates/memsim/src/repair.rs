@@ -17,9 +17,9 @@
 //!    the first one recorded), modelling the end of the device's
 //!    serviceable life.
 //!
-//! All state lives per bank shard, so repair decisions made during
-//! bank-parallel sweeps stay deterministic: they depend only on the bank's
-//! own line states and RNG stream.
+//! All state lives per bank shard, so repair decisions stay independent
+//! of the order in which banks are touched: they depend only on the
+//! bank's own line states and RNG stream.
 
 use std::collections::HashMap;
 

@@ -1,60 +1,15 @@
 //! End-to-end tests of fault-injection campaigns and the repair hierarchy:
-//! determinism across thread counts, fault visibility in probe results,
-//! ECP sparing → line retirement → bank-degraded escalation, and the
-//! shifted-threshold UE recovery retry.
+//! fault visibility in probe results, ECP sparing → line retirement →
+//! bank-degraded escalation, and the shifted-threshold UE recovery retry.
 
 use pcm_ecc::CodeSpec;
 use pcm_memsim::{
-    CampaignSpec, LineAddr, MemGeometry, Memory, RecoveryConfig, RepairConfig, SimTime, SweepPlan,
-    SweepRule,
+    CampaignSpec, LineAddr, MemGeometry, Memory, RecoveryConfig, RepairConfig, SimTime,
 };
 use pcm_model::{DeviceConfig, EnduranceSpec};
 
 fn campaign(spec: &str) -> CampaignSpec {
     spec.parse().expect("valid campaign spec")
-}
-
-#[test]
-fn fixed_campaign_sweep_is_byte_identical_across_thread_counts() {
-    let day = SimTime::from_secs(86_400.0);
-    let times: Vec<SimTime> = (0..256).map(|k| day + k as f64).collect();
-    let build = || {
-        let mut m = Memory::new(
-            MemGeometry::new(256, 4),
-            DeviceConfig::default(),
-            CodeSpec::bch_line(4),
-            7,
-        );
-        m.attach_campaign(&campaign(
-            "seed=9;stuck=lines:32,cells:2;seu=lines:64,count:3,window:90000;\
-             intermittent=lines:16,cells:1,period:7200;burst=lines:8,bits:6,at:43200",
-        ));
-        m.enable_repair(RepairConfig::default());
-        m.enable_ue_recovery(RecoveryConfig { recover_prob: 0.5 });
-        m
-    };
-    let mut reference = build();
-    let plan = SweepPlan {
-        first: LineAddr(0),
-        times: &times,
-        min_age_s: 0.0,
-        rule: SweepRule::Threshold { theta: 3 },
-    };
-    let ref_out = reference.scrub_sweep(&plan, 1);
-    for threads in [2, 8] {
-        let mut m = build();
-        let out = m.scrub_sweep(&plan, threads);
-        assert_eq!(out, ref_out, "threads={threads}");
-        assert_eq!(m.stats(), reference.stats(), "threads={threads}");
-        assert_eq!(m.energy(), reference.energy(), "threads={threads}");
-        for i in 0..256 {
-            assert_eq!(
-                m.line(LineAddr(i)),
-                reference.line(LineAddr(i)),
-                "threads={threads} line={i}"
-            );
-        }
-    }
 }
 
 #[test]

@@ -90,8 +90,8 @@ impl FleetConfig {
 
     /// The [`SimConfig`] shard `shard` runs. Each shard carries the full
     /// tenant mix at `1/shards` rate, so fleet-aggregate demand matches
-    /// the spec; shards parallelize across the pool, so each simulation
-    /// runs its own sweeps inline (`threads = 1`).
+    /// the spec; shards parallelize across the pool, one simulation per
+    /// worker.
     pub fn shard_config(&self, shard: u32) -> SimConfig {
         let mut b = SimConfig::builder();
         b.num_lines(self.shard_lines())
@@ -102,8 +102,7 @@ impl FleetConfig {
                 rate_scale: 1.0 / self.shards as f64,
             })
             .horizon_s(self.horizon_s)
-            .seed(self.shard_seed(shard))
-            .threads(1);
+            .seed(self.shard_seed(shard));
         b.build()
     }
 

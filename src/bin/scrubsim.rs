@@ -3,7 +3,7 @@
 //! ```bash
 //! scrubsim [--lines N] [--code secded|bch-T] [--policy NAME] \
 //!          [--workload NAME|idle] [--hours H] [--interval SECS] [--seed S] \
-//!          [--threads N] [--fault-campaign SPEC] \
+//!          [--fault-campaign SPEC] \
 //!          [--resume SNAP] [--checkpoint-out SNAP --checkpoint-every SECS] \
 //!          [--bench-out JSON]
 //! ```
@@ -23,6 +23,7 @@
 //! continuous run's.
 
 use pcm_memsim::CampaignSpec;
+use scrub_core::tick;
 use scrubsim::prelude::*;
 
 struct Args {
@@ -33,9 +34,6 @@ struct Args {
     hours: f64,
     interval_s: f64,
     seed: u64,
-    /// Bank-sweep workers; 0 = auto ($SCRUBSIM_THREADS or all cores).
-    /// Results are bit-identical for every value.
-    threads: usize,
     campaign: Option<CampaignSpec>,
     resume: Option<String>,
     checkpoint_out: Option<String>,
@@ -63,8 +61,6 @@ fn usage() -> ! {
     eprintln!(
         "usage: scrubsim [--lines N] [--code secded|bch-1..bch-16|rs:N,K] [--policy NAME]\n\
          \x20               [--workload NAME|idle] [--hours H] [--interval SECS] [--seed S]\n\
-         \x20               [--threads N]   (default: $SCRUBSIM_THREADS or all cores;\n\
-         \x20                                results are identical for every N)\n\
          \x20               [--fault-campaign SPEC]  deterministic fault campaign, e.g.\n\
          \x20                                'seed=1;stuck=lines:8,cells:6'\n\
          \x20               [--resume SNAP]          continue from a snapshot file\n\
@@ -136,7 +132,6 @@ fn parse_args() -> Args {
         hours: 24.0,
         interval_s: 900.0,
         seed: 0,
-        threads: 0,
         campaign: None,
         resume: None,
         checkpoint_out: None,
@@ -190,6 +185,11 @@ fn parse_args() -> Args {
             "--hours" => {
                 let raw = value();
                 args.hours = parse_positive_f64("--hours", &raw);
+                if tick::checked_ticks_from_secs(args.hours * 3600.0).is_none() {
+                    fail(&format!(
+                        "--hours must fit the simulation clock (~146 years), got {raw:?}"
+                    ));
+                }
             }
             "--interval" => {
                 let raw = value();
@@ -200,15 +200,6 @@ fn parse_args() -> Args {
                 args.seed = raw
                     .parse()
                     .unwrap_or_else(|_| fail(&format!("--seed must be a u64, got {raw:?}")));
-            }
-            "--threads" => {
-                let raw = value();
-                match raw.parse::<usize>() {
-                    Ok(n) if n > 0 => args.threads = n,
-                    _ => fail(&format!(
-                        "--threads must be a positive integer, got {raw:?}"
-                    )),
-                }
             }
             "--fault-campaign" => {
                 let raw = value();
@@ -285,16 +276,21 @@ fn parse_args() -> Args {
     if args.checkpoint_out.is_some() != args.checkpoint_every_s.is_some() {
         fail("--checkpoint-out and --checkpoint-every must be given together");
     }
+    // The slot clock counts whole nanoseconds up to ~146 years, so a slot
+    // gap under half a nanosecond rounds to nothing.
+    let gap_s = args.interval_s / f64::from(args.lines);
+    if matches!(tick::checked_ticks_from_secs(gap_s), None | Some(0)) {
+        fail(&format!(
+            "--interval {:e} s over {} lines gives a {gap_s:e} s slot gap; \
+             the simulation clock holds 1 ns to ~146 years",
+            args.interval_s, args.lines
+        ));
+    }
     args
 }
 
 fn main() {
     let args = parse_args();
-    // Validate the environment up front: a malformed SCRUBSIM_THREADS
-    // fails loudly here instead of being silently ignored mid-run.
-    if let Err(e) = scrub_exec::env_threads() {
-        fail(&e);
-    }
     let theta = args.code.guaranteed_t().saturating_sub(2).max(1);
     let policy = match args.policy_name.as_str() {
         "none" => PolicyKind::None,
@@ -366,11 +362,6 @@ fn main() {
         Some(id) => DemandTraffic::suite(id),
         None => DemandTraffic::Idle,
     };
-    let threads = if args.threads > 0 {
-        args.threads
-    } else {
-        scrub_exec::default_threads()
-    };
     let mut builder = SimConfig::builder();
     builder
         .num_lines(args.lines)
@@ -378,8 +369,7 @@ fn main() {
         .policy(policy)
         .traffic(traffic)
         .horizon_s(args.hours * 3600.0)
-        .seed(args.seed)
-        .threads(threads);
+        .seed(args.seed);
     if let Some(spec) = args.campaign {
         builder.fault_campaign(spec);
     }

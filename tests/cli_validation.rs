@@ -1,4 +1,5 @@
-//! Negative-path coverage for the tour/budget CLI flags and removed flags.
+//! Negative-path coverage for the tour/budget CLI flags, the simulation
+//! clock's bounds, and removed flags.
 //!
 //! Every malformed invocation must die with exit code 2 and a one-line
 //! stderr naming the offending flag — the same contract the campaign and
@@ -54,6 +55,38 @@ fn removed_engine_flag_is_rejected() {
     );
     assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: scrubsim"));
     assert!(out.stdout.is_empty(), "must not start simulating");
+}
+
+/// A simulation runs on one thread, so `--threads` is an unknown flag:
+/// the usage text and exit 2, before any simulation starts.
+#[test]
+fn removed_threads_flag_is_rejected() {
+    let out = scrubsim(&["--threads", "2"]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: scrubsim"));
+    assert!(out.stdout.is_empty(), "must not start simulating");
+}
+
+/// The slot clock counts whole nanoseconds up to ~146 years. A horizon
+/// past that, or a slot gap (`--interval` / `--lines`) outside 1 ns to
+/// that bound, is a one-line error instead of a panic or a run that
+/// never ends.
+#[test]
+fn horizons_and_slot_gaps_past_the_clock_are_rejected() {
+    let base = ["--lines", "64", "--workload", "idle", "--policy", "basic"];
+    for (extra, flag) in [
+        (["--hours", "1e7"], "--hours"),
+        (["--hours", "1e308"], "--hours"),
+        (["--interval", "1e12"], "--interval"),
+        (["--interval", "1e-300"], "--interval"),
+    ] {
+        assert_rejected(&[&base[..], &extra[..]].concat(), flag);
+    }
 }
 
 #[test]
@@ -208,8 +241,6 @@ fn valid_profiled_rs_invocation_runs() {
         "2",
         "--workload",
         "idle",
-        "--threads",
-        "1",
     ]);
     assert!(
         out.status.success(),
@@ -243,8 +274,6 @@ fn valid_tour_invocation_runs() {
         "4",
         "--workload",
         "idle",
-        "--threads",
-        "1",
     ]);
     assert!(
         out.status.success(),
@@ -268,13 +297,7 @@ fn small_memories_run_under_the_default_and_tour_policies() {
         &["--lines", "1000"][..],
         &["--lines", "4", "--policy", "tour"][..],
     ] {
-        let out = scrubsim(
-            &[
-                args,
-                &["--hours", "1", "--workload", "idle", "--threads", "1"],
-            ]
-            .concat(),
-        );
+        let out = scrubsim(&[args, &["--hours", "1", "--workload", "idle"]].concat());
         assert!(
             out.status.success(),
             "{args:?} failed: {}",
