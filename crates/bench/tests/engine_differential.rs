@@ -1,15 +1,15 @@
 //! The simulation loop against a slot-by-slot reference.
 //!
 //! `Simulation::run` takes one shortcut through the scrub-slot grid:
-//! batched sweeps (`ScrubPolicy::plan_batch` commits the slots before the
-//! next demand op, and `ScrubEngine::step_batch` runs them without asking
-//! the policy slot by slot). The [`reference`] loop does not: it merges
-//! the demand trace with the slot grid and executes every slot through
-//! `ScrubEngine::step`, using public calls only. For every mechanism,
-//! under an active fault campaign, with demand traffic and without, the
-//! run must match the reference exactly — report, telemetry counters, and
-//! the multiset of write-back decision events — and split runs must match
-//! the straight run.
+//! batched sweeps (`ScrubPolicy::plan_batch` describes the sweep ahead,
+//! and `ScrubEngine::step_batch` runs its slots up to the next demand op
+//! without asking the policy slot by slot). The [`reference`] loop does
+//! not: it merges the demand trace with the slot grid and executes every
+//! slot through `ScrubEngine::step`, using public calls only. For every
+//! mechanism, under an active fault campaign, with demand traffic and
+//! without, the run must match the reference exactly — report, telemetry
+//! counters, and the multiset of write-back decision events — and split
+//! runs must match the straight run.
 //!
 //! A batch runs its slots in slot order, so its decisions arrive in the
 //! order stepping emits them. Events are still compared as sorted
@@ -247,8 +247,9 @@ fn simulation_matches_the_slot_by_slot_reference() {
     set_skewed_batch_for_test(false);
     assert_ne!(
         skewed, expected,
-        "a skewed batch still matched the reference — the harness cannot \
-         detect an incorrect batch"
+        "a skewed batch still matched the reference: either the harness \
+         cannot detect an incorrect batch, or the basic/kv-cache case above \
+         never took the batch path"
     );
     // With the skew cleared the run matches again, pinning the divergence
     // on the skew rather than on ambient state.

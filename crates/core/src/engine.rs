@@ -164,33 +164,24 @@ impl ScrubEngine {
         horizon: SimTime,
         demand_due: Option<SimTime>,
     ) -> bool {
-        let start_tick = self.next_slot_tick;
-        let due = |tk: u64| {
-            let t = tick::time_from_ticks(tk);
-            t <= horizon && demand_due.is_none_or(|d| t < d)
-        };
-        if self.batches_declined || !due(start_tick) {
+        let due = |t: SimTime| t <= horizon && demand_due.is_none_or(|d| t < d);
+        if self.batches_declined || !due(self.next_slot()) {
             return false;
         }
-        // Count the slots on the tick grid `step` walks before consulting
-        // the policy: plan_batch commits its cursor for exactly that many.
-        let gap_ticks = self.gap_ticks;
-        let mut end_tick = start_tick;
-        let mut slots = 0;
-        while due(end_tick) {
-            slots += 1;
-            end_tick += gap_ticks;
-        }
-        let Some(plan) = self.policy.plan_batch(slots) else {
+        let Some(plan) = self.policy.plan_batch() else {
             self.batches_declined = true;
             return false;
         };
         let rule = plan.rule;
         let lines = mem.geometry().num_lines();
         let mut line = plan.first.0;
-        let mut idle = 0;
-        for tk in (start_tick..end_tick).step_by(gap_ticks as usize) {
-            let now = tick::time_from_ticks(tk);
+        let (mut slots, mut idle) = (0, 0);
+        // The slots on the tick grid `step` walks, while they stay due.
+        loop {
+            let now = self.next_slot();
+            if !due(now) {
+                break;
+            }
             let addr = LineAddr(line);
             // The age gate reads the line's write time and draws nothing,
             // as the policy's `MinAge` gate does when stepping.
@@ -200,13 +191,14 @@ impl ScrubEngine {
                 self.probe_slot(mem, addr, now, |_, result, _| rule.fires(result));
             }
             line = if line + 1 == lines { 0 } else { line + 1 };
+            slots += 1;
+            self.next_slot_tick += self.gap_ticks;
         }
         self.stats.idle_slots += idle;
         tel::counter_add(tel::Counter::EngineIdleSlots, idle);
-        self.policy.on_batch_idle(idle);
-        self.next_slot_tick = end_tick;
+        self.policy.end_batch(slots, idle);
         if SKEW_BATCH.load(Ordering::Relaxed) {
-            self.next_slot_tick += gap_ticks;
+            self.next_slot_tick += self.gap_ticks;
         }
         true
     }

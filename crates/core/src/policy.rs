@@ -125,7 +125,7 @@ enum Gate {
 /// assert_eq!(p.name(), "combined");
 /// assert_eq!(p.slot_gap_s(), 900.0 / 4096.0);
 /// // Region feedback crosses lines, so it never batches.
-/// assert!(p.plan_batch(16).is_none());
+/// assert!(p.plan_batch().is_none());
 /// ```
 #[derive(Debug, Clone)]
 pub struct ScrubPolicy {
@@ -548,13 +548,13 @@ impl ScrubPolicy {
         }
     }
 
-    /// Commits to the next `slots` slots as one batch, advancing the
-    /// sweep cursor past them, and describes the batch for the engine to
-    /// run. Only a sweep without a token bucket plans batches; the
-    /// other kinds return `None` — on every call, so after one `None` the
-    /// engine stops asking.
-    pub fn plan_batch(&mut self, slots: u64) -> Option<BatchPlan> {
-        let Schedule::Sweep(cursor) = &mut self.schedule else {
+    /// Describes a batch starting at the next slot for the engine to run,
+    /// which then commits it through [`ScrubPolicy::end_batch`]. Only a
+    /// sweep without a token bucket plans batches; the other kinds
+    /// return `None` — on every call, so after one `None` the engine
+    /// stops asking.
+    pub fn plan_batch(&self) -> Option<BatchPlan> {
+        let Schedule::Sweep(cursor) = &self.schedule else {
             return None;
         };
         let min_age_s = match &self.gate {
@@ -563,15 +563,19 @@ impl ScrubPolicy {
             Gate::Bucket(_) => return None,
         };
         Some(BatchPlan {
-            first: cursor.advance_by(slots, self.num_lines),
+            first: LineAddr(cursor.position()),
             min_age_s,
             rule: self.rule,
         })
     }
 
-    /// Reports how many slots of the last planned batch the age gate
+    /// Commits a planned batch the engine ran: advances the sweep cursor
+    /// past its `slots` slots and counts the `idle` ones the age gate
     /// skipped.
-    pub fn on_batch_idle(&mut self, idle: u64) {
+    pub fn end_batch(&mut self, slots: u64, idle: u64) {
+        if let Schedule::Sweep(cursor) = &mut self.schedule {
+            cursor.advance_by(slots, self.num_lines);
+        }
         if let Gate::MinAge(gate) = &mut self.gate {
             gate.skipped += idle;
         }
