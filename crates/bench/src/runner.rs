@@ -248,9 +248,6 @@ where
     if let Some(spec) = opts.fault_campaign {
         set_fault_campaign(spec);
     }
-    if let Some(every_s) = opts.checkpoint_every_s {
-        set_checkpoint_every_s(every_s);
-    }
     if let Some(iops) = opts.scrub_iops {
         set_scrub_iops(iops);
     }
@@ -258,6 +255,20 @@ where
     let mut scale = opts.scale.unwrap_or_else(Scale::from_env);
     if let Some(h) = opts.horizon_s {
         scale.horizon_s = h;
+    }
+    if let Some(every_s) = opts.checkpoint_every_s {
+        if scale.horizon_s / every_s > tick::MAX_SEGMENTS as f64 {
+            fail(
+                exp,
+                &format!(
+                    "--checkpoint-every {every_s:?} splits the {:?} s horizon into more than {} \
+                     segments",
+                    scale.horizon_s,
+                    tick::MAX_SEGMENTS
+                ),
+            );
+        }
+        set_checkpoint_every_s(every_s);
     }
     if opts.telemetry_out.is_some() {
         tel::install(tel::Config::default());

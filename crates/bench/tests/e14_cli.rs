@@ -1,6 +1,7 @@
-//! Negative-path coverage for the bench runner's `--scrub-iops` and
-//! `--horizon-s` flags on the E14 binary: malformed values die with exit
-//! 2 and a one-line stderr before any simulation starts.
+//! Negative-path coverage for the bench runner's `--scrub-iops`,
+//! `--horizon-s` and `--checkpoint-every` flags on the E14 binary:
+//! malformed values die with exit 2 and a one-line stderr before any
+//! simulation starts.
 
 use std::process::Command;
 
@@ -11,23 +12,25 @@ fn run(args: &[&str]) -> std::process::Output {
         .expect("spawn exp_e14_budget")
 }
 
+/// Asserts `args` exit 2 with one stderr line containing `needle` and
+/// nothing on stdout.
+fn assert_rejected(args: &[&str], needle: &str) {
+    let out = run(args);
+    assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        stderr.trim_end().lines().count(),
+        1,
+        "one-line stderr expected:\n{stderr}"
+    );
+    assert!(stderr.contains(needle), "{stderr}");
+    assert!(out.stdout.is_empty(), "must fail before running");
+}
+
 #[test]
 fn scrub_iops_rejects_bad_budgets() {
     for bad in ["0", "-1", "NaN", "inf", "cheap"] {
-        let out = run(&["--quick", "--scrub-iops", bad]);
-        assert_eq!(
-            out.status.code(),
-            Some(2),
-            "--scrub-iops {bad} should exit 2"
-        );
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(
-            stderr.trim_end().lines().count(),
-            1,
-            "one-line stderr expected:\n{stderr}"
-        );
-        assert!(stderr.contains("--scrub-iops"), "{stderr}");
-        assert!(out.stdout.is_empty(), "must fail before running");
+        assert_rejected(&["--quick", "--scrub-iops", bad], "--scrub-iops");
     }
 }
 
@@ -35,16 +38,23 @@ fn scrub_iops_rejects_bad_budgets() {
 /// nanoseconds) is a one-line error, not a panic.
 #[test]
 fn horizon_past_the_clock_is_rejected() {
-    let out = run(&["--quick", "--horizon-s", "1e12"]);
-    assert_eq!(out.status.code(), Some(2), "--horizon-s 1e12 should exit 2");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        stderr.trim_end().lines().count(),
-        1,
-        "one-line stderr expected:\n{stderr}"
+    assert_rejected(&["--quick", "--horizon-s", "1e12"], "--horizon-s");
+}
+
+/// A checkpoint cadence that splits the horizon into more than 100,000
+/// segments is a one-line error, not a run that never ends. Quick E14's
+/// horizon is 43,200 s; `--horizon-s` applies whatever the flag order.
+#[test]
+fn checkpoint_cadence_past_the_segment_bound_is_rejected() {
+    assert_rejected(
+        &["--quick", "--checkpoint-every", "1e-300"],
+        "--checkpoint-every 1e-300 splits the 43200.0 s horizon",
     );
-    assert!(stderr.contains("--horizon-s"), "{stderr}");
-    assert!(out.stdout.is_empty(), "must fail before running");
+    // The scale does not matter: the horizon is overridden.
+    assert_rejected(
+        &["--checkpoint-every", "1", "--horizon-s", "100001"],
+        "--checkpoint-every 1.0 splits the 100001.0 s horizon into more than 100000 segments",
+    );
 }
 
 #[test]

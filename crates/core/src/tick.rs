@@ -26,6 +26,13 @@ pub const TICKS_PER_SEC: f64 = 1e9;
 /// can never overflow even for a maximal gap.
 pub const MAX_TICK: u64 = 1 << 62;
 
+/// Most pieces a front end splits one horizon into: checkpoint segments
+/// (`exp_* --checkpoint-every`) or fleet rounds (`cadence-s`). A horizon
+/// of `h` seconds split every `c` seconds makes `⌈h / c⌉` pieces, so a
+/// cadence passes while `h / c` is at most this. A year at a 900 s
+/// cadence is 35,040 rounds.
+pub const MAX_SEGMENTS: u64 = 100_000;
+
 /// Converts a non-negative, finite number of seconds to ticks
 /// (rounding to the nearest nanosecond).
 ///

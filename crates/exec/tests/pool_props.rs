@@ -65,8 +65,8 @@ proptest! {
     }
 }
 
-/// Empty job lists are a hard edge case (the scoped-spawn path divides the
-/// index space by the worker count): must be panic-free at every arity.
+/// Empty job lists are a hard edge case (the scoped-spawn path sizes its
+/// worker count by the job count): must be panic-free at every arity.
 #[test]
 fn empty_job_lists_are_panic_free() {
     for threads in 0..=8 {

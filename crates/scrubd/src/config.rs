@@ -37,7 +37,7 @@ use std::str::FromStr;
 
 use pcm_memsim::splitmix64;
 use pcm_workloads::TenantMixSpec;
-use scrub_core::{DemandTraffic, PolicyKind, SimConfig};
+use scrub_core::{tick, DemandTraffic, PolicyKind, SimConfig};
 
 use crate::health::SupervisorConfig;
 
@@ -168,7 +168,7 @@ fn parse_policy(s: &str) -> Result<PolicyKind, String> {
     }
     // Every shard's engine turns the slot gap (interval / lines) into
     // clock ticks when it is built; refuse intervals the clock cannot hold.
-    let max_interval_s = scrub_core::tick::secs_from_ticks(scrub_core::tick::MAX_TICK);
+    let max_interval_s = tick::secs_from_ticks(tick::MAX_TICK);
     if interval_s > max_interval_s {
         return Err(format!(
             "policy interval must be at most {max_interval_s:.0} s, got {interval}"
@@ -344,8 +344,22 @@ impl FromStr for FleetConfig {
         if !horizon_s.is_finite() || horizon_s <= 0.0 {
             return Err(format!("horizon-s must be positive, got {horizon_s}"));
         }
+        // Every shard turns the horizon into clock ticks when it is built.
+        if tick::checked_ticks_from_secs(horizon_s).is_none() {
+            let max_s = tick::secs_from_ticks(tick::MAX_TICK);
+            return Err(format!(
+                "horizon-s must be at most {max_s:.0} s, got {horizon_s:?}"
+            ));
+        }
         if !cadence_s.is_finite() || cadence_s <= 0.0 {
             return Err(format!("cadence-s must be positive, got {cadence_s}"));
+        }
+        if horizon_s / cadence_s > tick::MAX_SEGMENTS as f64 {
+            return Err(format!(
+                "cadence-s = {cadence_s:?} splits the {horizon_s:?} s horizon into more than {} \
+                 rounds",
+                tick::MAX_SEGMENTS
+            ));
         }
         // Each shard runs the mix at `1/shards` of its rate over its own
         // lines to the horizon, exactly as `shard_config` builds it.
@@ -458,6 +472,26 @@ mix = alpha:rate=40;beta:suite=kv-cache,scale=0.5
                 GOOD.replace("cadence-s = 300", "cadence-s = nan"),
                 "cadence-s must be positive",
             ),
+            // A horizon past the tick clock, under a mix slow enough to
+            // pass the tenant checks.
+            (
+                GOOD.replace("horizon-s = 1200", "horizon-s = 1e12")
+                    .replace(
+                        "alpha:rate=40;beta:suite=kv-cache,scale=0.5",
+                        "alpha:rate=0.000001",
+                    ),
+                "horizon-s must be at most",
+            ),
+            // 1.2e9 rounds, and one round past the bound.
+            (
+                GOOD.replace("cadence-s = 300", "cadence-s = 1e-6"),
+                "cadence-s = 1e-6 splits the 1200.0 s horizon into more than 100000 rounds",
+            ),
+            (
+                GOOD.replace("horizon-s = 1200", "horizon-s = 100001")
+                    .replace("cadence-s = 300", "cadence-s = 1"),
+                "into more than 100000 rounds",
+            ),
             (
                 GOOD.replace("policy = combined@900", "policy = warp@900"),
                 "unknown policy",
@@ -531,6 +565,17 @@ mix = alpha:rate=40;beta:suite=kv-cache,scale=0.5
             "[fleet]\nbanks = 16\nlines-per-bank = 16\nshards = 2\nseed = {seed}\n\
              horizon-s = 3600\ncadence-s = 300\npolicy = combined@900\n[tenants]\nmix = {mix}\n"
         )
+    }
+
+    #[test]
+    fn round_bound_admits_a_year_and_the_bound_itself() {
+        // A year at a 900 s cadence is 35,040 rounds.
+        for (horizon, cadence) in [("31536000", "900"), ("100000", "1")] {
+            let text = GOOD
+                .replace("horizon-s = 1200", &format!("horizon-s = {horizon}"))
+                .replace("cadence-s = 300", &format!("cadence-s = {cadence}"));
+            text.parse::<FleetConfig>().expect(horizon);
+        }
     }
 
     #[test]

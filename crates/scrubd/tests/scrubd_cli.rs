@@ -126,6 +126,21 @@ fn rejects_malformed_fleet_configs() {
             &GOOD_CONFIG.replace("horizon-s = 600", "horizon-s = -1"),
             "horizon-s",
         ),
+        // A horizon past the tick clock (it panicked), and a cadence of
+        // 6e8 rounds (it ran until killed).
+        (
+            &GOOD_CONFIG
+                .replace("horizon-s = 600", "horizon-s = 1e12")
+                .replace(
+                    "mix = alpha:rate=40;beta:rate=10,read=0.5",
+                    "mix = alpha:rate=0.000001",
+                ),
+            "horizon-s",
+        ),
+        (
+            &GOOD_CONFIG.replace("cadence-s = 300", "cadence-s = 1e-6"),
+            "cadence-s",
+        ),
         (
             &GOOD_CONFIG.replace(
                 "mix = alpha:rate=40;beta:rate=10,read=0.5",

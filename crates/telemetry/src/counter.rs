@@ -43,10 +43,8 @@ pub enum Counter {
     RegionSlowdowns,
     /// Parallel pool invocations.
     ExecPools,
-    /// Tasks executed by pool workers (including the inline path).
+    /// Tasks executed by pool workers (the inline path counts none).
     ExecTasks,
-    /// Tasks obtained by stealing from another worker's range.
-    ExecSteals,
     /// Scrub probes as summed from finished simulation reports (should
     /// reconcile exactly with [`Counter::ScrubProbes`]).
     ReportScrubProbes,
@@ -92,7 +90,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in slot order.
-    pub const ALL: [Counter; 37] = [
+    pub const ALL: [Counter; 36] = [
         Counter::DemandReads,
         Counter::DemandWrites,
         Counter::ScrubProbes,
@@ -112,7 +110,6 @@ impl Counter {
         Counter::RegionSlowdowns,
         Counter::ExecPools,
         Counter::ExecTasks,
-        Counter::ExecSteals,
         Counter::ReportScrubProbes,
         Counter::ReportScrubWritebacks,
         Counter::ReportUncorrectable,
@@ -157,7 +154,6 @@ impl Counter {
             Counter::RegionSlowdowns => "region_slowdowns",
             Counter::ExecPools => "exec_pools",
             Counter::ExecTasks => "exec_tasks",
-            Counter::ExecSteals => "exec_steals",
             Counter::ReportScrubProbes => "report_scrub_probes",
             Counter::ReportScrubWritebacks => "report_scrub_writebacks",
             Counter::ReportUncorrectable => "report_uncorrectable",
@@ -187,8 +183,6 @@ pub enum Gauge {
     ExecJobsHighWater,
     /// Largest worker count spawned by one pool invocation.
     ExecWorkersHighWater,
-    /// Deepest pending-work queue observed by a stealing worker.
-    ExecQueueDepthHighWater,
     /// Longest observed tour (in scrub slots) for a budgeted tour policy;
     /// the `ScrubProgress` bound caps this at `lines * (max_defer + 1)`.
     StarvationMaxLag,
@@ -198,10 +192,9 @@ pub enum Gauge {
 
 impl Gauge {
     /// Every gauge, in slot order.
-    pub const ALL: [Gauge; 5] = [
+    pub const ALL: [Gauge; 4] = [
         Gauge::ExecJobsHighWater,
         Gauge::ExecWorkersHighWater,
-        Gauge::ExecQueueDepthHighWater,
         Gauge::StarvationMaxLag,
         Gauge::ProfilerOccupancy,
     ];
@@ -214,7 +207,6 @@ impl Gauge {
         match self {
             Gauge::ExecJobsHighWater => "exec_jobs_high_water",
             Gauge::ExecWorkersHighWater => "exec_workers_high_water",
-            Gauge::ExecQueueDepthHighWater => "exec_queue_depth_high_water",
             Gauge::StarvationMaxLag => "starvation_max_lag",
             Gauge::ProfilerOccupancy => "profiler_occupancy",
         }

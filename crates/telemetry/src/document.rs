@@ -294,11 +294,9 @@ fn event_to_json(e: &Event) -> String {
         ),
         EventKind::DemandWriteNotify { addr } => format!("\"addr\": {addr}"),
         EventKind::WearLevelRotate { addr } => format!("\"addr\": {addr}"),
-        EventKind::ExecWorker {
-            worker,
-            tasks,
-            steals,
-        } => format!("\"worker_id\": {worker}, \"tasks\": {tasks}, \"steals\": {steals}"),
+        EventKind::ExecWorker { worker, tasks } => {
+            format!("\"worker_id\": {worker}, \"tasks\": {tasks}")
+        }
         EventKind::SimDone {
             policy,
             workload,
@@ -406,7 +404,6 @@ fn event_from_json(v: &Value) -> Result<Event, String> {
         "exec_worker" => EventKind::ExecWorker {
             worker: u32_of("worker_id")?,
             tasks: u64_of("tasks")?,
-            steals: u64_of("steals")?,
         },
         "sim_done" => EventKind::SimDone {
             policy: str_of("policy")?,
@@ -548,7 +545,6 @@ mod tests {
             EventKind::ExecWorker {
                 worker: 2,
                 tasks: 100,
-                steals: 7,
             },
             EventKind::EcpRepair {
                 addr: 9,

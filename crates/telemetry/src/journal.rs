@@ -127,8 +127,6 @@ pub enum EventKind {
         worker: u32,
         /// Tasks it executed.
         tasks: u64,
-        /// Tasks it stole from other workers' ranges.
-        steals: u64,
     },
     /// A whole simulation finished; payload mirrors the report fields the
     /// experiment tables print, for exact reconciliation.

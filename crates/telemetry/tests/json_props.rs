@@ -91,7 +91,6 @@ fn event_from_seed(w: u64) -> Event {
         9 => EventKind::ExecWorker {
             worker: (mix(&mut s) % 64) as u32,
             tasks: mix(&mut s) % 1_000_000,
-            steals: mix(&mut s) % 1_000,
         },
         10 => EventKind::SimDone {
             policy: wild_string(mix(&mut s)),
