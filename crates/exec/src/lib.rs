@@ -167,8 +167,8 @@ mod tests {
 
     #[test]
     fn par_map_with_uneven_job_sizes_still_ordered() {
-        // Make early indices slow so the other workers drain the queue
-        // and results come back out of index order.
+        // Make the first jobs slow so later ones finish first and the
+        // workers' results arrive out of index order.
         let got = par_map(4, 0..64u32, |i, x| {
             if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
