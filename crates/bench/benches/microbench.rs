@@ -1,12 +1,13 @@
 //! Criterion microbenchmarks of the performance-critical substrates:
-//! GF arithmetic, BCH encode/decode, drift-model evaluation, the fault
-//! engine, and end-to-end simulation stepping.
+//! GF arithmetic, BCH encode/decode, the CRC-32 snapshot seal,
+//! drift-model evaluation, the fault engine, and end-to-end simulation
+//! stepping.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use pcm_ecc::{BchCode, BitBuf, CodeSpec, GfTable, LineCode, SecdedLine};
+use pcm_ecc::{BchCode, BitBuf, CodeSpec, Crc32, GfTable, LineCode, SecdedLine};
 use pcm_memsim::{FaultEngine, LineAddr, MemGeometry, Memory, SimTime};
 use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
@@ -71,6 +72,18 @@ fn bench_bch_codec(c: &mut Criterion) {
             |mut cw| std::hint::black_box(secded.decode(&mut cw)),
             BatchSize::SmallInput,
         )
+    });
+}
+
+/// One checksum over a fleet-control shard snapshot's 50,655 bytes: the
+/// seal `Simulation::checkpoint` puts on every shard each round, and the
+/// verify the fleet runs on it again.
+fn bench_crc32(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(8);
+    let snapshot: Vec<u8> = (0..50_655).map(|_| rng.gen()).collect();
+    let crc = Crc32::new();
+    c.bench_function("crc32_shard_snapshot", |b| {
+        b.iter(|| crc.checksum_bytes(std::hint::black_box(&snapshot)))
     });
 }
 
@@ -184,6 +197,7 @@ criterion_group!(
     config = Criterion::default().sample_size(20);
     targets = bench_gf_arith,
         bench_bch_codec,
+        bench_crc32,
         bench_drift_eval,
         bench_fault_engine,
         bench_sim_throughput

@@ -33,6 +33,16 @@ pub const MAX_TICK: u64 = 1 << 62;
 /// cadence is 35,040 rounds.
 pub const MAX_SEGMENTS: u64 = 100_000;
 
+/// Most scrub slots one simulation may schedule. A sweep of `lines`
+/// lines every `interval` seconds makes `horizon × lines ÷ interval`
+/// slots, so front ends refuse a sweep interval (`scrubsim --interval`,
+/// a fleet's `policy = NAME@INTERVAL` over one shard's lines) that asks
+/// for more. The largest documented run, the idle 48 h `scrubsim` run
+/// over 65,536 lines at the 900 s sweep, makes 1.26·10⁷ slots; the
+/// bound also admits a year of the default 16,384-line memory
+/// (5.7·10⁸), a few minutes of simulation.
+pub const MAX_SLOTS: u64 = 1_000_000_000;
+
 /// Converts a non-negative, finite number of seconds to ticks
 /// (rounding to the nearest nanosecond).
 ///

@@ -110,6 +110,51 @@ impl FaultEngine {
         self.cells_per_line
     }
 
+    /// Checks the invariants every line this engine evolves keeps: its
+    /// live cells per level plus its worn cells make up the line, no
+    /// level has more drift failures than cells, levels past the
+    /// device's level count are empty, ECP patches only worn cells, and
+    /// each unpatched worn cell conflicts in at most two bits. A line
+    /// read back from a snapshot must pass before the engine touches it;
+    /// the message says which invariant failed.
+    pub(crate) fn check_line(&self, line: &LineState) -> Result<(), String> {
+        let live = line.live_cells();
+        if live + u32::from(line.worn_cells) != self.cells_per_line {
+            return Err(format!(
+                "{live} live and {} worn cells, not the line's {}",
+                line.worn_cells, self.cells_per_line
+            ));
+        }
+        for lv in 0..MAX_LEVELS {
+            let (cells, failed) = (line.occupancy[lv], line.drift_failed[lv]);
+            if failed > cells {
+                return Err(format!(
+                    "level {lv} has {failed} drift failures among {cells} cells"
+                ));
+            }
+            if lv >= self.num_levels && cells > 0 {
+                return Err(format!(
+                    "level {lv} holds {cells} cells but the device has {} levels",
+                    self.num_levels
+                ));
+            }
+        }
+        if line.ecp_assigned > line.worn_cells {
+            return Err(format!(
+                "{} ECP entries patch only {} worn cells",
+                line.ecp_assigned, line.worn_cells
+            ));
+        }
+        let unpatched = u32::from(line.worn_cells - line.ecp_assigned);
+        if u32::from(line.worn_conflict_bits) > 2 * unpatched {
+            return Err(format!(
+                "{} conflict bits from {unpatched} unpatched worn cells",
+                line.worn_conflict_bits
+            ));
+        }
+        Ok(())
+    }
+
     /// Samples the level occupancy of `live` cells holding random data.
     fn sample_occupancy<R: Rng + ?Sized>(&self, live: u32, rng: &mut R) -> [u16; MAX_LEVELS] {
         let mut counts = [0u32; MAX_LEVELS];
@@ -393,6 +438,60 @@ mod tests {
         let a = e.advance(&mut line, t, &mut rng);
         let b = e.advance(&mut line, t, &mut rng);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn lines_the_engine_evolves_pass_the_line_check_and_each_breach_fails() {
+        let e = engine();
+        let mut rng = StdRng::seed_from_u64(57);
+        let mut line = e.fresh_line(SimTime::ZERO, &mut rng);
+        assert_eq!(e.check_line(&line), Ok(()));
+        e.inject_stuck_cells(&mut line, 7, &mut rng);
+        e.advance(&mut line, SimTime::from_secs(604_800.0), &mut rng);
+        assert!(line.worn_cells == 7 && line.persistent_bit_errors() > 0);
+        assert_eq!(e.check_line(&line), Ok(()));
+        line.wear = u32::MAX - 1;
+        e.on_write(&mut line, SimTime::from_secs(604_801.0), &mut rng);
+        assert!(line.worn_cells > 7, "an exhausted line wears out");
+        assert_eq!(e.check_line(&line), Ok(()));
+
+        type Breach = fn(&mut LineState);
+        let breaches: [(&str, Breach); 6] = [
+            ("live and", |l| l.occupancy[0] += 1),
+            ("live and", |l| l.worn_cells -= 1),
+            ("drift failures among", |l| {
+                l.drift_failed[1] = l.occupancy[1] + 1;
+            }),
+            ("ECP entries patch only", |l| {
+                l.ecp_assigned = l.worn_cells + 1
+            }),
+            ("conflict bits from", |l| {
+                l.worn_conflict_bits = 2 * (l.worn_cells - l.ecp_assigned) + 1;
+            }),
+            ("but the device has 2 levels", |l| {
+                l.occupancy[0] -= 1;
+                l.occupancy[2] += 1;
+            }),
+        ];
+        let slc = FaultEngine::new(
+            &DeviceConfig::builder()
+                .stack(pcm_model::LevelStack::standard_slc())
+                .build(),
+            576,
+        );
+        let slc_line = slc.fresh_line(SimTime::ZERO, &mut rng);
+        assert_eq!(slc.check_line(&slc_line), Ok(()));
+        for (needle, breach) in breaches {
+            let (engine, base) = if needle.contains("2 levels") {
+                (&slc, slc_line)
+            } else {
+                (&e, line)
+            };
+            let mut bad = base;
+            breach(&mut bad);
+            let err = engine.check_line(&bad).expect_err(needle);
+            assert!(err.contains(needle), "{err}");
+        }
     }
 
     #[test]

@@ -75,6 +75,13 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Lines of bank `bank` under low-order interleaving (the first
+/// `num_lines % banks` banks hold one more), spares not included.
+fn bank_lines(geom: &MemGeometry, bank: usize) -> usize {
+    let banks = geom.banks() as usize;
+    (geom.num_lines() as usize + banks - 1 - bank) / banks
+}
+
 /// Derives the RNG seed for one bank's stream from the master seed: the
 /// `bank + 1`-th SplitMix64 output of the sequence started at `master`.
 fn bank_stream_seed(master: u64, bank: u32) -> u64 {
@@ -511,8 +518,7 @@ impl Memory {
             .map(|b| BankShard::new(bank_stream_seed(seed, b)))
             .collect();
         for (b, shard) in shards.iter_mut().enumerate() {
-            let bank_lines = (geom.num_lines() as usize + banks as usize - 1 - b) / banks as usize;
-            shard.lines = (0..bank_lines)
+            shard.lines = (0..bank_lines(&geom, b))
                 .map(|_| engine.fresh_line(SimTime::ZERO, &mut shard.rng))
                 .collect();
         }
@@ -729,7 +735,19 @@ impl Memory {
         for (b, shard) in self.shards.iter_mut().enumerate() {
             let rng_state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
             let line_count = r.u32()? as usize;
-            let base_lines = shard.lines.len().min(line_count);
+            // A bank holds its own lines plus, under repair, the spares
+            // it has used: check before sizing anything by the count.
+            let base_lines = bank_lines(&self.geom, b);
+            let spare_pool = shard
+                .repair
+                .as_ref()
+                .map_or(0, |r| r.config.spare_lines_per_bank as usize);
+            if !(base_lines..=base_lines + spare_pool).contains(&line_count) {
+                return Err(malformed(format!(
+                    "bank {b}: {line_count} lines, but the bank has {base_lines} and a pool of \
+                     {spare_pool} spares"
+                )));
+            }
             let mut lines = Vec::with_capacity(line_count);
             for i in 0..line_count {
                 let what = |f: &str| format!("bank {b} line {i} {f}");
@@ -743,7 +761,7 @@ impl Memory {
                 for d in &mut drift_failed {
                     *d = r.u16()?;
                 }
-                lines.push(LineState {
+                let line = LineState {
                     last_write: SimTime::from_secs(last_write),
                     last_eval: SimTime::from_secs(last_eval),
                     occupancy,
@@ -753,7 +771,11 @@ impl Memory {
                     worn_conflict_bits: r.u16()?,
                     ecp_assigned: r.u16()?,
                     ue_recorded: r.bool()?,
-                });
+                };
+                self.engine
+                    .check_line(&line)
+                    .map_err(|e| malformed(format!("bank {b} line {i}: {e}")))?;
+                lines.push(line);
             }
             let stats = MemStats {
                 demand_reads: r.u64()?,
@@ -803,6 +825,12 @@ impl Memory {
                 let first_unrepairable_s = r.opt_f64()?;
                 let unrepairable = r.u64()?;
                 let remap_len = r.u32()? as usize;
+                // Each retired line took one spare.
+                if remap_len > spares_used as usize {
+                    return Err(malformed(format!(
+                        "bank {b}: {remap_len} remapped lines but {spares_used} spares used"
+                    )));
+                }
                 let mut remap = HashMap::with_capacity(remap_len);
                 for _ in 0..remap_len {
                     let k = r.u32()?;
@@ -833,12 +861,8 @@ impl Memory {
                         "bank {b}: repair configured but snapshot has no repair state"
                     )));
                 }
-                if line_count != shard.lines.len() {
-                    return Err(malformed(format!(
-                        "bank {b}: line count mismatch: snapshot {line_count}, config {}",
-                        shard.lines.len()
-                    )));
-                }
+                // Without repair the pool is empty, so the count was
+                // checked against the bank's own lines above.
                 None
             };
             shard.rng = StdRng::from_state(rng_state);
@@ -1420,6 +1444,30 @@ mod tests {
         other.enable_repair(RepairConfig::default());
         let err = other.restore_state(&mut Reader::new(&bytes)).unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
+    }
+
+    #[test]
+    fn restore_checks_the_line_count_before_allocating() {
+        let spec: CampaignSpec = "seed=9;stuck=lines:32,cells:3".parse().unwrap();
+        let mut w = Writer::new();
+        checkpointable_mem(&spec).save_state(&mut w);
+        let bytes = w.into_bytes();
+        // Bank 0's line count follows the wear-leveler flag and its three
+        // u32s, the bank count and the bank's four RNG words. 64 lines and
+        // a pool of 4 spares admit 64..=68.
+        let at = 1 + 12 + 4 + 32;
+        assert_eq!(bytes[at..at + 4], 64u32.to_le_bytes());
+        for (count, ok) in [(63u32, false), (69, false), (u32::MAX, false), (64, true)] {
+            let mut damaged = bytes.clone();
+            damaged[at..at + 4].copy_from_slice(&count.to_le_bytes());
+            let result = checkpointable_mem(&spec).restore_state(&mut Reader::new(&damaged));
+            match result {
+                Err(CheckpointError::Malformed(msg)) => {
+                    assert!(!ok && msg.contains("a pool of 4 spares"), "{count}: {msg}")
+                }
+                other => assert!(ok && other.is_ok(), "{count}: {other:?}"),
+            }
+        }
     }
 
     #[test]

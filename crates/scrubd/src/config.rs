@@ -152,8 +152,10 @@ impl FleetConfig {
 
 /// Parses `NAME@INTERVAL_S` (or bare `none`) into a [`PolicyKind`],
 /// using the evaluation's derived parameters (θ=4 under BCH-6, 64
-/// regions, age filter at two-thirds of the sweep).
-fn parse_policy(s: &str) -> Result<PolicyKind, String> {
+/// regions, age filter at two-thirds of the sweep). A shard sweeps its
+/// `shard_lines` lines every interval up to `horizon_s`, so an interval
+/// making more than [`tick::MAX_SLOTS`] slots is refused.
+fn parse_policy(s: &str, horizon_s: f64, shard_lines: u64) -> Result<PolicyKind, String> {
     if s == "none" {
         return Ok(PolicyKind::None);
     }
@@ -172,6 +174,14 @@ fn parse_policy(s: &str) -> Result<PolicyKind, String> {
     if interval_s > max_interval_s {
         return Err(format!(
             "policy interval must be at most {max_interval_s:.0} s, got {interval}"
+        ));
+    }
+    let slots = horizon_s * shard_lines as f64 / interval_s;
+    if slots > tick::MAX_SLOTS as f64 {
+        return Err(format!(
+            "policy interval {interval} s over {shard_lines} shard lines schedules {slots:.3e} \
+             scrub slots in the {horizon_s:?} s horizon; one shard holds at most {}",
+            tick::MAX_SLOTS
         ));
     }
     let theta = 4;
@@ -370,7 +380,7 @@ impl FromStr for FleetConfig {
                 horizon_s,
             )
             .map_err(|e| format!("[tenants] mix: {e} (1/{shards} per shard)"))?;
-        let policy = parse_policy(&policy_spec)?;
+        let policy = parse_policy(&policy_spec, horizon_s, per_shard * lines_per_bank as u64)?;
         if supervisor.generations == 0 {
             return Err("generations must be positive".to_string());
         }
@@ -504,6 +514,17 @@ mix = alpha:rate=40;beta:suite=kv-cache,scale=0.5
                 GOOD.replace("policy = combined@900", "policy = combined@1e300"),
                 "policy interval must be at most",
             ),
+            // A 16 ns slot gap: 7.7e10 slots (it ran until killed), and
+            // an interval just short of the slot bound.
+            (
+                GOOD.replace("policy = combined@900", "policy = basic@1e-6"),
+                "policy interval 1e-6 s over 64 shard lines schedules 7.680e10 scrub slots",
+            ),
+            (
+                GOOD.replace("horizon-s = 1200", "horizon-s = 3906250")
+                    .replace("policy = combined@900", "policy = combined@0.2499999"),
+                "one shard holds at most 1000000000",
+            ),
             (
                 GOOD.replace(
                     "policy = combined@900",
@@ -576,6 +597,19 @@ mix = alpha:rate=40;beta:suite=kv-cache,scale=0.5
                 .replace("cadence-s = 300", &format!("cadence-s = {cadence}"));
             text.parse::<FleetConfig>().expect(horizon);
         }
+    }
+
+    #[test]
+    fn slot_bound_admits_the_bound_itself() {
+        // 3,906,250 s × 64 shard lines ÷ 0.25 s is exactly 10⁹ slots.
+        let text = GOOD
+            .replace("horizon-s = 1200", "horizon-s = 3906250")
+            .replace("policy = combined@900", "policy = combined@0.25");
+        let c: FleetConfig = text.parse().expect("exactly the slot bound parses");
+        assert_eq!(
+            c.horizon_s * c.shard_lines() as f64 / 0.25,
+            tick::MAX_SLOTS as f64
+        );
     }
 
     #[test]

@@ -141,6 +141,11 @@ fn rejects_malformed_fleet_configs() {
             &GOOD_CONFIG.replace("cadence-s = 300", "cadence-s = 1e-6"),
             "cadence-s",
         ),
+        // A 16 ns slot gap: 3.8e10 slots per shard (it ran until killed).
+        (
+            &GOOD_CONFIG.replace("policy = basic@300", "policy = basic@1e-6"),
+            "policy interval 1e-6 s over 64 shard lines schedules",
+        ),
         (
             &GOOD_CONFIG.replace(
                 "mix = alpha:rate=40;beta:rate=10,read=0.5",

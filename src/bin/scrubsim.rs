@@ -286,6 +286,17 @@ fn parse_args() -> Args {
             args.interval_s, args.lines
         ));
     }
+    let slots = args.hours * 3600.0 * f64::from(args.lines) / args.interval_s;
+    if slots > tick::MAX_SLOTS as f64 {
+        fail(&format!(
+            "--interval {:e} s over {} lines schedules {slots:.3e} scrub slots in {} h; \
+             one simulation holds at most {}",
+            args.interval_s,
+            args.lines,
+            args.hours,
+            tick::MAX_SLOTS
+        ));
+    }
     args
 }
 

@@ -73,9 +73,10 @@ fn removed_threads_flag_is_rejected() {
 }
 
 /// The slot clock counts whole nanoseconds up to ~146 years. A horizon
-/// past that, or a slot gap (`--interval` / `--lines`) outside 1 ns to
-/// that bound, is a one-line error instead of a panic or a run that
-/// never ends.
+/// past that, a slot gap (`--interval` / `--lines`) outside 1 ns to
+/// that bound, or a sweep that schedules more than `tick::MAX_SLOTS`
+/// slots is a one-line error instead of a panic or a run that never
+/// ends.
 #[test]
 fn horizons_and_slot_gaps_past_the_clock_are_rejected() {
     let base = ["--lines", "64", "--workload", "idle", "--policy", "basic"];
@@ -84,9 +85,28 @@ fn horizons_and_slot_gaps_past_the_clock_are_rejected() {
         (["--hours", "1e308"], "--hours"),
         (["--interval", "1e12"], "--interval"),
         (["--interval", "1e-300"], "--interval"),
+        // A 16 ns slot gap: 2.3e11 slots in the hour.
+        (["--interval", "1e-6"], "--interval"),
     ] {
         assert_rejected(&[&base[..], &extra[..]].concat(), flag);
     }
+    // 9,000 s × 125,000 lines ÷ 1.125 s is exactly the 10⁹-slot bound;
+    // a slightly shorter interval is one past it.
+    assert_rejected(
+        &[
+            "--lines",
+            "125000",
+            "--workload",
+            "idle",
+            "--policy",
+            "basic",
+            "--hours",
+            "2.5",
+            "--interval",
+            "1.1249999",
+        ],
+        "--interval",
+    );
 }
 
 #[test]
