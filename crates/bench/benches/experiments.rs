@@ -7,8 +7,7 @@ fn main() {
     // reproduction driver, not a timing benchmark.
     let scale = scrub_bench::Scale::from_env();
     println!("scrubsim experiment suite — scale: {scale:?}\n");
-    type ExperimentFn = fn(scrub_bench::Scale) -> String;
-    let experiments: [(&str, ExperimentFn); 14] = [
+    let experiments: [(&str, scrub_bench::runner::Run); 14] = [
         ("E1", scrub_bench::experiments::e1::run),
         ("E2", scrub_bench::experiments::e2::run),
         ("E3", scrub_bench::experiments::e3::run),
@@ -26,7 +25,7 @@ fn main() {
     ];
     for (name, run) in experiments {
         let started = std::time::Instant::now();
-        let output = run(scale);
+        let (output, _) = run(&scale, &scrub_bench::RunOptions::default());
         println!("==== {name} ({:.1}s) ====", started.elapsed().as_secs_f64());
         println!("{output}");
     }

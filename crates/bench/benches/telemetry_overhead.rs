@@ -16,7 +16,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, Criterion};
 use scrub_bench::experiments::e6;
-use scrub_bench::Scale;
+use scrub_bench::{RunOptions, Scale};
 use scrub_telemetry as tel;
 use tel::json::fmt_f64;
 
@@ -73,7 +73,7 @@ fn overhead_estimate() {
 
     // Baseline: E6 quick-scale with the recorder disabled.
     let start = Instant::now();
-    let disabled = e6::compute(scale);
+    let disabled = e6::compute(&scale, &RunOptions::default());
     let wall_disabled_s = start.elapsed().as_secs_f64();
 
     // Counting run: every counter increment is one guarded site firing.
@@ -83,7 +83,7 @@ fn overhead_estimate() {
         event_mask: tel::EventClass::Sim.bit(),
     });
     let start = Instant::now();
-    let enabled = e6::compute(scale);
+    let enabled = e6::compute(&scale, &RunOptions::default());
     let wall_enabled_s = start.elapsed().as_secs_f64();
     let doc = tel::snapshot();
     tel::set_enabled(false);

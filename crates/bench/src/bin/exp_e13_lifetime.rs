@@ -5,5 +5,5 @@
 //! thread count, and per-policy lifetime metrics to `BENCH_e13.json`.
 
 fn main() {
-    scrub_bench::runner::main_with("e13", scrub_bench::experiments::e13::run_with_metrics);
+    scrub_bench::runner::main("e13", scrub_bench::experiments::e13::run);
 }

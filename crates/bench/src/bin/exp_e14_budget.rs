@@ -7,5 +7,5 @@
 //! wall-clock, thread count, and per-row metrics to `BENCH_e14.json`.
 
 fn main() {
-    scrub_bench::runner::main_with("e14", scrub_bench::experiments::e14::run_with_metrics);
+    scrub_bench::runner::main("e14", scrub_bench::experiments::e14::run);
 }

@@ -8,5 +8,5 @@
 //! metrics to `BENCH_e15.json`.
 
 fn main() {
-    scrub_bench::runner::main_with("e15", scrub_bench::experiments::e15::run_with_metrics);
+    scrub_bench::runner::main("e15", scrub_bench::experiments::e15::run);
 }

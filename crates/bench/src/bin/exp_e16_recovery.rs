@@ -8,5 +8,5 @@
 //! and per-cell metrics to `BENCH_e16.json`.
 
 fn main() {
-    scrub_bench::runner::main_with("e16", scrub_bench::experiments::e16::run_with_metrics);
+    scrub_bench::runner::main("e16", scrub_bench::experiments::e16::run);
 }

@@ -4,5 +4,5 @@
 //! `BENCH_e5.json`.
 
 fn main() {
-    scrub_bench::runner::main_with("e5", scrub_bench::experiments::e5::run_with_metrics);
+    scrub_bench::runner::main("e5", scrub_bench::experiments::e5::run);
 }

@@ -4,5 +4,5 @@
 //! `BENCH_e6.json`.
 
 fn main() {
-    scrub_bench::runner::main_with("e6", scrub_bench::experiments::e6::run_with_metrics);
+    scrub_bench::runner::main("e6", scrub_bench::experiments::e6::run);
 }

@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scrub_oracle::DriftOracle;
 
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 /// Ages reported, in seconds.
@@ -27,7 +28,7 @@ const AGES: [(f64, &str); 5] = [
 ];
 
 /// Runs E1 and renders its table.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: &Scale, _opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let dev = DeviceConfig::default();
     let model = dev.drift_model();
     let oracle = DriftOracle::new(&dev);
@@ -81,7 +82,7 @@ pub fn run(scale: Scale) -> String {
          p_oracle is scrub-oracle's independent quadrature: oracle_rel beyond\n\
          the LUTs' documented interpolation band flags a physics regression.\n",
     );
-    out
+    (out, Vec::new())
 }
 
 #[cfg(test)]
@@ -92,7 +93,7 @@ mod tests {
     fn renders_all_rows() {
         let mut s = Scale::quick();
         s.mc_cells = 5_000;
-        let out = run(s);
+        let (out, _) = run(&s, &RunOptions::default());
         assert!(out.contains("L0") && out.contains("L3"));
         assert!(out.contains("1w"));
     }

@@ -11,6 +11,7 @@ use pcm_workloads::WorkloadId;
 use scrub_core::DemandTraffic;
 
 use crate::experiments::{baseline_policy, combined_policy, rep_jobs, rep_means, run_grid};
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 /// Drift severity multipliers swept.
@@ -19,7 +20,7 @@ const NU_SCALES: [f64; 4] = [0.5, 1.0, 1.5, 2.0];
 const SIGMAS: [f64; 2] = [0.3, 0.6];
 
 /// Runs E10 and renders its table.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let (base_code, base_policy) = baseline_policy();
     let (comb_code, comb_policy) = combined_policy();
     let traffic = DemandTraffic::suite(WorkloadId::KvCache);
@@ -44,13 +45,13 @@ pub fn run(scale: Scale) -> String {
                 .drift(DriftParams::new(sigma, 1.0).with_scale(nu_scale))
                 .build();
             [
-                rep_jobs(&scale, &device, &base_code, &base_policy, &traffic, 0xE10),
-                rep_jobs(&scale, &device, &comb_code, &comb_policy, &traffic, 0xE10),
+                rep_jobs(scale, &device, &base_code, &base_policy, &traffic, 0xE10),
+                rep_jobs(scale, &device, &comb_code, &comb_policy, &traffic, 0xE10),
             ]
         })
         .flatten()
         .collect();
-    let metrics = rep_means(&scale, &run_grid(jobs));
+    let metrics = rep_means(scale, &run_grid(opts, jobs));
     for (&(sigma, nu_scale), pair) in points.iter().zip(metrics.chunks(2)) {
         let (b, c) = (pair[0], pair[1]);
         table.row(vec![
@@ -68,7 +69,7 @@ pub fn run(scale: Scale) -> String {
          severity, but the combined mechanism's relative advantage persists\n\
          across the sweep (the conclusion is not an artifact of one ν choice).\n",
     );
-    out
+    (out, Vec::new())
 }
 
 #[cfg(test)]

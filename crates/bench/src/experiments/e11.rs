@@ -9,6 +9,7 @@ use pcm_model::DeviceConfig;
 use scrub_core::PolicyKind;
 
 use crate::experiments::{run_grid, suite_jobs, suite_means};
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 const INTERVAL_S: f64 = 900.0;
@@ -72,7 +73,7 @@ pub fn variants() -> Vec<(&'static str, CodeSpec, PolicyKind)> {
 }
 
 /// Runs E11 and renders its table.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let dev = DeviceConfig::default();
     let mut out = String::from("E11: ablation — combined minus one feature (suite average)\n\n");
     let mut table = Table::new(vec![
@@ -86,9 +87,9 @@ pub fn run(scale: Scale) -> String {
     let variants = variants();
     let jobs = variants
         .iter()
-        .flat_map(|(_, code, policy)| suite_jobs(&scale, &dev, code, policy, 0xE11))
+        .flat_map(|(_, code, policy)| suite_jobs(scale, &dev, code, policy, 0xE11))
         .collect();
-    let metrics = suite_means(&scale, &run_grid(jobs));
+    let metrics = suite_means(scale, &run_grid(opts, jobs));
     for ((label, _, _), m) in variants.into_iter().zip(metrics) {
         table.row(vec![
             label.to_string(),
@@ -105,7 +106,7 @@ pub fn run(scale: Scale) -> String {
          write-back multiplies writes; dropping the age filter or adaptivity\n\
          costs energy/probes with little UE benefit.\n",
     );
-    out
+    (out, Vec::new())
 }
 
 #[cfg(test)]

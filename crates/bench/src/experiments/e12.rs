@@ -10,10 +10,11 @@ use pcm_workloads::WorkloadId;
 use scrub_core::{DemandTraffic, PolicyKind};
 
 use crate::experiments::{combined_policy, rep_jobs, rep_means, run_grid};
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 /// Runs E12 and renders its tables.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let dev = DeviceConfig::default();
     let (code, _) = combined_policy();
     let traffic_of = DemandTraffic::suite(WorkloadId::DbOltp);
@@ -22,17 +23,20 @@ pub fn run(scale: Scale) -> String {
     let intervals = [300.0, 900.0, 2700.0, 8100.0];
     // One grid: the capacity points' job blocks, then the intervals'.
     let capacity_jobs = capacities.iter().flat_map(|&num_lines| {
-        let sub = Scale { num_lines, ..scale };
+        let sub = Scale {
+            num_lines,
+            ..*scale
+        };
         let policy = PolicyKind::combined_default(900.0);
         rep_jobs(&sub, &dev, &code, &policy, &traffic_of, 0xE12)
     });
     let interval_jobs = intervals.iter().flat_map(|&interval_s| {
         let policy = PolicyKind::combined_default(interval_s);
-        rep_jobs(&scale, &dev, &code, &policy, &traffic_of, 0xE12)
+        rep_jobs(scale, &dev, &code, &policy, &traffic_of, 0xE12)
     });
     let metrics = rep_means(
-        &scale,
-        &run_grid(capacity_jobs.chain(interval_jobs).collect()),
+        scale,
+        &run_grid(opts, capacity_jobs.chain(interval_jobs).collect()),
     );
     let (capacity_metrics, interval_metrics) = metrics.split_at(capacities.len());
 
@@ -72,7 +76,7 @@ pub fn run(scale: Scale) -> String {
          (part A); relaxing the base interval saves energy until drift\n\
          accumulation outruns theta and UEs reappear (part B).\n",
     );
-    out
+    (out, Vec::new())
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use scrub_core::{DemandTraffic, PolicyKind, SimConfig};
 use scrub_telemetry as tel;
 
 use crate::experiments::run_grid;
-use crate::runner;
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 const INTERVAL_S: f64 = 900.0;
@@ -56,9 +56,9 @@ pub fn roster() -> Vec<(&'static str, PolicyKind)> {
     ]
 }
 
-/// The campaign used when the process has no `--fault-campaign`: a sprinkle
-/// of ECP-repairable stuck clusters plus background SEUs, sized to the
-/// memory under test.
+/// The campaign E13 attaches unless `--fault-campaign` replaces it: a
+/// sprinkle of ECP-repairable stuck clusters plus background SEUs, sized
+/// to the memory under test.
 pub fn default_campaign(scale: &Scale) -> CampaignSpec {
     CampaignSpec {
         seed: 0xE13,
@@ -116,22 +116,22 @@ fn sim_config(scale: &Scale, policy: &PolicyKind, seed: u64) -> SimConfig {
         .traffic(DemandTraffic::Idle)
         .horizon_s(scale.horizon_s)
         .seed(seed)
-        .fault_campaign(runner::fault_campaign().unwrap_or_else(|| default_campaign(scale)))
+        .fault_campaign(default_campaign(scale))
         .repair(RepairConfig::default())
         .ue_recovery(RecoveryConfig::default());
     builder.build()
 }
 
 /// Computes the lifetime table without rendering.
-pub fn compute(scale: Scale) -> Vec<LifetimeRow> {
+pub fn compute(scale: &Scale, opts: &RunOptions) -> Vec<LifetimeRow> {
     let roster = roster();
     let jobs = roster
         .iter()
         .flat_map(|(_, policy)| {
-            (0..scale.reps).map(move |rep| sim_config(&scale, policy, 0xE13 + rep as u64 * 1000))
+            (0..scale.reps).map(move |rep| sim_config(scale, policy, 0xE13 + rep as u64 * 1000))
         })
         .collect();
-    let reports = run_grid(jobs);
+    let reports = run_grid(opts, jobs);
     roster
         .into_iter()
         .zip(reports.chunks(scale.reps as usize))
@@ -179,15 +179,10 @@ pub fn compute(scale: Scale) -> Vec<LifetimeRow> {
         .collect()
 }
 
-/// Runs E13 and renders its table.
-pub fn run(scale: Scale) -> String {
-    render(&compute(scale), scale.horizon_s)
-}
-
-/// Runs E13 once, returning the rendered table plus per-policy headline
+/// Runs E13, returning the rendered table plus per-policy headline
 /// metrics for the `BENCH_e13.json` record.
-pub fn run_with_metrics(scale: Scale) -> (String, Vec<(String, f64)>) {
-    let rows = compute(scale);
+pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
+    let rows = compute(scale, opts);
     let mut metrics = Vec::new();
     for row in &rows {
         metrics.push((format!("{}.lifetime_s", row.label), row.lifetime_s));
@@ -251,7 +246,7 @@ mod tests {
             reps: 1,
             mc_cells: 100,
         };
-        let rows = compute(scale);
+        let rows = compute(&scale, &RunOptions::default());
         assert_eq!(rows.len(), 4);
         let basic = &rows[0];
         assert_eq!(basic.label, "basic");

@@ -22,7 +22,7 @@ use scrub_core::{DemandTraffic, PolicyKind};
 use scrub_telemetry as tel;
 
 use crate::experiments::{rep_jobs, run_grid};
-use crate::runner;
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 const INTERVAL_S: f64 = 900.0;
@@ -37,7 +37,7 @@ const BUDGET_FACTORS: [f64; 4] = [2.0, 1.0, 0.5, 0.25];
 
 /// The paper's four mechanisms plus the budgeted tour sweep:
 /// (row label, IOPS budget or None for unbudgeted, policy).
-pub fn roster(scale: &Scale) -> Vec<(String, Option<f64>, PolicyKind)> {
+pub fn roster(scale: &Scale, opts: &RunOptions) -> Vec<(String, Option<f64>, PolicyKind)> {
     let mut v: Vec<(String, Option<f64>, PolicyKind)> = vec![
         (
             "basic".into(),
@@ -72,7 +72,7 @@ pub fn roster(scale: &Scale) -> Vec<(String, Option<f64>, PolicyKind)> {
     // `--scrub-iops` rebases the whole sweep; the factors still apply, so
     // CI can force a throttled regime at any scale.
     let nominal = scale.num_lines as f64 / INTERVAL_S;
-    let base = runner::scrub_iops().unwrap_or(nominal);
+    let base = opts.scrub_iops.unwrap_or(nominal);
     for factor in BUDGET_FACTORS {
         let iops = base * factor;
         v.push((
@@ -111,8 +111,8 @@ pub struct BudgetRow {
 }
 
 /// Computes the budget table without rendering.
-pub fn compute(scale: Scale) -> Vec<BudgetRow> {
-    let roster = roster(&scale);
+pub fn compute(scale: &Scale, opts: &RunOptions) -> Vec<BudgetRow> {
+    let roster = roster(scale, opts);
     if tel::enabled() {
         // The run-time bound CI checks `starvation_max_lag` against, from
         // the policy the budgeted rows run.
@@ -126,9 +126,9 @@ pub fn compute(scale: Scale) -> Vec<BudgetRow> {
     let traffic = DemandTraffic::suite(WorkloadId::DbOltp);
     let jobs = roster
         .iter()
-        .flat_map(|(_, _, policy)| rep_jobs(&scale, &device, &code, policy, &traffic, 0xE14))
+        .flat_map(|(_, _, policy)| rep_jobs(scale, &device, &code, policy, &traffic, 0xE14))
         .collect();
-    let reports = run_grid(jobs);
+    let reports = run_grid(opts, jobs);
     roster
         .into_iter()
         .zip(reports.chunks(scale.reps as usize))
@@ -166,15 +166,10 @@ pub fn compute(scale: Scale) -> Vec<BudgetRow> {
         .collect()
 }
 
-/// Runs E14 and renders its table.
-pub fn run(scale: Scale) -> String {
-    render(&compute(scale))
-}
-
-/// Runs E14 once, returning the rendered table plus per-row headline
-/// metrics for the `BENCH_e14.json` record.
-pub fn run_with_metrics(scale: Scale) -> (String, Vec<(String, f64)>) {
-    let rows = compute(scale);
+/// Runs E14, returning the rendered table plus per-row headline metrics
+/// for the `BENCH_e14.json` record.
+pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
+    let rows = compute(scale, opts);
     let mut metrics = Vec::new();
     for row in &rows {
         metrics.push((format!("{}.ue_per_gib_day", row.label), row.ue_per_gib_day));
@@ -243,7 +238,7 @@ mod tests {
 
     #[test]
     fn budget_sweep_throttles_and_degrades_smoothly() {
-        let rows = compute(tiny());
+        let rows = compute(&tiny(), &RunOptions::default());
         assert_eq!(rows.len(), 8);
         let by_label = |l: &str| rows.iter().find(|r| r.label == l).unwrap();
         let full = by_label("tour@2x");
@@ -266,7 +261,7 @@ mod tests {
 
     #[test]
     fn unbudgeted_mechanisms_report_no_iops() {
-        let rows = compute(tiny());
+        let rows = compute(&tiny(), &RunOptions::default());
         for label in ["basic", "threshold", "age-aware", "combined"] {
             assert!(rows.iter().any(|r| r.label == label && r.iops.is_none()));
         }

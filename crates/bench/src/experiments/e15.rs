@@ -22,6 +22,7 @@ use pcm_analysis::{fmt_count, Table};
 use scrub_telemetry as tel;
 use scrubd::{Fleet, FleetConfig, TenantSlo};
 
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 /// Fleet sizing derived from the experiment scale: quick is the CI fleet
@@ -75,8 +76,8 @@ pub struct FleetResult {
 }
 
 /// Runs both fleets and computes the differential.
-pub fn compute(scale: Scale) -> FleetResult {
-    let config = fleet_config(&scale);
+pub fn compute(scale: &Scale) -> FleetResult {
+    let config = fleet_config(scale);
     let banks = config.banks;
     let shards = config.shards;
 
@@ -131,14 +132,11 @@ pub fn compute(scale: Scale) -> FleetResult {
     result
 }
 
-/// Runs E15 and renders its tables.
-pub fn run(scale: Scale) -> String {
-    render(&compute(scale))
-}
-
-/// Runs E15 once, returning the rendered tables plus headline metrics
-/// for the `BENCH_e15.json` record.
-pub fn run_with_metrics(scale: Scale) -> (String, Vec<(String, f64)>) {
+/// Runs E15, returning the rendered tables plus headline metrics for
+/// the `BENCH_e15.json` record. The fleet checkpoints on its own round
+/// cadence and builds its own shard configs, so `--checkpoint-every` and
+/// `--fault-campaign` do not apply.
+pub fn run(scale: &Scale, _opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let result = compute(scale);
     let mut metrics = vec![
         (
@@ -221,7 +219,7 @@ mod tests {
 
     #[test]
     fn migration_differential_is_identical_and_tenants_are_served() {
-        let result = compute(tiny());
+        let result = compute(&tiny());
         assert_eq!(result.banks, 64);
         assert_eq!(result.shards, 4);
         assert!(result.migrations >= 4, "{result:?}");

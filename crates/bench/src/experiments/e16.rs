@@ -19,6 +19,7 @@ use pcm_analysis::Table;
 use scrub_telemetry as tel;
 use scrubd::{ChaosSpec, Fleet, FleetConfig};
 
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 /// The four scrub policies compared throughout the study.
@@ -114,15 +115,15 @@ fn chaos_spec(shards: u32, kill_every: u64, nominal_rounds: u64) -> (ChaosSpec, 
 }
 
 /// Runs the control and chaos fleets for every cell.
-pub fn compute(scale: Scale) -> RecoveryResult {
-    let probe = fleet_config(&scale, POLICIES[0]);
+pub fn compute(scale: &Scale) -> RecoveryResult {
+    let probe = fleet_config(scale, POLICIES[0]);
     let banks = probe.banks;
     let shards = probe.shards;
     let nominal_rounds = (probe.horizon_s / probe.cadence_s).ceil() as u64;
 
     let mut cells = Vec::new();
     for policy in POLICIES {
-        let config = fleet_config(&scale, policy);
+        let config = fleet_config(scale, policy);
         let mut control = Fleet::new(config.clone());
         while !control.done() {
             control.advance_round();
@@ -174,14 +175,11 @@ pub fn compute(scale: Scale) -> RecoveryResult {
     result
 }
 
-/// Runs E16 and renders its tables.
-pub fn run(scale: Scale) -> String {
-    render(&compute(scale))
-}
-
-/// Runs E16 once, returning the rendered tables plus headline metrics
-/// for the `BENCH_e16.json` record.
-pub fn run_with_metrics(scale: Scale) -> (String, Vec<(String, f64)>) {
+/// Runs E16, returning the rendered tables plus headline metrics for
+/// the `BENCH_e16.json` record. The fleet checkpoints on its own round
+/// cadence and builds its own shard configs, so `--checkpoint-every` and
+/// `--fault-campaign` do not apply.
+pub fn run(scale: &Scale, _opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let result = compute(scale);
     let mut metrics = vec![(
         "all_converged".to_string(),
@@ -267,7 +265,7 @@ mod tests {
 
     #[test]
     fn every_cell_converges_and_pays_a_bounded_repair_bill() {
-        let result = compute(tiny());
+        let result = compute(&tiny());
         assert_eq!(result.cells.len(), POLICIES.len() * KILL_EVERY.len());
         assert!(result.all_converged(), "{result:?}");
         for cell in &result.cells {

@@ -31,11 +31,11 @@ use pcm_ecc::CodeSpec;
 use pcm_memsim::CampaignSpec;
 use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
-use scrub_core::{DemandTraffic, PolicyKind, SimConfig};
+use scrub_core::{DemandTraffic, PolicyKind, ProfileStats, SimConfig};
 use scrub_telemetry as tel;
 
-use crate::experiments::{rep_jobs, run_grid};
-use crate::runner;
+use crate::experiments::{rep_jobs, run_config};
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 const INTERVAL_S: f64 = 900.0;
@@ -58,15 +58,16 @@ fn profile_capacity(scale: &Scale) -> u32 {
     (scale.num_lines / 8).max(16)
 }
 
-fn nominal_iops(scale: &Scale) -> f64 {
-    runner::scrub_iops().unwrap_or(scale.num_lines as f64 / INTERVAL_S)
+fn nominal_iops(scale: &Scale, opts: &RunOptions) -> f64 {
+    opts.scrub_iops
+        .unwrap_or(scale.num_lines as f64 / INTERVAL_S)
 }
 
-fn profiled_kind(scale: &Scale, theta: u32, iops_factor: f64) -> PolicyKind {
+fn profiled_kind(scale: &Scale, opts: &RunOptions, theta: u32, iops_factor: f64) -> PolicyKind {
     PolicyKind::Profiled {
         interval_s: INTERVAL_S,
         theta,
-        iops: nominal_iops(scale) * iops_factor,
+        iops: nominal_iops(scale, opts) * iops_factor,
         burst: BURST_TOKENS,
         max_defer: MAX_DEFER,
         capacity: profile_capacity(scale),
@@ -78,7 +79,7 @@ fn profiled_kind(scale: &Scale, theta: u32, iops_factor: f64) -> PolicyKind {
 
 /// Policy-table roster: combined, tour at the same nominal budget, and
 /// the profiled policy.
-pub fn roster(scale: &Scale) -> Vec<(String, PolicyKind)> {
+pub fn roster(scale: &Scale, opts: &RunOptions) -> Vec<(String, PolicyKind)> {
     vec![
         (
             "combined".to_string(),
@@ -89,14 +90,14 @@ pub fn roster(scale: &Scale) -> Vec<(String, PolicyKind)> {
             PolicyKind::Tour {
                 interval_s: INTERVAL_S,
                 theta: THETA,
-                iops: nominal_iops(scale) * BUDGET_FACTOR,
+                iops: nominal_iops(scale, opts) * BUDGET_FACTOR,
                 burst: BURST_TOKENS,
                 max_defer: MAX_DEFER,
             },
         ),
         (
             "profiled".to_string(),
-            profiled_kind(scale, THETA, BUDGET_FACTOR),
+            profiled_kind(scale, opts, THETA, BUDGET_FACTOR),
         ),
     ]
 }
@@ -104,8 +105,8 @@ pub fn roster(scale: &Scale) -> Vec<(String, PolicyKind)> {
 /// The policy table's default campaign: errors concentrated on a small
 /// set of repeat-offender lines, the regime profiling is for.
 /// `--fault-campaign` overrides it.
-fn policy_campaign(scale: &Scale) -> CampaignSpec {
-    if let Some(spec) = runner::fault_campaign() {
+fn policy_campaign(scale: &Scale, opts: &RunOptions) -> CampaignSpec {
+    if let Some(spec) = opts.fault_campaign {
         return spec;
     }
     let stuck = (scale.num_lines / 32).max(4);
@@ -142,11 +143,14 @@ pub struct PolicyRow {
     pub scrub_writes: f64,
     /// Mean scrub energy (µJ).
     pub energy_uj: f64,
-    /// Dirty fraction among probes of profiled lines (profiled rows
-    /// with telemetry on; `None` otherwise).
+    /// Dirty fraction among probes of profiled lines (profiled rows;
+    /// `None` otherwise).
     pub hit_rate: Option<f64>,
     /// Dirty fraction among all probes of the same runs.
     pub base_rate: Option<f64>,
+    /// The risk profile's probe tallies, summed over the reps (zero for
+    /// rows without a profile).
+    pub profile: ProfileStats,
 }
 
 /// One code-table row, rep-averaged.
@@ -162,6 +166,8 @@ pub struct CodeRow {
     pub probes: f64,
     /// Mean scrub write-backs.
     pub scrub_writes: f64,
+    /// The risk profile's probe tallies, summed over the reps.
+    pub profile: ProfileStats,
 }
 
 /// Both tables, computed.
@@ -189,7 +195,7 @@ fn campaign_jobs(
     scale: &Scale,
     code: &CodeSpec,
     policy: &PolicyKind,
-    campaign: &CampaignSpec,
+    campaign: CampaignSpec,
 ) -> Vec<SimConfig> {
     let scale = Scale {
         reps: rep_count(scale),
@@ -205,46 +211,53 @@ fn campaign_jobs(
         0xE17,
     );
     for job in &mut jobs {
-        job.fault_campaign = Some(*campaign);
+        job.fault_campaign = Some(campaign);
     }
     jobs
 }
 
-/// Computes both tables without rendering. Each policy-table row is its
-/// own job grid, so the profiler counter deltas around it are that row's;
-/// the code table is one grid.
-pub fn compute(scale: Scale) -> E17Results {
+/// Computes both tables without rendering. Both tables run as one job
+/// grid; each row regroups its reps' outcomes in input order.
+pub fn compute(scale: &Scale, opts: &RunOptions) -> E17Results {
     if tel::enabled() {
         // The run-time progress bound for the profiled policy, the
         // shadow of the tour's model-checked ScrubProgress property.
-        let bound = profiled_kind(&scale, THETA, BUDGET_FACTOR)
+        let bound = profiled_kind(scale, opts, THETA, BUDGET_FACTOR)
             .build(scale.num_lines, 8, 0)
             .and_then(|p| p.progress_bound_slots())
             .expect("the profiled policy is budgeted");
         tel::set_value("e17.progress_bound_slots", bound as f64);
     }
     let bch = CodeSpec::bch_line(6);
-    let campaign = policy_campaign(&scale);
-    let policies = roster(&scale)
+    let roster = roster(scale, opts);
+    let campaign = policy_campaign(scale, opts);
+    let burst = burst_campaign(scale);
+    let code_roster = [
+        ("bch-6".to_string(), CodeSpec::bch_line(6), THETA),
+        ("rs:72,64".to_string(), CodeSpec::rs_line(72, 64), 1),
+    ];
+    let policy_jobs = roster
+        .iter()
+        .flat_map(|(_, policy)| campaign_jobs(scale, &bch, policy, campaign));
+    let code_jobs = code_roster.iter().flat_map(|(_, code, theta)| {
+        // 4x the nominal budget: the code table compares ECC strength,
+        // so probes should not be the bottleneck the way they are in
+        // the budget-focused policy table.
+        let policy = profiled_kind(scale, opts, *theta, 4.0);
+        campaign_jobs(scale, code, &policy, burst)
+    });
+    let jobs: Vec<SimConfig> = policy_jobs.chain(code_jobs).collect();
+    let outcomes = scrub_exec::par_map(scrub_exec::default_threads(), jobs, |_, c| {
+        run_config(opts, c)
+    });
+    let reps = rep_count(scale) as usize;
+    let (policy_outcomes, code_outcomes) = outcomes.split_at(roster.len() * reps);
+
+    let policies = roster
         .into_iter()
-        .map(|(label, policy)| {
-            // Profiler counters are process-global; the delta across this
-            // roster entry's reps isolates its hit/dirty mix (other
-            // policies never touch these counters).
-            let before = [
-                tel::counter_value(tel::Counter::ProfilerHits),
-                tel::counter_value(tel::Counter::ProfilerMisses),
-                tel::counter_value(tel::Counter::ProfilerDirtyProbes),
-                tel::counter_value(tel::Counter::ScrubProbes),
-            ];
-            let reports = run_grid(campaign_jobs(&scale, &bch, &policy, &campaign));
-            let after = [
-                tel::counter_value(tel::Counter::ProfilerHits),
-                tel::counter_value(tel::Counter::ProfilerMisses),
-                tel::counter_value(tel::Counter::ProfilerDirtyProbes),
-                tel::counter_value(tel::Counter::ScrubProbes),
-            ];
-            let n = reports.len() as f64;
+        .zip(policy_outcomes.chunks(reps))
+        .map(|((label, _), outcomes)| {
+            let n = outcomes.len() as f64;
             let mut row = PolicyRow {
                 label: label.clone(),
                 ue_per_gib_day: 0.0,
@@ -253,26 +266,25 @@ pub fn compute(scale: Scale) -> E17Results {
                 energy_uj: 0.0,
                 hit_rate: None,
                 base_rate: None,
+                profile: outcomes.iter().filter_map(|o| o.profile).sum(),
             };
-            for r in &reports {
+            let mut probes = 0u64;
+            for o in outcomes {
+                let r = &o.report;
                 row.ue_per_gib_day += r.ue_per_gib_day();
                 row.probes += r.stats.scrub_probes as f64;
                 row.scrub_writes += r.stats.scrub_writebacks as f64;
                 row.energy_uj += r.scrub_energy_uj;
+                probes += r.stats.scrub_probes;
             }
             row.ue_per_gib_day /= n;
             row.probes /= n;
             row.scrub_writes /= n;
             row.energy_uj /= n;
-            let [hits, misses, dirty, probes] = [
-                after[0] - before[0],
-                after[1] - before[1],
-                after[2] - before[2],
-                after[3] - before[3],
-            ];
-            row.hit_rate = event_rate(hits, misses);
-            if dirty > 0 {
-                row.base_rate = event_rate(dirty, probes.saturating_sub(dirty));
+            let p = row.profile;
+            row.hit_rate = event_rate(p.hits, p.misses);
+            if p.dirty_probes > 0 {
+                row.base_rate = event_rate(p.dirty_probes, probes.saturating_sub(p.dirty_probes));
             }
             if tel::enabled() {
                 tel::set_value(&format!("e17.{label}.ue_per_gib_day"), row.ue_per_gib_day);
@@ -288,35 +300,21 @@ pub fn compute(scale: Scale) -> E17Results {
         })
         .collect();
 
-    let burst = burst_campaign(&scale);
-    let code_roster = [
-        ("bch-6".to_string(), CodeSpec::bch_line(6), THETA),
-        ("rs:72,64".to_string(), CodeSpec::rs_line(72, 64), 1),
-    ];
-    let jobs = code_roster
-        .iter()
-        .flat_map(|(_, code, theta)| {
-            // 4x the nominal budget: the code table compares ECC strength,
-            // so probes should not be the bottleneck the way they are in
-            // the budget-focused policy table.
-            let policy = profiled_kind(&scale, *theta, 4.0);
-            campaign_jobs(&scale, code, &policy, &burst)
-        })
-        .collect();
-    let reports = run_grid(jobs);
     let codes = code_roster
         .into_iter()
-        .zip(reports.chunks(rep_count(&scale) as usize))
-        .map(|((label, _, _), reports)| {
-            let n = reports.len() as f64;
+        .zip(code_outcomes.chunks(reps))
+        .map(|((label, _, _), outcomes)| {
+            let n = outcomes.len() as f64;
             let mut row = CodeRow {
                 label: label.clone(),
                 ue_per_gib_day: 0.0,
                 ue_events: 0.0,
                 probes: 0.0,
                 scrub_writes: 0.0,
+                profile: outcomes.iter().filter_map(|o| o.profile).sum(),
             };
-            for r in reports {
+            for o in outcomes {
+                let r = &o.report;
                 row.ue_per_gib_day += r.ue_per_gib_day();
                 row.ue_events += r.uncorrectable() as f64;
                 row.probes += r.stats.scrub_probes as f64;
@@ -346,15 +344,10 @@ pub fn compute(scale: Scale) -> E17Results {
     E17Results { policies, codes }
 }
 
-/// Runs E17 and renders its tables.
-pub fn run(scale: Scale) -> String {
-    render(&compute(scale))
-}
-
-/// Runs E17 once, returning the rendered tables plus headline metrics
-/// for the `BENCH_e17.json` record.
-pub fn run_with_metrics(scale: Scale) -> (String, Vec<(String, f64)>) {
-    let results = compute(scale);
+/// Runs E17, returning the rendered tables plus headline metrics for
+/// the `BENCH_e17.json` record.
+pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
+    let results = compute(scale, opts);
     let mut metrics = Vec::new();
     for row in &results.policies {
         metrics.push((format!("{}.ue_per_gib_day", row.label), row.ue_per_gib_day));
@@ -446,13 +439,25 @@ mod tests {
 
     #[test]
     fn policy_table_profiles_pay_off() {
-        let r = compute(tiny());
+        assert!(
+            !tel::enabled(),
+            "the profiler cells must not need telemetry"
+        );
+        let r = compute(&tiny(), &RunOptions::default());
         assert_eq!(r.policies.len(), 3);
         let by = |l: &str| r.policies.iter().find(|x| x.label == l).unwrap();
         let combined = by("combined");
         let tour = by("tour");
         let profiled = by("profiled");
         assert!(profiled.probes > 0.0 && combined.probes > 0.0);
+        // The profiler cells come from the runs themselves.
+        assert!(
+            profiled.hit_rate.is_some() && profiled.base_rate.is_some(),
+            "{profiled:?}"
+        );
+        for row in [combined, tour] {
+            assert_eq!((row.hit_rate, row.base_rate), (None, None), "{row:?}");
+        }
         // At the *same* token budget, the profiler's quiet stretch spends
         // strictly fewer probes and writes than the plain tour under the
         // concentrated campaign — the budget-matched claim that holds at
@@ -471,7 +476,7 @@ mod tests {
 
     #[test]
     fn burst_campaign_favors_the_symbol_code() {
-        let r = compute(tiny());
+        let r = compute(&tiny(), &RunOptions::default());
         assert_eq!(r.codes.len(), 2);
         let by = |l: &str| r.codes.iter().find(|x| x.label == l).unwrap();
         let bch = by("bch-6");

@@ -12,6 +12,7 @@ use pcm_model::DeviceConfig;
 use scrub_core::{DemandTraffic, PolicyKind};
 
 use crate::experiments::{rep_jobs, rep_means, run_grid};
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 /// Sweep intervals reported (seconds, label).
@@ -24,7 +25,7 @@ const INTERVALS: [(f64, &str); 5] = [
 ];
 
 /// Runs E2 and renders its table.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let dev = DeviceConfig::default();
     let code = CodeSpec::secded_line();
     let mut out =
@@ -42,7 +43,7 @@ pub fn run(scale: Scale) -> String {
         .iter()
         .flat_map(|&(interval_s, _)| {
             rep_jobs(
-                &scale,
+                scale,
                 &dev,
                 &code,
                 &PolicyKind::Basic { interval_s },
@@ -51,7 +52,7 @@ pub fn run(scale: Scale) -> String {
             )
         })
         .collect();
-    let metrics = rep_means(&scale, &run_grid(jobs));
+    let metrics = rep_means(scale, &run_grid(opts, jobs));
     for ((_, label), m) in INTERVALS.into_iter().zip(metrics) {
         table.row(vec![
             label.to_string(),
@@ -72,7 +73,7 @@ pub fn run(scale: Scale) -> String {
          with the interval (drift overwhelms SECDED); short intervals trade that\n\
          for massive write traffic and energy.\n",
     );
-    out
+    (out, Vec::new())
 }
 
 #[cfg(test)]
@@ -87,7 +88,7 @@ mod tests {
             reps: 1,
             mc_cells: 100,
         };
-        let out = run(s);
+        let (out, _) = run(&s, &RunOptions::default());
         assert!(out.contains("15min"));
         assert!(out.contains("UE_prob_per_probe"));
     }

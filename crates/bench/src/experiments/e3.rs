@@ -12,12 +12,13 @@ use pcm_workloads::WorkloadId;
 use scrub_core::{DemandTraffic, PolicyKind};
 
 use crate::experiments::{rep_jobs, rep_means, run_grid};
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 const INTERVAL_S: f64 = 900.0;
 
 /// Runs E3 and renders its table.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let dev = DeviceConfig::default();
     let traffic = DemandTraffic::suite(WorkloadId::DbOltp);
     let mut out = String::from("E3: ECC strength ladder (db-oltp, 15min sweep)\n\n");
@@ -45,11 +46,11 @@ pub fn run(scale: Scale) -> String {
                     theta,
                 },
             ]
-            .map(|policy| rep_jobs(&scale, &dev, code, &policy, &traffic, 0xE3))
+            .map(|policy| rep_jobs(scale, &dev, code, &policy, &traffic, 0xE3))
         })
         .flatten()
         .collect();
-    let metrics = rep_means(&scale, &run_grid(jobs));
+    let metrics = rep_means(scale, &run_grid(opts, jobs));
     for (code, pair) in ladder.iter().zip(metrics.chunks(2)) {
         let (eager, lazy) = (pair[0], pair[1]);
         table.row(vec![
@@ -67,7 +68,7 @@ pub fn run(scale: Scale) -> String {
         "\nExpected shape: UEs fall steeply with code strength; lazy write-back\n\
          cuts writes by ~theta sweeps' worth while keeping UEs near the eager level.\n",
     );
-    out
+    (out, Vec::new())
 }
 
 /// The ladder used (exposed for the experiments bench).

@@ -10,12 +10,13 @@ use pcm_workloads::WorkloadId;
 use scrub_core::{DemandTraffic, PolicyKind};
 
 use crate::experiments::{rep_jobs, rep_means, run_grid};
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 const INTERVAL_S: f64 = 900.0;
 
 /// Runs E4 and renders its table.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let dev = DeviceConfig::default();
     let code = CodeSpec::bch_line(6);
     let traffic = DemandTraffic::suite(WorkloadId::WebServe);
@@ -35,10 +36,10 @@ pub fn run(scale: Scale) -> String {
                 interval_s: INTERVAL_S,
                 theta,
             };
-            rep_jobs(&scale, &dev, &code, &policy, &traffic, 0xE4)
+            rep_jobs(scale, &dev, &code, &policy, &traffic, 0xE4)
         })
         .collect();
-    let metrics = rep_means(&scale, &run_grid(jobs));
+    let metrics = rep_means(scale, &run_grid(opts, jobs));
     for (theta, m) in (1..=6u32).zip(metrics) {
         let base = *theta1_writes.get_or_insert(m.scrub_writes);
         table.row(vec![
@@ -60,7 +61,7 @@ pub fn run(scale: Scale) -> String {
          headroom defers the write by more sweeps); UEs stay low until theta\n\
          approaches the code's capability t=6.\n",
     );
-    out
+    (out, Vec::new())
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@ use pcm_model::DeviceConfig;
 use scrub_core::PolicyKind;
 
 use crate::experiments::{run_grid, suite_jobs, suite_means, Metrics};
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 const INTERVAL_S: f64 = 900.0;
@@ -64,31 +65,21 @@ pub fn roster() -> Vec<(&'static str, CodeSpec, PolicyKind)> {
     ]
 }
 
-/// Runs the whole roster, suite-averaged.
-pub fn compute(scale: Scale) -> Vec<(&'static str, Metrics)> {
+/// Runs the whole roster, suite-averaged, returning the rendered table
+/// plus per-policy headline metrics for the `BENCH_e5.json` record.
+pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let dev = DeviceConfig::default();
     let roster = roster();
     let jobs = roster
         .iter()
-        .flat_map(|(_, code, policy)| suite_jobs(&scale, &dev, code, policy, 0xE5))
+        .flat_map(|(_, code, policy)| suite_jobs(scale, &dev, code, policy, 0xE5))
         .collect();
-    let metrics = suite_means(&scale, &run_grid(jobs));
-    roster
+    let means = suite_means(scale, &run_grid(opts, jobs));
+    let rows: Vec<_> = roster
         .into_iter()
-        .zip(metrics)
+        .zip(means)
         .map(|((label, _, _), m)| (label, m))
-        .collect()
-}
-
-/// Runs E5 and renders its table.
-pub fn run(scale: Scale) -> String {
-    render(&compute(scale))
-}
-
-/// Runs E5 once, returning the rendered table plus per-policy headline
-/// metrics for the `BENCH_e5.json` record.
-pub fn run_with_metrics(scale: Scale) -> (String, Vec<(String, f64)>) {
-    let rows = compute(scale);
+        .collect();
     let mut metrics = Vec::new();
     for (label, m) in &rows {
         metrics.push((format!("{label}.ue"), m.ue));

@@ -15,6 +15,7 @@ use scrub_telemetry as tel;
 use crate::experiments::{
     baseline_policy, combined_policy, run_grid, suite_jobs, suite_means, Metrics,
 };
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 /// Computed headline comparison.
@@ -49,14 +50,14 @@ impl Headline {
 /// enabled, each runs under its own phase scope (crediting the total
 /// simulated span it covered) and the headline metrics are recorded as
 /// bit-exact `e6.*` values.
-pub fn compute(scale: Scale) -> Headline {
+pub fn compute(scale: &Scale, opts: &RunOptions) -> Headline {
     let dev = DeviceConfig::default();
     let suite_span_s = scale.horizon_s * (WorkloadId::all().len() as u32 * scale.reps) as f64;
     let suite = |phase: &str, (code, policy)| {
         let mut scope = tel::phase(phase);
         scope.add_sim_span(suite_span_s);
-        let reports = run_grid(suite_jobs(&scale, &dev, &code, &policy, 0xE6));
-        suite_means(&scale, &reports)[0]
+        let reports = run_grid(opts, suite_jobs(scale, &dev, &code, &policy, 0xE6));
+        suite_means(scale, &reports)[0]
     };
     let basic = suite("e6.basic_suite", baseline_policy());
     let combined = suite("e6.combined_suite", combined_policy());
@@ -76,15 +77,10 @@ pub fn compute(scale: Scale) -> Headline {
     h
 }
 
-/// Runs E6 and renders its table, with paper-reported targets inline.
-pub fn run(scale: Scale) -> String {
-    render(&compute(scale))
-}
-
-/// Runs E6 once, returning the rendered table plus the headline metrics
-/// for the `BENCH_e6.json` record.
-pub fn run_with_metrics(scale: Scale) -> (String, Vec<(String, f64)>) {
-    let h = compute(scale);
+/// Runs E6, returning the rendered table (with paper-reported targets
+/// inline) plus the headline metrics for the `BENCH_e6.json` record.
+pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
+    let h = compute(scale, opts);
     let metrics = vec![
         ("ue_reduction_pct".to_string(), h.ue_reduction_pct()),
         ("write_ratio".to_string(), h.write_ratio()),
@@ -163,7 +159,7 @@ mod tests {
             reps: 1,
             mc_cells: 100,
         };
-        let h = compute(scale);
+        let h = compute(&scale, &RunOptions::default());
         assert!(
             h.ue_reduction_pct() > 50.0,
             "UE reduction {}",

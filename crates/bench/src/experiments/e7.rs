@@ -10,10 +10,11 @@ use pcm_workloads::WorkloadId;
 use scrub_core::DemandTraffic;
 
 use crate::experiments::{baseline_policy, combined_policy, rep_jobs, rep_means, run_grid};
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 /// Runs E7 and renders its table.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let dev = DeviceConfig::default();
     let (base_code, base_policy) = baseline_policy();
     let (comb_code, comb_policy) = combined_policy();
@@ -32,13 +33,13 @@ pub fn run(scale: Scale) -> String {
         .flat_map(|id| {
             let traffic = DemandTraffic::suite(id);
             [
-                rep_jobs(&scale, &dev, &base_code, &base_policy, &traffic, 0xE7),
-                rep_jobs(&scale, &dev, &comb_code, &comb_policy, &traffic, 0xE7),
+                rep_jobs(scale, &dev, &base_code, &base_policy, &traffic, 0xE7),
+                rep_jobs(scale, &dev, &comb_code, &comb_policy, &traffic, 0xE7),
             ]
         })
         .flatten()
         .collect();
-    let metrics = rep_means(&scale, &run_grid(jobs));
+    let metrics = rep_means(scale, &run_grid(opts, jobs));
     for (id, pair) in WorkloadId::all().into_iter().zip(metrics.chunks(2)) {
         let (b, c) = (pair[0], pair[1]);
         table.row(vec![
@@ -58,7 +59,7 @@ pub fn run(scale: Scale) -> String {
          while write-churning workloads let the lazy scrubber skip almost all\n\
          corrective writes.\n",
     );
-    out
+    (out, Vec::new())
 }
 
 #[cfg(test)]

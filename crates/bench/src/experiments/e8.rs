@@ -13,6 +13,7 @@ use pcm_workloads::WorkloadId;
 use scrub_core::{DemandTraffic, PolicyKind};
 
 use crate::experiments::{rep_jobs, rep_means, run_grid};
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 /// Sweep intervals, most aggressive first.
@@ -25,7 +26,7 @@ const INTERVALS: [(f64, &str); 5] = [
 ];
 
 /// Runs E8 and renders its table.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     // Endurance low enough that aggressive scrubbing wears cells out
     // within the horizon, but high enough that relaxed intervals stay
     // healthy. An eager (basic) scrubber at a 1-minute sweep writes each
@@ -66,9 +67,9 @@ pub fn run(scale: Scale) -> String {
     ));
     let jobs = rows
         .iter()
-        .flat_map(|(_, policy)| rep_jobs(&scale, &device, &code, policy, &traffic, 0xE8))
+        .flat_map(|(_, policy)| rep_jobs(scale, &device, &code, policy, &traffic, 0xE8))
         .collect();
-    let metrics = rep_means(&scale, &run_grid(jobs));
+    let metrics = rep_means(scale, &run_grid(opts, jobs));
     for ((label, _), m) in rows.into_iter().zip(metrics) {
         table.row(vec![
             label.to_string(),
@@ -86,7 +87,7 @@ pub fn run(scale: Scale) -> String {
          re-inflate UEs); lazy intervals do the opposite. Adaptive lands near\n\
          the interior optimum without a hand-tuned rate.\n",
     );
-    out
+    (out, Vec::new())
 }
 
 #[cfg(test)]

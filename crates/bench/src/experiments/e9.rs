@@ -15,6 +15,7 @@ use pcm_workloads::WorkloadId;
 use scrub_core::DemandTraffic;
 
 use crate::experiments::{rep_jobs, rep_means, roster_for_bandwidth, run_grid};
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 /// Reference DIMM capacity the utilization is scaled to.
@@ -22,7 +23,7 @@ const REF_CAPACITY_BYTES: f64 = 16.0 * (1u64 << 30) as f64;
 const BASE_READ_NS: f64 = 120.0;
 
 /// Runs E9 and renders its table.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let dev = DeviceConfig::default();
     let traffic = DemandTraffic::suite(WorkloadId::DbOltp);
     let capacity_factor = REF_CAPACITY_BYTES / (scale.num_lines as f64 * 64.0);
@@ -39,9 +40,9 @@ pub fn run(scale: Scale) -> String {
     let roster = roster_for_bandwidth();
     let jobs = roster
         .iter()
-        .flat_map(|(_, code, policy)| rep_jobs(&scale, &dev, code, policy, &traffic, 0xE9))
+        .flat_map(|(_, code, policy)| rep_jobs(scale, &dev, code, policy, &traffic, 0xE9))
         .collect();
-    let metrics = rep_means(&scale, &run_grid(jobs));
+    let metrics = rep_means(scale, &run_grid(opts, jobs));
     for ((label, _, _), m) in roster.into_iter().zip(metrics) {
         let share = (m.scrub_utilization * capacity_factor).min(0.99);
         let latency = if share >= 0.9 {
@@ -64,7 +65,7 @@ pub fn run(scale: Scale) -> String {
          fraction of the baseline's, keeping demand latency near the raw read\n\
          time.\n",
     );
-    out
+    (out, Vec::new())
 }
 
 #[cfg(test)]

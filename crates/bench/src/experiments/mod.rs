@@ -1,8 +1,10 @@
-//! Experiment implementations E1–E13 (see DESIGN.md's experiment index).
+//! Experiment implementations E1–E17 and X1 (see DESIGN.md's experiment
+//! index).
 //!
-//! Every experiment is a pure function `run(scale) -> String` returning
-//! the rendered tables; the `exp_*` binaries print them and the
-//! `experiments` bench target runs them all in quick mode.
+//! Every experiment is a pure function
+//! `run(&Scale, &RunOptions) -> (String, Vec<(String, f64)>)` returning
+//! its rendered tables and its headline metrics (empty for most); the
+//! `exp_*` binaries print the tables and record the metrics.
 //!
 //! The simulating experiments build their whole sweep as one list of
 //! `SimConfig` jobs, hand it to [`run_grid`], and regroup the reports in
@@ -31,40 +33,38 @@ pub mod x1;
 use pcm_ecc::CodeSpec;
 use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
-use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport, Simulation};
+use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport, SplitRunOutcome};
 
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
-/// Runs one simulation to its horizon. When the process has a
-/// `--checkpoint-every` cadence installed, the run goes through
-/// `scrub_core::run_split`, serializing and resuming the full state at
-/// every boundary; the determinism contract makes this invisible in the
-/// output.
-fn run_config(config: SimConfig) -> SimReport {
-    match crate::runner::checkpoint_every_s() {
-        Some(every_s) => {
-            scrub_core::run_split(config, every_s)
-                .expect("split run over config-built traces cannot fail")
-                .report
-        }
-        None => Simulation::new(config).run(),
-    }
+/// Runs one simulation to its horizon through `scrub_core::run_split`:
+/// in segments of `--checkpoint-every` when it is set, serializing and
+/// resuming the full state at every boundary, else as one segment, the
+/// same run as `Simulation::run`. The determinism contract makes the
+/// cadence invisible in the output.
+pub(crate) fn run_config(opts: &RunOptions, config: SimConfig) -> SplitRunOutcome {
+    let every_s = opts.checkpoint_every_s.unwrap_or(config.horizon_s);
+    scrub_core::run_split(config, every_s).expect("split run over config-built traces cannot fail")
 }
 
 /// Runs a grid of independent simulations on the process's thread
 /// budget ([`scrub_exec::default_threads`]), one whole simulation per
-/// job, and returns the reports in input order. A simulation runs on
+/// job, and returns the reports in input order. When `opts` carries a
+/// fault campaign, every job attaches it in place of its own (the
+/// campaign's seed keeps that deterministic too). A simulation runs on
 /// the worker that calls it and never spawns workers of its own. Every
 /// job's seed is fixed by its config, so the reports are bit-identical
 /// for every budget.
-pub(crate) fn run_grid(configs: Vec<SimConfig>) -> Vec<SimReport> {
-    scrub_exec::par_map(scrub_exec::default_threads(), configs, |_, c| run_config(c))
+pub(crate) fn run_grid(opts: &RunOptions, configs: Vec<SimConfig>) -> Vec<SimReport> {
+    scrub_exec::par_map(scrub_exec::default_threads(), configs, |_, mut c| {
+        c.fault_campaign = opts.fault_campaign.or(c.fault_campaign);
+        run_config(opts, c).report
+    })
 }
 
 /// One configuration's jobs at the scale's size and horizon, one per
-/// rep, seeded `base_seed + rep·1000`. When the process has a
-/// `--fault-campaign` installed, every job attaches it (the campaign's
-/// own seed keeps that deterministic too).
+/// rep, seeded `base_seed + rep·1000`.
 pub(crate) fn rep_jobs(
     scale: &Scale,
     device: &DeviceConfig,
@@ -75,19 +75,15 @@ pub(crate) fn rep_jobs(
 ) -> Vec<SimConfig> {
     (0..scale.reps)
         .map(|rep| {
-            let mut builder = SimConfig::builder();
-            builder
+            SimConfig::builder()
                 .num_lines(scale.num_lines)
                 .device(device.clone())
                 .code(code.clone())
                 .policy(policy.clone())
                 .traffic(traffic.clone())
                 .horizon_s(scale.horizon_s)
-                .seed(base_seed + rep as u64 * 1000);
-            if let Some(spec) = crate::runner::fault_campaign() {
-                builder.fault_campaign(spec);
-            }
-            builder.build()
+                .seed(base_seed + rep as u64 * 1000)
+                .build()
         })
         .collect()
 }
@@ -254,7 +250,7 @@ mod tests {
             &DemandTraffic::Idle,
             9,
         );
-        let reports = run_grid(jobs);
+        let reports = run_grid(&RunOptions::default(), jobs);
         let m = rep_means(&scale, &reports);
         assert_eq!(m.len(), 1);
         assert_eq!(m[0], Metrics::of(&reports));

@@ -18,6 +18,7 @@ use pcm_workloads::WorkloadId;
 use scrub_core::{DemandTraffic, PolicyKind, SimConfig};
 
 use crate::experiments::run_grid;
+use crate::runner::RunOptions;
 use crate::scale::Scale;
 
 fn sim_config(
@@ -43,14 +44,11 @@ fn sim_config(
     if let Some(t) = inband {
         b.inband_writeback(t);
     }
-    if let Some(spec) = crate::runner::fault_campaign() {
-        b.fault_campaign(spec);
-    }
     b.build()
 }
 
 /// Runs X1 and renders its table.
-pub fn run(scale: Scale) -> String {
+pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let nominal = DeviceConfig::default();
     let time_aware = DeviceConfig::builder()
         .sensing(SensingMode::AgeCompensated)
@@ -59,7 +57,7 @@ pub fn run(scale: Scale) -> String {
         (
             "combined (paper)",
             sim_config(
-                &scale,
+                scale,
                 nominal.clone(),
                 ProbeKind::FullDecode,
                 None,
@@ -69,12 +67,12 @@ pub fn run(scale: Scale) -> String {
         ),
         (
             "+time-aware sensing",
-            sim_config(&scale, time_aware, ProbeKind::FullDecode, None, None, 0xA1),
+            sim_config(scale, time_aware, ProbeKind::FullDecode, None, None, 0xA1),
         ),
         (
             "+CRC-first probes",
             sim_config(
-                &scale,
+                scale,
                 nominal.clone(),
                 ProbeKind::CrcThenDecode,
                 None,
@@ -85,7 +83,7 @@ pub fn run(scale: Scale) -> String {
         (
             "+start-gap leveling",
             sim_config(
-                &scale,
+                scale,
                 nominal.clone(),
                 ProbeKind::FullDecode,
                 Some(8),
@@ -95,7 +93,7 @@ pub fn run(scale: Scale) -> String {
         ),
         (
             "+in-band scrub",
-            sim_config(&scale, nominal, ProbeKind::FullDecode, None, Some(4), 0xA1),
+            sim_config(scale, nominal, ProbeKind::FullDecode, None, Some(4), 0xA1),
         ),
     ];
     let (labels, jobs): (Vec<&str>, Vec<SimConfig>) = rows.into_iter().unzip();
@@ -109,7 +107,7 @@ pub fn run(scale: Scale) -> String {
         "max_wear",
         "wl_copies",
     ]);
-    for (label, r) in labels.into_iter().zip(run_grid(jobs)) {
+    for (label, r) in labels.into_iter().zip(run_grid(opts, jobs)) {
         table.row(vec![
             label.to_string(),
             fmt_count(r.uncorrectable() as f64),
@@ -126,7 +124,7 @@ pub fn run(scale: Scale) -> String {
          max wear at a small write-copy cost; in-band scrub mops up drifted\n\
          lines the sweep hasn't reached yet.\n",
     );
-    out
+    (out, Vec::new())
 }
 
 #[cfg(test)]

@@ -1,8 +1,9 @@
 //! # scrub-bench — benchmark harness regenerating the paper's evaluation
 //!
-//! One module (and one binary) per experiment, E1–E12, as indexed in
-//! DESIGN.md. Each `run(scale)` returns the rendered table(s) the paper
-//! analogue reports; binaries print them. Criterion microbenches live
+//! One module (and one binary) per experiment, E1–E17 and X1, as indexed
+//! in DESIGN.md. Each `run(&Scale, &RunOptions)` returns the rendered
+//! table(s) the paper analogue reports and its headline metrics; binaries
+//! print the tables and record the metrics. Criterion microbenches live
 //! under `benches/`.
 //!
 //! Set `SCRUB_QUICK=1` (or pass [`Scale::quick`]) for CI-sized runs.
@@ -11,4 +12,5 @@ pub mod experiments;
 pub mod runner;
 pub mod scale;
 
+pub use runner::RunOptions;
 pub use scale::Scale;

@@ -1,17 +1,17 @@
 //! Shared entry point for the `exp_*` binaries: flag parsing, wall-clock
 //! timing, and the machine-readable `BENCH_<exp>.json` record.
 //!
-//! Every experiment binary funnels through [`main`] (or [`main_with`] when
-//! it can report headline metrics without recomputation), which
+//! Every experiment binary calls [`main`] with its experiment's `run`,
+//! which
 //!
-//! 1. parses `--threads N`, `--quick`, `--full`, and `--bench-out PATH`,
+//! 1. parses `--threads N`, `--quick`, `--full`, `--bench-out PATH` and
+//!    the [`RunOptions`] flags,
 //! 2. resolves the worker pool (flag > `SCRUBSIM_THREADS` > machine),
 //! 3. runs the experiment and prints its tables to stdout, and
 //! 4. writes a small JSON record — experiment id, thread count, wall-clock
 //!    seconds, scale, and any headline metrics — next to the working
 //!    directory (stderr announces the path, keeping stdout diffable).
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use pcm_memsim::CampaignSpec;
@@ -21,70 +21,40 @@ use tel::json::{escape, fmt_f64};
 
 use crate::scale::Scale;
 
-/// The process-wide fault campaign installed by `--fault-campaign`.
-static FAULT_CAMPAIGN: OnceLock<CampaignSpec> = OnceLock::new();
-
-/// The campaign every simulation in this process should attach, if one
-/// was requested (via `--fault-campaign` or [`set_fault_campaign`]).
-pub fn fault_campaign() -> Option<CampaignSpec> {
-    FAULT_CAMPAIGN.get().copied()
+/// The flags that change what an experiment simulates, passed to its
+/// `run` as one value. The default runs every experiment as built.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunOptions {
+    /// `--fault-campaign`: attached to every simulation, in place of an
+    /// experiment's own campaign.
+    pub fault_campaign: Option<CampaignSpec>,
+    /// `--checkpoint-every`: run each simulation as checkpoint/resume
+    /// segments of this many simulated seconds, through
+    /// `scrub_core::run_split` (the output is byte-identical).
+    pub checkpoint_every_s: Option<f64>,
+    /// `--scrub-iops`: the token-bucket refill rate budgeted tour
+    /// policies run at, in place of an experiment's nominal rate.
+    pub scrub_iops: Option<f64>,
 }
 
-/// Installs the process-wide fault campaign (flag parsing does this;
-/// public so tests can exercise the campaign path). First install wins —
-/// the campaign is part of a run's identity and must not change mid-run.
-pub fn set_fault_campaign(spec: CampaignSpec) {
-    let _ = FAULT_CAMPAIGN.set(spec);
-}
-
-/// The process-wide checkpoint cadence installed by `--checkpoint-every`.
-static CHECKPOINT_EVERY_S: OnceLock<f64> = OnceLock::new();
-
-/// The checkpoint cadence (simulated seconds) every simulation in this
-/// process should split at, if one was requested. Every experiment except
-/// E1 and the E15/E16 fleets then runs each simulation through
-/// `scrub_core::run_split` — exercising the full serialize/resume path —
-/// and must produce output byte-identical to a continuous run's.
-pub fn checkpoint_every_s() -> Option<f64> {
-    CHECKPOINT_EVERY_S.get().copied()
-}
-
-/// Installs the process-wide checkpoint cadence (flag parsing does this;
-/// public so tests can exercise the split path). First install wins.
-pub fn set_checkpoint_every_s(every_s: f64) {
-    let _ = CHECKPOINT_EVERY_S.set(every_s);
-}
-
-/// The process-wide scrub IOPS budget installed by `--scrub-iops`.
-static SCRUB_IOPS: OnceLock<f64> = OnceLock::new();
-
-/// The token-bucket refill rate budgeted tour policies should run at, if
-/// one was requested (via `--scrub-iops` or [`set_scrub_iops`]).
-pub fn scrub_iops() -> Option<f64> {
-    SCRUB_IOPS.get().copied()
-}
-
-/// Installs the process-wide scrub IOPS budget (flag parsing does this;
-/// public so tests can exercise budgeted runs). First install wins.
-pub fn set_scrub_iops(iops: f64) {
-    let _ = SCRUB_IOPS.set(iops);
-}
+/// An experiment's entry point: its stdout and its `(name, value)`
+/// headline metrics for the JSON record.
+pub type Run = fn(&Scale, &RunOptions) -> (String, Vec<(String, f64)>);
 
 struct Opts {
     threads: Option<usize>,
     scale: Option<Scale>,
     bench_out: Option<String>,
     telemetry_out: Option<String>,
-    fault_campaign: Option<CampaignSpec>,
-    checkpoint_every_s: Option<f64>,
     horizon_s: Option<f64>,
-    scrub_iops: Option<f64>,
+    run: RunOptions,
 }
 
 fn usage(exp: &str) -> ! {
     eprintln!(
         "usage: exp_{exp} [--threads N] [--quick|--full] [--bench-out PATH] [--telemetry-out PATH]\n\
-         \x20                [--fault-campaign SPEC]\n\
+         \x20                [--fault-campaign SPEC] [--checkpoint-every SECS] [--horizon-s SECS]\n\
+         \x20                [--scrub-iops N]\n\
          \x20 --threads N        worker pool size (default: $SCRUBSIM_THREADS or all cores)\n\
          \x20 --quick            CI-sized scale (same as SCRUB_QUICK=1)\n\
          \x20 --full             paper-sized scale (overrides SCRUB_QUICK)\n\
@@ -121,10 +91,8 @@ fn parse_opts(exp: &str) -> Opts {
         scale: None,
         bench_out: None,
         telemetry_out: None,
-        fault_campaign: None,
-        checkpoint_every_s: None,
         horizon_s: None,
-        scrub_iops: None,
+        run: RunOptions::default(),
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut it = argv.iter();
@@ -148,14 +116,14 @@ fn parse_opts(exp: &str) -> Opts {
             "--fault-campaign" => {
                 let raw = value();
                 match raw.parse::<CampaignSpec>() {
-                    Ok(spec) => opts.fault_campaign = Some(spec),
+                    Ok(spec) => opts.run.fault_campaign = Some(spec),
                     Err(e) => fail(exp, &e),
                 }
             }
             "--checkpoint-every" => {
                 let raw = value();
                 match raw.parse::<f64>() {
-                    Ok(s) if s.is_finite() && s > 0.0 => opts.checkpoint_every_s = Some(s),
+                    Ok(s) if s.is_finite() && s > 0.0 => opts.run.checkpoint_every_s = Some(s),
                     _ => fail(
                         exp,
                         &format!(
@@ -167,7 +135,7 @@ fn parse_opts(exp: &str) -> Opts {
             "--scrub-iops" => {
                 let raw = value();
                 match raw.parse::<f64>() {
-                    Ok(s) if s.is_finite() && s > 0.0 => opts.scrub_iops = Some(s),
+                    Ok(s) if s.is_finite() && s > 0.0 => opts.run.scrub_iops = Some(s),
                     _ => fail(
                         exp,
                         &format!("--scrub-iops must be a positive finite number, got {raw:?}"),
@@ -224,18 +192,9 @@ fn render_record(
     )
 }
 
-/// Runs an experiment binary that has no cheap headline metrics.
-pub fn main(exp: &'static str, run: fn(Scale) -> String) {
-    main_with(exp, |scale| (run(scale), Vec::new()));
-}
-
-/// Runs an experiment binary whose closure also returns `(name, value)`
-/// headline metrics for the JSON record (computed in the same pass as the
-/// rendered tables — never by re-running the experiment).
-pub fn main_with<F>(exp: &'static str, run: F)
-where
-    F: FnOnce(Scale) -> (String, Vec<(String, f64)>),
-{
+/// Runs an experiment binary: parses the flags, runs `run` once, prints
+/// its stdout and writes its headline metrics to the JSON record.
+pub fn main(exp: &'static str, run: Run) {
     let opts = parse_opts(exp);
     // Validate the environment up front: a malformed SCRUBSIM_THREADS
     // fails loudly here instead of being silently ignored mid-run.
@@ -245,18 +204,12 @@ where
     if let Some(n) = opts.threads {
         scrub_exec::set_default_threads(n);
     }
-    if let Some(spec) = opts.fault_campaign {
-        set_fault_campaign(spec);
-    }
-    if let Some(iops) = opts.scrub_iops {
-        set_scrub_iops(iops);
-    }
     let threads = scrub_exec::default_threads();
     let mut scale = opts.scale.unwrap_or_else(Scale::from_env);
     if let Some(h) = opts.horizon_s {
         scale.horizon_s = h;
     }
-    if let Some(every_s) = opts.checkpoint_every_s {
+    if let Some(every_s) = opts.run.checkpoint_every_s {
         if scale.horizon_s / every_s > tick::MAX_SEGMENTS as f64 {
             fail(
                 exp,
@@ -268,7 +221,6 @@ where
                 ),
             );
         }
-        set_checkpoint_every_s(every_s);
     }
     if opts.telemetry_out.is_some() {
         tel::install(tel::Config::default());
@@ -277,14 +229,14 @@ where
         tel::set_meta("num_lines", &scale.num_lines.to_string());
         tel::set_meta("horizon_s", &format!("{}", scale.horizon_s));
         tel::set_meta("reps", &scale.reps.to_string());
-        if let Some(spec) = fault_campaign() {
+        if let Some(spec) = opts.run.fault_campaign {
             tel::set_meta("fault_campaign", &spec.to_string());
         }
     }
     let started = Instant::now();
     let (output, metrics) = {
         let _scope = tel::phase(&format!("exp.{exp}"));
-        run(scale)
+        run(&scale, &opts.run)
     };
     let wall_s = started.elapsed().as_secs_f64();
     println!("{output}");

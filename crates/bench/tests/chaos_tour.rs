@@ -8,13 +8,9 @@
 //! the simulation at k in-flight points, resumes from the serialized
 //! bytes alone, and re-checkpoints immediately to prove the round trip
 //! is a fixed point.
-//!
-//! The E14 cadence test lives in its own function because the runner's
-//! `--checkpoint-every` global is process-wide (this file being its own
-//! test binary keeps that install isolated from other suites).
 
 use scrub_bench::experiments::e14;
-use scrub_bench::{runner, Scale};
+use scrub_bench::{RunOptions, Scale};
 use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport, Simulation};
 
 const LINES: u32 = 1024;
@@ -114,7 +110,7 @@ fn killed_tour_runs_are_byte_identical_to_continuous() {
 }
 
 /// E14's metrics are bit-identical when every rep is forced through the
-/// kill-and-resume path by the runner's `--checkpoint-every` global.
+/// kill-and-resume path by a `--checkpoint-every` cadence.
 #[test]
 fn e14_metrics_survive_checkpoint_cadence() {
     scrub_exec::set_default_threads(1);
@@ -124,9 +120,13 @@ fn e14_metrics_survive_checkpoint_cadence() {
         reps: 1,
         mc_cells: 100,
     };
-    let continuous = e14::compute(scale);
-    runner::set_checkpoint_every_s(1800.0);
-    assert_eq!(runner::checkpoint_every_s(), Some(1800.0));
-    let split = e14::compute(scale);
+    let continuous = e14::compute(&scale, &RunOptions::default());
+    let split = e14::compute(
+        &scale,
+        &RunOptions {
+            checkpoint_every_s: Some(1800.0),
+            ..RunOptions::default()
+        },
+    );
     assert_eq!(continuous, split, "E14 rows moved under --checkpoint-every");
 }

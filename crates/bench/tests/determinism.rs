@@ -8,7 +8,7 @@
 //! scheduling must not be observable.
 
 use scrub_bench::experiments::{e13, e14, e3, e5, e6, x1};
-use scrub_bench::Scale;
+use scrub_bench::{RunOptions, Scale};
 
 fn tiny(num_lines: u32, hours: f64) -> Scale {
     Scale {
@@ -35,12 +35,12 @@ fn experiment_output_is_byte_identical_across_thread_counts() {
     let small = tiny(256, 2.0);
     let run_all = || {
         [
-            e6::run(e6_scale),
-            e5::run(e5_scale),
-            e13::run(e13_scale),
-            e3::run(small),
-            e14::run(small),
-            x1::run(small),
+            e6::run(&e6_scale, &RunOptions::default()).0,
+            e5::run(&e5_scale, &RunOptions::default()).0,
+            e13::run(&e13_scale, &RunOptions::default()).0,
+            e3::run(&small, &RunOptions::default()).0,
+            e14::run(&small, &RunOptions::default()).0,
+            x1::run(&small, &RunOptions::default()).0,
         ]
     };
 

@@ -3,11 +3,11 @@
 //! repair, line retirement, bank degradation — in both the report stats
 //! and the telemetry counters/journal.
 //!
-//! The telemetry recorder and the `--fault-campaign` global are
-//! process-wide, so the demo lives in ONE test function.
+//! The telemetry recorder is process-wide, so the demo lives in ONE test
+//! function.
 
 use scrub_bench::experiments::e13;
-use scrub_bench::{runner, Scale};
+use scrub_bench::{RunOptions, Scale};
 use scrub_telemetry as tel;
 
 #[test]
@@ -17,18 +17,21 @@ fn campaign_drives_all_repair_stages_into_telemetry() {
         journal_capacity: 65_536,
         event_mask: tel::EventClass::Repair.bit(),
     });
-    runner::set_fault_campaign(
-        "seed=99;stuck=lines:64,cells:4;seu=lines:64,count:2,window:21600"
-            .parse()
-            .expect("valid demo campaign"),
-    );
+    let opts = RunOptions {
+        fault_campaign: Some(
+            "seed=99;stuck=lines:64,cells:4;seu=lines:64,count:2,window:21600"
+                .parse()
+                .expect("valid demo campaign"),
+        ),
+        ..RunOptions::default()
+    };
     let scale = Scale {
         num_lines: 1024,
         horizon_s: 12.0 * 3600.0,
         reps: 1,
         mc_cells: 100,
     };
-    let rows = e13::compute(scale);
+    let rows = e13::compute(&scale, &opts);
     let basic = rows.iter().find(|r| r.label == "basic").expect("basic row");
     assert!(basic.ecp_repairs > 0.0, "{basic:?}");
     assert!(basic.lines_retired > 0.0, "{basic:?}");

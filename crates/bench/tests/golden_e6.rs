@@ -18,7 +18,7 @@
 //! that moved the numbers, with the reason in the commit message.
 
 use scrub_bench::experiments::e6::{self, Headline};
-use scrub_bench::Scale;
+use scrub_bench::{RunOptions, Scale};
 use std::path::PathBuf;
 
 /// Renders the pinned metrics as stable `key = value` lines. Values use
@@ -51,7 +51,7 @@ fn golden_path(name: &str) -> PathBuf {
 /// under `SCRUBSIM_BLESS=1`, rewrites — the golden file.
 fn check_golden(name: &str, scale: Scale) {
     scrub_exec::set_default_threads(1);
-    let h = e6::compute(scale);
+    let h = e6::compute(&scale, &RunOptions::default());
     let got = render_metrics(&h);
     let path = golden_path(name);
     if std::env::var("SCRUBSIM_BLESS").is_ok_and(|v| v != "0" && !v.is_empty()) {

@@ -4,12 +4,12 @@
 //! experiment-level metrics the golden pins guard, and the merged
 //! telemetry journal.
 //!
-//! The recorder and the runner's checkpoint cadence are process-global,
-//! so everything lives in ONE test function — this file being its own
-//! integration-test binary guarantees a fresh process for both.
+//! The recorder is process-global, so everything lives in ONE test
+//! function — this file being its own integration-test binary guarantees
+//! a fresh process for it.
 
 use scrub_bench::experiments::e13;
-use scrub_bench::{runner, Scale};
+use scrub_bench::{RunOptions, Scale};
 use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport, Simulation};
 use scrub_telemetry as tel;
 
@@ -78,16 +78,13 @@ fn split_runs_are_byte_identical_to_continuous() {
 
     // Experiment-level equivalence: E13's lifetime rows (the metrics its
     // golden BENCH record pins) must be bit-identical when every rep runs
-    // through the serialize/resume path. The cadence is process-global
-    // (first install wins), so the continuous pass runs first.
-    let continuous_rows = e13::compute(scale);
-    runner::set_checkpoint_every_s(2400.0);
-    assert_eq!(
-        runner::checkpoint_every_s(),
-        Some(2400.0),
-        "cadence must install"
-    );
-    let split_rows = e13::compute(scale);
+    // through the serialize/resume path.
+    let continuous_rows = e13::compute(&scale, &RunOptions::default());
+    let split = RunOptions {
+        checkpoint_every_s: Some(2400.0),
+        ..RunOptions::default()
+    };
+    let split_rows = e13::compute(&scale, &split);
     assert_eq!(
         continuous_rows, split_rows,
         "E13 metrics moved under --checkpoint-every"

@@ -8,8 +8,9 @@
 //! a fresh process whose recorder starts untouched.
 
 use pcm_workloads::WorkloadId;
-use scrub_bench::experiments::e6;
-use scrub_bench::Scale;
+use scrub_bench::experiments::{e17, e6};
+use scrub_bench::{RunOptions, Scale};
+use scrub_core::ProfileStats;
 use scrub_telemetry as tel;
 
 /// Per-sim fields carried by a `SimDone` event, as f64s in the same
@@ -55,8 +56,19 @@ fn telemetry_is_invisible_and_reconciles() {
         mc_cells: 100,
     };
 
+    // E17 at tiny scale: its policy table's profiler cells come from the
+    // runs, so they too must not depend on the recorder.
+    let e17_scale = Scale {
+        num_lines: 512,
+        horizon_s: 6.0 * 3600.0,
+        reps: 1,
+        mc_cells: 100,
+    };
+    let opts = RunOptions::default();
+
     // Recorder never installed: the baseline this whole file defends.
-    let h_absent = e6::compute(scale);
+    let h_absent = e6::compute(&scale, &opts);
+    let e17_absent = e17::compute(&e17_scale, &opts);
 
     // Recorder enabled. The Sim-only event mask keeps the journal to one
     // SimDone per simulation, so nothing is evicted (`dropped == 0`).
@@ -64,17 +76,48 @@ fn telemetry_is_invisible_and_reconciles() {
         journal_capacity: 4096,
         event_mask: tel::EventClass::Sim.bit(),
     });
-    let h_on = e6::compute(scale);
+    let h_on = e6::compute(&scale, &opts);
     let doc = tel::snapshot();
+    // E6 runs no profiled policy, so the profiler counters start at zero.
+    let e17_on = e17::compute(&e17_scale, &opts);
+    let e17_doc = tel::snapshot();
 
     // Recorder installed but disabled.
     tel::set_enabled(false);
-    let h_off = e6::compute(scale);
+    let h_off = e6::compute(&scale, &opts);
+    let e17_off = e17::compute(&e17_scale, &opts);
 
     // Invariance: the headline (and therefore the rendered report, a pure
     // function of it) is bit-identical in all three recorder states.
     assert_eq!(h_absent, h_on, "enabling telemetry changed results");
     assert_eq!(h_absent, h_off, "disabling telemetry changed results");
+
+    // So are E17's rows, profiler cells included, and with them its
+    // stdout, a pure function of the rows.
+    assert_eq!(e17_absent, e17_on, "enabling telemetry changed E17");
+    assert_eq!(e17_absent, e17_off, "disabling telemetry changed E17");
+    let profiled = &e17_on.policies[2];
+    assert_eq!(profiled.label, "profiled");
+    assert!(
+        profiled.hit_rate.is_some() && profiled.base_rate.is_some(),
+        "{profiled:?}"
+    );
+    // The profile tallies the rows carry, summed over both tables,
+    // reconcile exactly with the op-level profiler counters.
+    let counter = |name: &str| e17_doc.counters.get(name).copied().unwrap_or(0);
+    let counted = ProfileStats {
+        hits: counter("profiler_hits"),
+        misses: counter("profiler_misses"),
+        dirty_probes: counter("profiler_dirty_probes"),
+    };
+    let summed: ProfileStats = e17_on
+        .policies
+        .iter()
+        .map(|r| r.profile)
+        .chain(e17_on.codes.iter().map(|r| r.profile))
+        .sum();
+    assert!(summed.hits > 0, "no profiler hits");
+    assert_eq!(summed, counted, "profile tallies disagree with counters");
 
     // Recorded values mirror the headline bit-for-bit.
     for (key, want) in [

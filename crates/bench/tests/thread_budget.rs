@@ -9,7 +9,7 @@
 
 use pcm_ecc::CodeSpec;
 use scrub_bench::experiments::e3;
-use scrub_bench::Scale;
+use scrub_bench::{RunOptions, Scale};
 use scrub_core::{DemandTraffic, PolicyKind, SimConfig, SimReport, Simulation};
 use scrub_telemetry as tel;
 
@@ -44,7 +44,7 @@ fn threads_go_to_whole_simulations() {
         reps: 1,
         mc_cells: 100,
     };
-    let (pools, _) = pools_spawned(|| e3::run(tiny));
+    let (pools, _) = pools_spawned(|| e3::run(&tiny, &RunOptions::default()));
     assert_eq!(pools, 1, "E3's 14 simulations are one grid");
 
     // With no demand, the 8,193 slots from t = 0 to the horizon are one

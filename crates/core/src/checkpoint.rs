@@ -9,6 +9,7 @@
 
 use scrub_checkpoint::CheckpointError;
 
+use crate::profiled::ProfileStats;
 use crate::report::SimReport;
 use crate::sim::{SimConfig, Simulation};
 
@@ -21,6 +22,9 @@ pub struct SplitRunOutcome {
     pub segments: u32,
     /// Sealed size in bytes of every snapshot taken, in order.
     pub snapshot_bytes: Vec<usize>,
+    /// The risk profile's probe tallies at the horizon, for a policy
+    /// with a profile.
+    pub profile: Option<ProfileStats>,
 }
 
 /// Runs `config` to its horizon in segments of `checkpoint_every_s`
@@ -69,10 +73,13 @@ pub fn run_split(
         sim = Simulation::resume(config, &bytes)?;
         segments += 1;
     }
+    sim.run_to(horizon_s);
+    let profile = sim.profile_stats();
     Ok(SplitRunOutcome {
         report: sim.finish(),
         segments,
         snapshot_bytes,
+        profile,
     })
 }
 
@@ -140,6 +147,31 @@ mod tests {
         assert_eq!(split.segments, 1);
         assert!(split.snapshot_bytes.is_empty());
         assert_eq!(split.report, continuous);
+    }
+
+    #[test]
+    fn profile_tallies_ride_on_the_outcome() {
+        let profiled = PolicyKind::Profiled {
+            interval_s: 900.0,
+            theta: 4,
+            iops: 2.0 * 1024.0 / 900.0,
+            burst: 64.0,
+            max_defer: 8,
+            capacity: 64,
+            hot_stride: 4,
+            stretch: 2,
+            risk: 2,
+        };
+        let straight = run_split(config(profiled.clone()), 1e9).expect("split run");
+        let stats = straight.profile.expect("a profiled policy has tallies");
+        assert!(stats.hits > 0 && stats.dirty_probes > 0, "{stats:?}");
+        // The tallies are checkpointed, so a split run ends with the same.
+        let split = run_split(config(profiled), 2400.0).expect("split run");
+        assert_eq!(split.profile, straight.profile);
+        assert_eq!(split.report, straight.report);
+        let basic =
+            run_split(config(PolicyKind::Basic { interval_s: 900.0 }), 1e9).expect("split run");
+        assert_eq!(basic.profile, None);
     }
 
     #[test]

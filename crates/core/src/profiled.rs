@@ -82,6 +82,29 @@ impl Default for ProfileParams {
     }
 }
 
+/// The profiler's lifetime probe tallies: probes of profiled lines that
+/// found the line dirty (hits) or clean (misses), and dirty probes of any
+/// line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ProfileStats {
+    /// Dirty probes of lines already in the profile.
+    pub hits: u64,
+    /// Clean probes of lines already in the profile.
+    pub misses: u64,
+    /// Dirty probes of any line.
+    pub dirty_probes: u64,
+}
+
+impl std::iter::Sum for ProfileStats {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| Self {
+            hits: a.hits + b.hits,
+            misses: a.misses + b.misses,
+            dirty_probes: a.dirty_probes + b.dirty_probes,
+        })
+    }
+}
+
 /// The risk profile: a bounded per-line score table learned from probe
 /// syndromes, which steers a tour (hot interleave, quiet stretch) and
 /// tells the write-back rule which lines are quiet.
@@ -107,9 +130,7 @@ pub struct RiskProfile {
     /// The profiled lines scoring at least `risk`.
     hot: BTreeSet<u32>,
     probes_seen: u64,
-    dirty_probes: u64,
-    hits: u64,
-    misses: u64,
+    stats: ProfileStats,
     evictions: u64,
     hot_probes: u64,
 }
@@ -131,9 +152,7 @@ impl RiskProfile {
             by_score: BTreeSet::new(),
             hot: BTreeSet::new(),
             probes_seen: 0,
-            dirty_probes: 0,
-            hits: 0,
-            misses: 0,
+            stats: ProfileStats::default(),
             evictions: 0,
             hot_probes: 0,
         }
@@ -146,6 +165,12 @@ impl RiskProfile {
     /// Lines currently resident in the risk table.
     pub fn table_len(&self) -> usize {
         self.by_score.len()
+    }
+
+    /// The probe tallies since the run began (checkpointed, so a resumed
+    /// run continues them).
+    pub(crate) fn stats(&self) -> ProfileStats {
+        self.stats
     }
 
     /// Current score of `addr`, zero if unprofiled.
@@ -209,7 +234,7 @@ impl RiskProfile {
         let was_profiled = self.score(addr) != 0;
         self.probes_seen += 1;
         if dirty {
-            self.dirty_probes += 1;
+            self.stats.dirty_probes += 1;
         }
         if tel::enabled() {
             if dirty {
@@ -228,9 +253,9 @@ impl RiskProfile {
         }
         if was_profiled {
             if dirty {
-                self.hits += 1;
+                self.stats.hits += 1;
             } else {
-                self.misses += 1;
+                self.stats.misses += 1;
             }
         }
         if dirty {
@@ -305,9 +330,9 @@ impl RiskProfile {
         w.put_u64(self.granted);
         w.put_u32(self.hot_cursor);
         w.put_u64(self.probes_seen);
-        w.put_u64(self.dirty_probes);
-        w.put_u64(self.hits);
-        w.put_u64(self.misses);
+        w.put_u64(self.stats.dirty_probes);
+        w.put_u64(self.stats.hits);
+        w.put_u64(self.stats.misses);
         w.put_u64(self.evictions);
         w.put_u64(self.hot_probes);
         w.put_u32(self.by_score.len() as u32);
@@ -331,9 +356,11 @@ impl RiskProfile {
             )));
         }
         let probes_seen = r.u64()?;
-        let dirty_probes = r.u64()?;
-        let hits = r.u64()?;
-        let misses = r.u64()?;
+        let stats = ProfileStats {
+            dirty_probes: r.u64()?,
+            hits: r.u64()?,
+            misses: r.u64()?,
+        };
         let evictions = r.u64()?;
         let hot_probes = r.u64()?;
         let len = r.u32()?;
@@ -369,9 +396,7 @@ impl RiskProfile {
         self.granted = granted;
         self.hot_cursor = hot_cursor;
         self.probes_seen = probes_seen;
-        self.dirty_probes = dirty_probes;
-        self.hits = hits;
-        self.misses = misses;
+        self.stats = stats;
         self.evictions = evictions;
         self.hot_probes = hot_probes;
         self.scores.fill(0);
@@ -563,7 +588,7 @@ mod tests {
             p.wants_writeback(LineAddr(9), &res(0, ClassifyOutcome::Clean), &ctx(2.0, &m));
         }
         assert_eq!(profile(&p).table_len(), 0);
-        assert!(profile(&p).misses > 0);
+        assert!(profile(&p).stats.misses > 0);
     }
 
     /// Quiet lines write back at theta+1, profiled lines at theta; UEs
@@ -656,7 +681,7 @@ mod tests {
         let position = |p: &ScrubPolicy| p.tour_cursor().expect("tour").position();
         assert_eq!(position(&q), position(&p));
         assert_eq!(profile(&q).table_len(), profile(&p).table_len());
-        assert_eq!(profile(&q).hits, profile(&p).hits);
+        assert_eq!(profile(&q).stats, profile(&p).stats);
         let mut w2 = Writer::new();
         q.save_state(&mut w2);
         assert_eq!(w2.into_bytes(), bytes, "byte-identical re-serialization");

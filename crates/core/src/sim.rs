@@ -12,6 +12,7 @@ use scrub_telemetry as tel;
 
 use crate::config::PolicyKind;
 use crate::engine::ScrubEngine;
+use crate::profiled::ProfileStats;
 use crate::report::SimReport;
 
 /// Demand-traffic selection for a run.
@@ -434,6 +435,11 @@ impl Simulation {
     /// The simulated memory (for inspecting state mid-run).
     pub fn memory(&self) -> &Memory {
         &self.memory
+    }
+
+    /// The risk profile's probe tallies so far, for a policy with one.
+    pub(crate) fn profile_stats(&self) -> Option<ProfileStats> {
+        Some(self.engine.as_ref()?.policy().profile()?.stats())
     }
 
     /// Per-tenant delivered-op accounting as `(tenant, reads, writes)`

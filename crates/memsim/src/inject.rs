@@ -35,6 +35,9 @@
 //!   cycle (random phase per cell).
 //! * `burst=lines:L,bits:B,at:T` — `L` random lines each take a correlated
 //!   `B`-bit burst at `T` seconds, persisting until rewritten.
+//!
+//! Every count is positive. The per-line counts (`cells`, `count`, `bits`)
+//! are at most [`MAX_PER_LINE`]; `lines` is clamped to the memory's size.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -42,6 +45,12 @@ use std::str::FromStr;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// The largest per-line count a clause accepts (cells, upsets or burst
+/// bits): above the widest codeword (576 bits), yet small enough that a
+/// line's summed injected bits cannot overflow and the per-line
+/// schedules [`Injector::new`] builds stay small.
+pub const MAX_PER_LINE: u32 = 1024;
 
 /// Stuck-at cluster clause: `lines` lines × `cells` stuck cells each.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,7 +125,14 @@ fn fields(clause: &str, body: &str) -> Result<BTreeMap<String, String>, String> 
     Ok(map)
 }
 
-fn take_u32(clause: &str, map: &mut BTreeMap<String, String>, key: &str) -> Result<u32, String> {
+/// Takes a count in `1..=max`; `max` is [`MAX_PER_LINE`] for a per-line
+/// count.
+fn take_u32(
+    clause: &str,
+    map: &mut BTreeMap<String, String>,
+    key: &str,
+    max: u32,
+) -> Result<u32, String> {
     let raw = map
         .remove(key)
         .ok_or_else(|| format!("campaign clause '{clause}': missing field '{key}'"))?;
@@ -126,6 +142,11 @@ fn take_u32(clause: &str, map: &mut BTreeMap<String, String>, key: &str) -> Resu
     if n == 0 {
         return Err(format!(
             "campaign clause '{clause}': '{key}' must be positive"
+        ));
+    }
+    if n > max {
+        return Err(format!(
+            "campaign clause '{clause}': '{key}' must be at most {max} per line, got {n}"
         ));
     }
     Ok(n)
@@ -180,16 +201,16 @@ impl FromStr for CampaignSpec {
                 "stuck" => {
                     let mut m = fields(key, body)?;
                     spec.stuck = Some(StuckClause {
-                        lines: take_u32(key, &mut m, "lines")?,
-                        cells: take_u32(key, &mut m, "cells")?,
+                        lines: take_u32(key, &mut m, "lines", u32::MAX)?,
+                        cells: take_u32(key, &mut m, "cells", MAX_PER_LINE)?,
                     });
                     no_extras(key, m)?;
                 }
                 "seu" => {
                     let mut m = fields(key, body)?;
                     spec.seu = Some(SeuClause {
-                        lines: take_u32(key, &mut m, "lines")?,
-                        count: take_u32(key, &mut m, "count")?,
+                        lines: take_u32(key, &mut m, "lines", u32::MAX)?,
+                        count: take_u32(key, &mut m, "count", MAX_PER_LINE)?,
                         window_s: take_f64(key, &mut m, "window")?,
                     });
                     no_extras(key, m)?;
@@ -197,8 +218,8 @@ impl FromStr for CampaignSpec {
                 "intermittent" => {
                     let mut m = fields(key, body)?;
                     spec.intermittent = Some(IntermittentClause {
-                        lines: take_u32(key, &mut m, "lines")?,
-                        cells: take_u32(key, &mut m, "cells")?,
+                        lines: take_u32(key, &mut m, "lines", u32::MAX)?,
+                        cells: take_u32(key, &mut m, "cells", MAX_PER_LINE)?,
                         period_s: take_f64(key, &mut m, "period")?,
                     });
                     no_extras(key, m)?;
@@ -206,8 +227,8 @@ impl FromStr for CampaignSpec {
                 "burst" => {
                     let mut m = fields(key, body)?;
                     spec.burst = Some(BurstClause {
-                        lines: take_u32(key, &mut m, "lines")?,
-                        bits: take_u32(key, &mut m, "bits")?,
+                        lines: take_u32(key, &mut m, "lines", u32::MAX)?,
+                        bits: take_u32(key, &mut m, "bits", MAX_PER_LINE)?,
                         at_s: take_f64(key, &mut m, "at")?,
                     });
                     no_extras(key, m)?;
@@ -448,9 +469,20 @@ mod tests {
             "warp=lines:2",                                // unknown clause
             "stuck=lines:2,cells:1;stuck=lines:3,cells:1", // duplicate
             "seed=-3;stuck=lines:1,cells:1",               // negative seed
+            "stuck=lines:1,cells:1025",                    // past MAX_PER_LINE
+            "seu=lines:1,count:1025,window:60",            // past MAX_PER_LINE
+            "intermittent=lines:1,cells:1025,period:60",   // past MAX_PER_LINE
+            "burst=lines:1,bits:1025,at:60",               // past MAX_PER_LINE
+            "burst=lines:4,bits:4294967295,at:1",          // u32::MAX bits
         ] {
             assert!(bad.parse::<CampaignSpec>().is_err(), "accepted {bad:?}");
         }
+        let at_bound = "stuck=lines:1,cells:1024;seu=lines:1,count:1024,window:60;\
+                        intermittent=lines:1,cells:1024,period:60;burst=lines:1,bits:1024,at:60";
+        assert!(
+            at_bound.parse::<CampaignSpec>().is_ok(),
+            "MAX_PER_LINE itself"
+        );
     }
 
     #[test]

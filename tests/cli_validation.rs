@@ -325,3 +325,25 @@ fn small_memories_run_under_the_default_and_tour_policies() {
         );
     }
 }
+
+/// A fault campaign's per-line counts are bounded, so a burst of
+/// `u32::MAX` bits is a one-line error instead of an overflowed sum of
+/// injected bits.
+#[test]
+fn campaign_per_line_counts_are_bounded() {
+    assert_rejected(
+        &[
+            "--lines",
+            "64",
+            "--hours",
+            "1",
+            "--policy",
+            "basic",
+            "--seed",
+            "1",
+            "--fault-campaign",
+            "seed=1;burst=lines:4,bits:4294967295,at:1;intermittent=lines:64,cells:1,period:2",
+        ],
+        "'bits' must be at most 1024",
+    );
+}
