@@ -9,8 +9,9 @@
 //! hierarchy and UE recovery on, and runs two simulated hours of basic
 //! scrub under SECDED, BCH-6 and RS(72,64).
 //!
-//! Before the per-line bound, `burst=lines:4,bits:4294967295,at:1` with
-//! an intermittent clause overflowed the sum of a line's injected bits.
+//! Without the per-line bound, `burst=lines:4,bits:4294967295,at:1` and
+//! an intermittent clause overflow the sum of a line's injected bits,
+//! and `cells` near `u32::MAX` ask `Injector::new` for tens of gigabytes.
 
 use pcm_ecc::CodeSpec;
 use pcm_memsim::inject::MAX_PER_LINE;
