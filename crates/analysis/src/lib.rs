@@ -10,11 +10,7 @@
 //! * [`wilson_interval`] / [`clopper_pearson_interval`] /
 //!   [`chi_square_gof`] / [`ks_test`] / [`TestBattery`] — the statistical
 //!   machinery behind the oracle-vs-simulator agreement suite (see
-//!   `DESIGN.md`, "Validation methodology");
-//! * [`modelcheck`] — exhaustive small-model BFS for the tour scheduler's
-//!   TLA-style liveness properties (`ScrubProgress`,
-//!   `CorruptionDetected`, `RepairTriggered`), with the
-//!   `scrub_modelcheck` binary as its CLI front end.
+//!   `DESIGN.md`, "Validation methodology").
 //!
 //! # Quick start
 //!
@@ -33,16 +29,12 @@
 //! ```
 
 mod infer;
-pub mod modelcheck;
 mod stats;
 mod table;
 
 pub use infer::{
     chi_square_gof, clopper_pearson_interval, ks_p_value, ks_test, wilson_interval, Interval,
     TestBattery, TestOutcome,
-};
-pub use modelcheck::{
-    check, check_all, check_tripwires, CheckOutcome, ModelParams, Property, Variant, Violation,
 };
 pub use stats::{event_rate, geometric_mean, improvement_ratio, percent_reduction, Summary};
 pub use table::{fmt_count, fmt_percent, fmt_ratio, Table};

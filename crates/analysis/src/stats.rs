@@ -59,11 +59,6 @@ impl Summary {
             max,
         }
     }
-
-    /// Formats as `mean ± ci`.
-    pub fn display_ci(&self) -> String {
-        format!("{:.3} ± {:.3}", self.mean, self.ci95_half_width)
-    }
 }
 
 /// Geometric mean (for speedup-style ratios).

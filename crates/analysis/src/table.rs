@@ -51,11 +51,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders with padded columns: first column left-aligned, the rest
     /// right-aligned (numbers).
     pub fn render(&self) -> String {

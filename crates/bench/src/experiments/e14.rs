@@ -12,7 +12,7 @@
 //! published as `e14.progress_bound_slots` in the telemetry value map so
 //! CI can assert the measured `starvation_max_lag` gauge never exceeds
 //! it — the run-time shadow of the model-checked property (see
-//! `pcm_analysis::modelcheck`).
+//! `scrub_core::modelcheck`).
 
 use pcm_analysis::{fmt_count, Table};
 use pcm_ecc::CodeSpec;

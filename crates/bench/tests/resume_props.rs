@@ -15,12 +15,17 @@
 //! a bad level count used to reach the fault engine's subtractions and
 //! the binomial sampler's bound after resume, and a bad line count used
 //! to size an allocation of tens of gigabytes before it was checked.
+//!
+//! The fixtures all run suite traffic, so one more case damages a
+//! snapshot of open-loop tenant traffic, the kind fleet shards run,
+//! taken by this build at 600 s.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use scrub_checkpoint::Reader;
 use scrub_core::{DemandTraffic, PolicyKind, SimConfig, Simulation};
 
 /// The `checkpoint_compat.rs` config, which wrote the fixtures.
@@ -70,6 +75,31 @@ fn payload(name: &str) -> Vec<u8> {
         .to_vec()
 }
 
+/// A 64-line run under a two-tenant open-loop mix.
+fn open_loop_config() -> SimConfig {
+    let mut b = SimConfig::builder();
+    b.num_lines(64)
+        .policy(PolicyKind::combined_default(900.0))
+        .traffic(DemandTraffic::open_loop(
+            "web:rate=60,read=0.95,pattern=zipf:1.2;batch:rate=20,read=0.2,pattern=zipf:1.4"
+                .parse()
+                .expect("valid tenant mix"),
+        ))
+        .horizon_s(3600.0)
+        .seed(15);
+    b.build()
+}
+
+/// The open-loop run's payload at 600 s, out of its envelope.
+fn open_loop_payload() -> Vec<u8> {
+    let mut sim = Simulation::new(open_loop_config());
+    sim.run_to(600.0);
+    let sealed = sim.checkpoint().expect("open-loop traffic checkpoints");
+    scrub_checkpoint::open(&sealed)
+        .expect("fresh snapshot opens")
+        .to_vec()
+}
+
 /// Damages `payload` in the way `kind` names, drawing from `seed`.
 fn mutate(payload: &[u8], kind: u8, seed: u64) -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -92,14 +122,21 @@ fn mutate(payload: &[u8], kind: u8, seed: u64) -> Vec<u8> {
     p
 }
 
-/// Resumes the damaged fixture and runs 600 s past the snapshot;
-/// returns whether it resumed.
-fn resume_damaged(name: &str, kind: u8, seed: u64) -> bool {
-    let sealed = scrub_checkpoint::seal(mutate(&payload(name), kind, seed));
+/// Resumes `payload`, damaged, under `config` and runs to `stop_s`, 600 s
+/// past the snapshot; returns whether it resumed.
+fn resume_damaged(
+    name: &str,
+    config: SimConfig,
+    payload: &[u8],
+    stop_s: f64,
+    kind: u8,
+    seed: u64,
+) -> bool {
+    let sealed = scrub_checkpoint::seal(mutate(payload, kind, seed));
     let run = catch_unwind(AssertUnwindSafe(|| {
-        match Simulation::resume(config(policy(name)), &sealed) {
+        match Simulation::resume(config, &sealed) {
             Ok(mut sim) => {
-                sim.run_to(6000.0);
+                sim.run_to(stop_s);
                 true
             }
             Err(_) => false,
@@ -108,23 +145,79 @@ fn resume_damaged(name: &str, kind: u8, seed: u64) -> bool {
     run.unwrap_or_else(|_| panic!("{name}: damage {kind} from seed {seed} panicked"))
 }
 
+/// [`resume_damaged`] on a frozen fixture.
+fn resume_damaged_fixture(name: &str, kind: u8, seed: u64) -> bool {
+    resume_damaged(
+        name,
+        config(policy(name)),
+        &payload(name),
+        6000.0,
+        kind,
+        seed,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn damaged_basic_snapshots_resume_or_fail_typed(kind in 0u8..4, seed in 0u64..u64::MAX) {
-        resume_damaged("basic-900", kind, seed);
+        resume_damaged_fixture("basic-900", kind, seed);
     }
 
     #[test]
     fn damaged_combined_snapshots_resume_or_fail_typed(kind in 0u8..4, seed in 0u64..u64::MAX) {
-        resume_damaged("combined-900", kind, seed);
+        resume_damaged_fixture("combined-900", kind, seed);
     }
 
     #[test]
     fn damaged_profiled_snapshots_resume_or_fail_typed(kind in 0u8..4, seed in 0u64..u64::MAX) {
-        resume_damaged("profiled-900", kind, seed);
+        resume_damaged_fixture("profiled-900", kind, seed);
     }
+
+    #[test]
+    fn damaged_open_loop_snapshots_resume_or_fail_typed(kind in 0u8..4, seed in 0u64..u64::MAX) {
+        resume_damaged("open-loop", open_loop_config(), &open_loop_payload(), 1200.0, kind, seed);
+    }
+}
+
+/// Where tenant 0's pending-op line sits in an open-loop payload: after
+/// the fingerprint, the clock and the trace state's header come the
+/// tenant count, tenant 0's generator state, and its pending op (flag,
+/// time, kind, line).
+fn tenant0_pending_line_offset(payload: &[u8]) -> usize {
+    let mut r = Reader::new(payload);
+    r.bytes().expect("fingerprint");
+    r.f64().expect("clock");
+    assert_eq!(
+        r.u8().expect("trace flag"),
+        1,
+        "open-loop traffic has state"
+    );
+    r.u32().expect("trace state length");
+    r.u32().expect("tenant count");
+    r.bytes().expect("tenant 0 generator");
+    assert_eq!(
+        r.u8().expect("pending flag"),
+        1,
+        "tenant 0 has an op pending"
+    );
+    r.f64().expect("pending time");
+    r.u8().expect("pending kind");
+    payload.len() - r.remaining()
+}
+
+/// A tenant's pending op on a line past the memory, correctly sealed, is
+/// a typed error, not a run that panics at its first demand access.
+#[test]
+fn open_loop_pending_line_past_the_memory_is_rejected() {
+    let mut payload = open_loop_payload();
+    let at = tenant0_pending_line_offset(&payload);
+    payload[at..at + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
+    let sealed = scrub_checkpoint::seal(payload);
+    let err = Simulation::resume(open_loop_config(), &sealed)
+        .expect_err("tenant 0's line 1,000,000 is past the 64-line memory");
+    assert!(err.to_string().contains("pending-op line 1000000"), "{err}");
 }
 
 /// The undamaged payload, resealed, resumes: the cases above are not

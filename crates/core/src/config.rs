@@ -52,7 +52,7 @@ pub enum PolicyKind {
     /// IOPS-budgeted tour with randomized per-bank origins: scrub shares
     /// a token bucket with demand traffic, with an anti-starvation boost
     /// bounding every tour at `num_lines * (max_defer + 1)` slots
-    /// (extension mechanism; see `pcm_analysis::modelcheck`).
+    /// (extension mechanism; see [`crate::modelcheck`]).
     Tour {
         /// Unthrottled tour period (seconds); sets the slot cadence.
         interval_s: f64,

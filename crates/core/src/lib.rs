@@ -23,6 +23,10 @@
 //! | [`ScrubPolicy::tour`] | IOPS-budgeted tour sharing a token bucket with demand |
 //! | [`ScrubPolicy::profiled`] | per-line risk profiling over the budgeted tour |
 //!
+//! [`modelcheck`] searches every state demand can drive a few-line
+//! budgeted tour to and checks its `ScrubProgress` bound; the
+//! `scrub_modelcheck` binary is its command line.
+//!
 //! ## Running an experiment
 //!
 //! ```
@@ -46,6 +50,7 @@ mod age_aware;
 mod checkpoint;
 mod config;
 mod engine;
+pub mod modelcheck;
 mod policy;
 mod profiled;
 mod report;

@@ -2,8 +2,8 @@
 
 use pcm_ecc::CodeSpec;
 use pcm_memsim::{
-    CampaignSpec, MemGeometry, MemOp, Memory, OpKind, ProbeKind, RecoveryConfig, RepairConfig,
-    SimTime, TraceSource,
+    load_pending_op, save_pending_op, CampaignSpec, MemGeometry, MemOp, Memory, OpKind, ProbeKind,
+    RecoveryConfig, RepairConfig, SimTime, TraceSource,
 };
 use pcm_model::DeviceConfig;
 use pcm_workloads::{TenantMixSpec, WorkloadId};
@@ -514,18 +514,7 @@ impl Simulation {
             }
             None => w.put_u8(0),
         }
-        match self.pending.as_ref().filter(|_| !drop_pending) {
-            Some(op) => {
-                w.put_u8(1);
-                w.put_f64(op.at.secs());
-                w.put_u8(match op.kind {
-                    OpKind::Read => 0,
-                    OpKind::Write => 1,
-                });
-                w.put_u32(op.addr.0);
-            }
-            None => w.put_u8(0),
-        }
+        save_pending_op(&mut w, self.pending.as_ref().filter(|_| !drop_pending));
         match &self.engine {
             Some(e) => {
                 w.put_u8(1);
@@ -590,38 +579,7 @@ impl Simulation {
                 )))
             }
         }
-        sim.pending = match r.u8()? {
-            0 => None,
-            1 => {
-                let at = SimTime::from_secs(r.time_f64("pending op time")?);
-                let kind = match r.u8()? {
-                    0 => OpKind::Read,
-                    1 => OpKind::Write,
-                    other => {
-                        return Err(CheckpointError::Malformed(format!(
-                            "invalid pending-op kind {other}"
-                        )))
-                    }
-                };
-                let addr = r.u32()?;
-                if addr >= sim.memory.demand_lines() {
-                    return Err(CheckpointError::Malformed(format!(
-                        "pending-op line {addr} out of range (demand space is {})",
-                        sim.memory.demand_lines()
-                    )));
-                }
-                Some(MemOp {
-                    at,
-                    kind,
-                    addr: pcm_memsim::LineAddr(addr),
-                })
-            }
-            other => {
-                return Err(CheckpointError::Malformed(format!(
-                    "invalid pending-op flag {other}"
-                )))
-            }
-        };
+        sim.pending = load_pending_op(&mut r, sim.memory.demand_lines())?;
         match (r.u8()?, &mut sim.engine) {
             (0, None) => {}
             (1, Some(engine)) => engine.restore_state(&mut r)?,

@@ -10,10 +10,10 @@
 //! throttled slots the next probe is *forced* (the anti-starvation
 //! boost), which caps any tour at `num_lines * (max_defer + 1)` slots.
 //! That cap is the executable form of the TLA property `ScrubProgress`,
-//! and is checked three ways: exhaustive small-model BFS
-//! (`pcm_analysis::modelcheck`), stateful proptest against this very
-//! implementation, and the `starvation_max_lag` telemetry gauge at run
-//! time.
+//! and is checked three ways against this very implementation: an
+//! exhaustive search of a few-line tour's states
+//! ([`crate::modelcheck`]), stateful proptests, and the
+//! `starvation_max_lag` telemetry gauge at run time.
 //!
 //! Each bank starts its share of the tour at a *randomized origin*
 //! (derived deterministically from the run seed), so a fleet of machines

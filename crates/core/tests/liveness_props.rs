@@ -1,13 +1,11 @@
-//! Stateful liveness properties against the real simulator — the
-//! run-time shadow of `pcm_analysis::modelcheck`'s exhaustive BFS.
-//!
-//! The model checker proves three TLA-style properties over a small
-//! abstract model; these proptests check the same properties on the
-//! production tour policy and full `Simulation` runs:
+//! Stateful liveness properties against the real simulator: the
+//! production tour policy and full `Simulation` runs.
 //!
 //! - `ScrubProgress` — under arbitrary adversarial demand interleavings
 //!   (including open-loop demand at 100% of the budget), no line goes
 //!   longer than `progress_bound_slots()` scrub slots between probes.
+//!   `scrub_core::modelcheck` checks the same bound on every reachable
+//!   state of a few-line tour.
 //! - `CorruptionDetected` — seeded stuck faults are observed by scrub
 //!   probes (no demand traffic to do the detecting for them).
 //! - `RepairTriggered` — every detected uncorrectable engages the repair

@@ -422,12 +422,6 @@ impl Injector {
             _ => 0,
         }
     }
-
-    /// Whether the campaign injects anything at runtime (vs. attach-time
-    /// stuck clusters only).
-    pub fn has_runtime_faults(&self) -> bool {
-        !(self.seu.is_empty() && self.burst.is_empty() && self.intermittent.is_empty())
-    }
 }
 
 #[cfg(test)]

@@ -61,5 +61,5 @@ pub use repair::{RecoveryConfig, RepairConfig};
 pub use stats::MemStats;
 pub use time::SimTime;
 pub use timing::{BandwidthTracker, TimingModel};
-pub use trace::{MemOp, OpKind, TraceSource};
+pub use trace::{load_pending_op, save_pending_op, MemOp, OpKind, TraceSource};
 pub use wear_level::StartGap;

@@ -1083,15 +1083,6 @@ impl Memory {
         self.geom.iter_lines().map(|a| self.line(a).wear).collect()
     }
 
-    /// Per-line data ages at `now` in address order, in seconds (the
-    /// drift-exposure distribution scrub policies are fighting).
-    pub fn age_values(&self, now: SimTime) -> Vec<f64> {
-        self.geom
-            .iter_lines()
-            .map(|a| self.line(a).age_at(now))
-            .collect()
-    }
-
     /// Serves a demand read: array read + decode, no write-back.
     ///
     /// # Panics

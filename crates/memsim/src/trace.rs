@@ -1,6 +1,8 @@
 //! Memory access traces: the interface between workload generators and the
 //! simulation loop.
 
+use scrub_checkpoint::{CheckpointError, Reader, Writer};
+
 use crate::geometry::LineAddr;
 use crate::time::SimTime;
 
@@ -41,6 +43,59 @@ impl MemOp {
             kind: OpKind::Write,
             addr,
         }
+    }
+}
+
+/// Writes a drawn but not yet issued op as checkpoints store it: a
+/// presence flag (`u8`), then the time (`f64`), the kind (`u8`, 0 read,
+/// 1 write) and the line (`u32`).
+pub fn save_pending_op(w: &mut Writer, op: Option<&MemOp>) {
+    match op {
+        Some(op) => {
+            w.put_u8(1);
+            w.put_f64(op.at.secs());
+            w.put_u8(match op.kind {
+                OpKind::Read => 0,
+                OpKind::Write => 1,
+            });
+            w.put_u32(op.addr.0);
+        }
+        None => w.put_u8(0),
+    }
+}
+
+/// Reads an op written by [`save_pending_op`] for a demand space of
+/// `lines` lines. A bad flag or kind, a time that is negative or not
+/// finite, and a line at or past `lines` are `Malformed`.
+pub fn load_pending_op(r: &mut Reader<'_>, lines: u32) -> Result<Option<MemOp>, CheckpointError> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => {
+            let at = SimTime::from_secs(r.time_f64("pending-op time")?);
+            let kind = match r.u8()? {
+                0 => OpKind::Read,
+                1 => OpKind::Write,
+                other => {
+                    return Err(CheckpointError::Malformed(format!(
+                        "invalid pending-op kind {other}"
+                    )))
+                }
+            };
+            let addr = r.u32()?;
+            if addr >= lines {
+                return Err(CheckpointError::Malformed(format!(
+                    "pending-op line {addr} out of range (demand space is {lines})"
+                )));
+            }
+            Ok(Some(MemOp {
+                at,
+                kind,
+                addr: LineAddr(addr),
+            }))
+        }
+        other => Err(CheckpointError::Malformed(format!(
+            "invalid pending-op flag {other}"
+        ))),
     }
 }
 
@@ -93,5 +148,40 @@ mod tests {
         let w = MemOp::write(SimTime::from_secs(2.0), LineAddr(4));
         assert_eq!(w.kind, OpKind::Write);
         assert!(w.at > r.at);
+    }
+
+    /// Pending ops round-trip, and each damaged field is a typed error.
+    #[test]
+    fn pending_op_codec_round_trips_and_rejects_damage() {
+        let encode = |op: Option<&MemOp>| {
+            let mut w = Writer::new();
+            save_pending_op(&mut w, op);
+            w.into_bytes()
+        };
+        let write = MemOp::write(SimTime::from_secs(2.5), LineAddr(63));
+        for op in [None, Some(write)] {
+            let bytes = encode(op.as_ref());
+            let mut r = Reader::new(&bytes);
+            assert_eq!(load_pending_op(&mut r, 64).expect("round-trip"), op);
+            r.finish().expect("all bytes read");
+        }
+        let good = encode(Some(&write));
+        let damaged = |at: usize, bytes: &[u8]| {
+            let mut bad = good.clone();
+            bad[at..at + bytes.len()].copy_from_slice(bytes);
+            bad
+        };
+        for bad in [
+            damaged(0, &[2]),
+            damaged(1, &(-1.0f64).to_le_bytes()),
+            damaged(1, &f64::NAN.to_le_bytes()),
+            damaged(9, &[2]),
+        ] {
+            let err = load_pending_op(&mut Reader::new(&bad), 64).expect_err("damaged");
+            assert!(matches!(err, CheckpointError::Malformed(_)), "{err}");
+        }
+        // Line 63 fits 64 lines, not 63.
+        let err = load_pending_op(&mut Reader::new(&good), 63).expect_err("line past the bound");
+        assert!(err.to_string().contains("pending-op line 63"), "{err}");
     }
 }

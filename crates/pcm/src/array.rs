@@ -169,11 +169,6 @@ impl CellArray {
     pub fn cells(&self) -> &[Cell] {
         &self.cells
     }
-
-    /// Mutable access to the raw cells.
-    pub fn cells_mut(&mut self) -> &mut [Cell] {
-        &mut self.cells
-    }
 }
 
 #[cfg(test)]

@@ -46,7 +46,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use pcm_memsim::{splitmix64, MemOp, OpKind, TraceSource};
+use pcm_memsim::{load_pending_op, save_pending_op, splitmix64, MemOp, OpKind, TraceSource};
 use scrub_checkpoint::{CheckpointError, Reader, Writer};
 
 use crate::generator::{AddrPattern, ArrivalProcess, SyntheticTrace};
@@ -195,12 +195,6 @@ pub struct TenantMixSpec {
 }
 
 impl TenantMixSpec {
-    /// Total configured demand rate (ops/s) across all tenants for a
-    /// given address-space size.
-    pub fn total_rate(&self, num_lines: u32) -> f64 {
-        self.tenants.iter().map(|t| t.nominal_rate(num_lines)).sum()
-    }
-
     /// Checks that every tenant's demand rate, once the mix is built over
     /// `num_lines` lines at `rate_scale`, is one a run of `horizon_s`
     /// seconds can serve: positive, since a small `rate_scale` (a fleet
@@ -288,6 +282,7 @@ impl TenantMixSpec {
         TenantMix {
             label: format!("open-loop({self})"),
             names: self.tenants.iter().map(|t| t.name.clone()).collect(),
+            num_lines,
             streams,
             pending,
             reads: vec![0; self.tenants.len()],
@@ -473,18 +468,14 @@ impl FromStr for TenantMixSpec {
 pub struct TenantMix {
     label: String,
     names: Vec<String>,
+    /// The address space the mix was built over; a restored pending op
+    /// must fall inside it.
+    num_lines: u32,
     streams: Vec<SyntheticTrace>,
     /// Head-of-stream op per tenant, already drawn but not yet emitted.
     pending: Vec<Option<MemOp>>,
     reads: Vec<u64>,
     writes: Vec<u64>,
-}
-
-impl TenantMix {
-    /// Number of tenants.
-    pub fn num_tenants(&self) -> usize {
-        self.streams.len()
-    }
 }
 
 impl TraceSource for TenantMix {
@@ -521,18 +512,7 @@ impl TraceSource for TenantMix {
         w.put_u32(self.streams.len() as u32);
         for (i, s) in self.streams.iter().enumerate() {
             w.put_bytes(&s.save_state()?);
-            match &self.pending[i] {
-                Some(op) => {
-                    w.put_u8(1);
-                    w.put_f64(op.at.secs());
-                    w.put_u8(match op.kind {
-                        OpKind::Read => 0,
-                        OpKind::Write => 1,
-                    });
-                    w.put_u32(op.addr.0);
-                }
-                None => w.put_u8(0),
-            }
+            save_pending_op(&mut w, self.pending[i].as_ref());
             w.put_u64(self.reads[i]);
             w.put_u64(self.writes[i]);
         }
@@ -554,32 +534,7 @@ impl TraceSource for TenantMix {
                 mix.streams[i]
                     .load_state(&sub)
                     .map_err(CheckpointError::Malformed)?;
-                mix.pending[i] = match r.u8()? {
-                    0 => None,
-                    1 => {
-                        let at = pcm_memsim::SimTime::from_secs(r.time_f64("tenant pending op")?);
-                        let kind = match r.u8()? {
-                            0 => OpKind::Read,
-                            1 => OpKind::Write,
-                            other => {
-                                return Err(CheckpointError::Malformed(format!(
-                                    "invalid tenant pending-op kind {other}"
-                                )))
-                            }
-                        };
-                        let addr = r.u32()?;
-                        Some(MemOp {
-                            at,
-                            kind,
-                            addr: pcm_memsim::LineAddr(addr),
-                        })
-                    }
-                    other => {
-                        return Err(CheckpointError::Malformed(format!(
-                            "invalid tenant pending-op flag {other}"
-                        )))
-                    }
-                };
+                mix.pending[i] = load_pending_op(&mut r, mix.num_lines)?;
                 mix.reads[i] = r.u64()?;
                 mix.writes[i] = r.u64()?;
             }
@@ -742,6 +697,25 @@ mod tests {
         let state = other.build(64, 1.0, 1).save_state().expect("supported");
         let err = mix.load_state(&state).expect_err("tenant count mismatch");
         assert!(err.contains("tenants"), "{err}");
+    }
+
+    /// A saved pending op on a line past the mix's address space is
+    /// rejected on load, not left for the simulation to trip over.
+    #[test]
+    fn load_state_rejects_a_pending_line_past_the_mix() {
+        let spec: TenantMixSpec = "a:rate=10".parse().expect("valid");
+        let mut state = spec.build(64, 1.0, 1).save_state().expect("supported");
+        // Layout: tenant count u32, stream state (u32 length + bytes),
+        // then the pending op: flag u8, time f64, kind u8, line u32.
+        let stream_len = u32::from_le_bytes(state[4..8].try_into().expect("4 bytes")) as usize;
+        let line_at = 8 + stream_len + 1 + 8 + 1;
+        assert_eq!(state[8 + stream_len], 1, "the built mix has an op pending");
+        state[line_at..line_at + 4].copy_from_slice(&64u32.to_le_bytes());
+        let err = spec
+            .build(64, 1.0, 1)
+            .load_state(&state)
+            .expect_err("line 64 of 64");
+        assert!(err.contains("pending-op line 64"), "{err}");
     }
 
     #[test]
