@@ -76,8 +76,9 @@ fn overhead_estimate() {
     let disabled = e6::compute(&scale, &RunOptions::default());
     let wall_disabled_s = start.elapsed().as_secs_f64();
 
-    // Counting run: every counter increment is one guarded site firing.
-    // Journal mask Sim keeps the enabled run's event volume negligible.
+    // Counting run: the counters total the counted operations, and each
+    // passes a guarded site. Journal mask Sim keeps the enabled run's
+    // event volume negligible.
     tel::install(tel::Config {
         journal_capacity: 1024,
         event_mask: tel::EventClass::Sim.bit(),

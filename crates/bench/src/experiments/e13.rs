@@ -18,7 +18,6 @@ use pcm_memsim::inject::{SeuClause, StuckClause};
 use pcm_memsim::{CampaignSpec, RecoveryConfig, RepairConfig};
 use pcm_model::{DeviceConfig, EnduranceSpec};
 use scrub_core::{DemandTraffic, PolicyKind, SimConfig};
-use scrub_telemetry as tel;
 
 use crate::experiments::run_grid;
 use crate::runner::RunOptions;
@@ -167,13 +166,6 @@ pub fn compute(scale: &Scale, opts: &RunOptions) -> Vec<LifetimeRow> {
             row.unrepairable /= n;
             row.recovered /= n;
             row.degraded_banks /= n;
-            if tel::enabled() {
-                tel::set_value(&format!("e13.{label}.lifetime_s"), row.lifetime_s);
-                tel::set_value(&format!("e13.{label}.ecp_repairs"), row.ecp_repairs);
-                tel::set_value(&format!("e13.{label}.lines_retired"), row.lines_retired);
-                tel::set_value(&format!("e13.{label}.unrepairable"), row.unrepairable);
-                tel::set_value(&format!("e13.{label}.recovered"), row.recovered);
-            }
             row
         })
         .collect()
@@ -189,6 +181,7 @@ pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
         metrics.push((format!("{}.ecp_repairs", row.label), row.ecp_repairs));
         metrics.push((format!("{}.lines_retired", row.label), row.lines_retired));
         metrics.push((format!("{}.unrepairable", row.label), row.unrepairable));
+        metrics.push((format!("{}.recovered", row.label), row.recovered));
     }
     (render(&rows, scale.horizon_s), metrics)
 }

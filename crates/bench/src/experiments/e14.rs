@@ -9,17 +9,16 @@
 //! (UE/GiB-day) and the demand-latency impact of each point.
 //!
 //! The tour's `ScrubProgress` bound (`lines * (max_defer + 1)` slots) is
-//! published as `e14.progress_bound_slots` in the telemetry value map so
-//! CI can assert the measured `starvation_max_lag` gauge never exceeds
-//! it — the run-time shadow of the model-checked property (see
-//! `scrub_core::modelcheck`).
+//! the metric `progress_bound_slots`, so CI can assert that the
+//! telemetry gauge `starvation_max_lag`, the longest tour any run
+//! measured, never exceeds it — the run-time shadow of the model-checked
+//! property (see `scrub_core::modelcheck`).
 
 use pcm_analysis::{fmt_count, Table};
 use pcm_ecc::CodeSpec;
 use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
 use scrub_core::{DemandTraffic, PolicyKind};
-use scrub_telemetry as tel;
 
 use crate::experiments::{rep_jobs, run_grid};
 use crate::runner::RunOptions;
@@ -113,15 +112,6 @@ pub struct BudgetRow {
 /// Computes the budget table without rendering.
 pub fn compute(scale: &Scale, opts: &RunOptions) -> Vec<BudgetRow> {
     let roster = roster(scale, opts);
-    if tel::enabled() {
-        // The run-time bound CI checks `starvation_max_lag` against, from
-        // the policy the budgeted rows run.
-        let bound = roster
-            .iter()
-            .find_map(|(_, _, kind)| kind.build(scale.num_lines, 8, 0)?.progress_bound_slots())
-            .expect("the roster has budgeted tour rows");
-        tel::set_value("e14.progress_bound_slots", bound as f64);
-    }
     let (device, code) = (DeviceConfig::default(), CodeSpec::bch_line(6));
     let traffic = DemandTraffic::suite(WorkloadId::DbOltp);
     let jobs = roster
@@ -155,30 +145,30 @@ pub fn compute(scale: &Scale, opts: &RunOptions) -> Vec<BudgetRow> {
             row.scrub_writes /= n;
             row.throttled /= n;
             row.read_latency_ns /= n;
-            if tel::enabled() {
-                tel::set_value(&format!("e14.{label}.ue_per_gib_day"), row.ue_per_gib_day);
-                tel::set_value(&format!("e14.{label}.probes"), row.probes);
-                tel::set_value(&format!("e14.{label}.throttled"), row.throttled);
-                tel::set_value(&format!("e14.{label}.read_latency_ns"), row.read_latency_ns);
-            }
             row
         })
         .collect()
 }
 
 /// Runs E14, returning the rendered table plus per-row headline metrics
-/// for the `BENCH_e14.json` record.
+/// and the tour's progress bound for the `BENCH_e14.json` record.
 pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let rows = compute(scale, opts);
     let mut metrics = Vec::new();
     for row in &rows {
         metrics.push((format!("{}.ue_per_gib_day", row.label), row.ue_per_gib_day));
+        metrics.push((format!("{}.probes", row.label), row.probes));
         metrics.push((format!("{}.throttled", row.label), row.throttled));
         metrics.push((
             format!("{}.read_latency_ns", row.label),
             row.read_latency_ns,
         ));
     }
+    let bound = roster(scale, opts)
+        .iter()
+        .find_map(|(_, _, kind)| kind.build(scale.num_lines, 8, 0)?.progress_bound_slots())
+        .expect("the roster has budgeted tour rows");
+    metrics.push(("progress_bound_slots".to_string(), bound as f64));
     (render(&rows), metrics)
 }
 

@@ -19,7 +19,6 @@
 //! Full scale is the acceptance-size fleet: 10,240 banks in 16 shards.
 
 use pcm_analysis::{fmt_count, Table};
-use scrub_telemetry as tel;
 use scrubd::{Fleet, FleetConfig, TenantSlo};
 
 use crate::runner::RunOptions;
@@ -103,7 +102,7 @@ pub fn compute(scale: &Scale) -> FleetResult {
     let rollup = continuous.rollup();
     let migration_identical = rollup.to_json() == migrated.rollup().to_json();
     let counter = |k: &str| rollup.counters.get(k).copied().unwrap_or(0);
-    let result = FleetResult {
+    FleetResult {
         banks,
         shards,
         rounds: continuous.round(),
@@ -117,19 +116,7 @@ pub fn compute(scale: &Scale) -> FleetResult {
             counter("fleet.detected_ue"),
             counter("fleet.demand_ue"),
         ),
-    };
-    if tel::enabled() {
-        tel::set_value(
-            "e15.migration_identical",
-            if result.migration_identical { 1.0 } else { 0.0 },
-        );
-        tel::set_value("e15.migrations", result.migrations as f64);
-        tel::set_value("e15.demand_ops", result.totals.0 as f64);
-        for row in &result.slo {
-            tel::set_value(&format!("e15.{}.attainment", row.name), row.attainment);
-        }
     }
-    result
 }
 
 /// Runs E15, returning the rendered tables plus headline metrics for

@@ -16,7 +16,6 @@
 //! degradation.
 
 use pcm_analysis::Table;
-use scrub_telemetry as tel;
 use scrubd::{ChaosSpec, Fleet, FleetConfig};
 
 use crate::runner::RunOptions;
@@ -152,27 +151,12 @@ pub fn compute(scale: &Scale) -> RecoveryResult {
             });
         }
     }
-    let result = RecoveryResult {
+    RecoveryResult {
         banks,
         shards,
         nominal_rounds,
         cells,
-    };
-    if tel::enabled() {
-        tel::set_value(
-            "e16.all_converged",
-            if result.all_converged() { 1.0 } else { 0.0 },
-        );
-        for cell in &result.cells {
-            let key = format!("e16.{}.k{}", cell.policy, cell.kill_every);
-            tel::set_value(&format!("{key}.mttr_rounds"), cell.mttr_rounds as f64);
-            tel::set_value(
-                &format!("{key}.recovery_rounds"),
-                cell.recovery_rounds as f64,
-            );
-        }
     }
-    result
 }
 
 /// Runs E16, returning the rendered tables plus headline metrics for

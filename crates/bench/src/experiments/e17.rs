@@ -20,11 +20,12 @@
 //!   edge. (Under purely random errors BCH-6 beats RS-4; see
 //!   `scrub_oracle::symbol_ue_tail`'s tests.)
 //!
-//! Telemetry values CI guards with `jq`: `e17.profiler_hit_rate` vs.
-//! `e17.random_hit_rate`, `e17.rs_ue` vs. `e17.bch_ue`, per-row
-//! `e17.<label>.*`, and `e17.progress_bound_slots` (the profiled
-//! analogue of the tour's model-checked `ScrubProgress` bound) against
-//! the `starvation_max_lag` gauge.
+//! Metrics CI guards with `jq` (the telemetry document names each
+//! `e17.<metric>`): `profiled.hit_rate` vs. `profiled.base_rate`,
+//! `code.rs:72,64.ue_events` vs. `code.bch-6.ue_events`, per-row
+//! `<label>.*`, and `progress_bound_slots` (the profiled analogue of the
+//! tour's model-checked `ScrubProgress` bound) against the
+//! `starvation_max_lag` gauge.
 
 use pcm_analysis::{event_rate, fmt_count, Table};
 use pcm_ecc::CodeSpec;
@@ -32,7 +33,6 @@ use pcm_memsim::CampaignSpec;
 use pcm_model::DeviceConfig;
 use pcm_workloads::WorkloadId;
 use scrub_core::{DemandTraffic, PolicyKind, ProfileStats, SimConfig};
-use scrub_telemetry as tel;
 
 use crate::experiments::{rep_jobs, run_config};
 use crate::runner::RunOptions;
@@ -219,15 +219,6 @@ fn campaign_jobs(
 /// Computes both tables without rendering. Both tables run as one job
 /// grid; each row regroups its reps' outcomes in input order.
 pub fn compute(scale: &Scale, opts: &RunOptions) -> E17Results {
-    if tel::enabled() {
-        // The run-time progress bound for the profiled policy, the
-        // shadow of the tour's model-checked ScrubProgress property.
-        let bound = profiled_kind(scale, opts, THETA, BUDGET_FACTOR)
-            .build(scale.num_lines, 8, 0)
-            .and_then(|p| p.progress_bound_slots())
-            .expect("the profiled policy is budgeted");
-        tel::set_value("e17.progress_bound_slots", bound as f64);
-    }
     let bch = CodeSpec::bch_line(6);
     let roster = roster(scale, opts);
     let campaign = policy_campaign(scale, opts);
@@ -259,7 +250,7 @@ pub fn compute(scale: &Scale, opts: &RunOptions) -> E17Results {
         .map(|((label, _), outcomes)| {
             let n = outcomes.len() as f64;
             let mut row = PolicyRow {
-                label: label.clone(),
+                label,
                 ue_per_gib_day: 0.0,
                 probes: 0.0,
                 scrub_writes: 0.0,
@@ -286,16 +277,6 @@ pub fn compute(scale: &Scale, opts: &RunOptions) -> E17Results {
             if p.dirty_probes > 0 {
                 row.base_rate = event_rate(p.dirty_probes, probes.saturating_sub(p.dirty_probes));
             }
-            if tel::enabled() {
-                tel::set_value(&format!("e17.{label}.ue_per_gib_day"), row.ue_per_gib_day);
-                tel::set_value(&format!("e17.{label}.probes"), row.probes);
-                tel::set_value(&format!("e17.{label}.scrub_writes"), row.scrub_writes);
-                tel::set_value(&format!("e17.{label}.energy_uj"), row.energy_uj);
-                if let (Some(h), Some(b)) = (row.hit_rate, row.base_rate) {
-                    tel::set_value("e17.profiler_hit_rate", h);
-                    tel::set_value("e17.random_hit_rate", b);
-                }
-            }
             row
         })
         .collect();
@@ -306,7 +287,7 @@ pub fn compute(scale: &Scale, opts: &RunOptions) -> E17Results {
         .map(|((label, _, _), outcomes)| {
             let n = outcomes.len() as f64;
             let mut row = CodeRow {
-                label: label.clone(),
+                label,
                 ue_per_gib_day: 0.0,
                 ue_events: 0.0,
                 probes: 0.0,
@@ -324,41 +305,42 @@ pub fn compute(scale: &Scale, opts: &RunOptions) -> E17Results {
             row.ue_events /= n;
             row.probes /= n;
             row.scrub_writes /= n;
-            if tel::enabled() {
-                tel::set_value(
-                    &format!("e17.code.{label}.ue_per_gib_day"),
-                    row.ue_per_gib_day,
-                );
-                tel::set_value(&format!("e17.code.{label}.ue_events"), row.ue_events);
-            }
             row
         })
-        .collect::<Vec<_>>();
-    if tel::enabled() {
-        let find = |l: &str| codes.iter().find(|r| r.label == l).map(|r| r.ue_events);
-        if let (Some(b), Some(r)) = (find("bch-6"), find("rs:72,64")) {
-            tel::set_value("e17.bch_ue", b);
-            tel::set_value("e17.rs_ue", r);
-        }
-    }
+        .collect();
     E17Results { policies, codes }
 }
 
-/// Runs E17, returning the rendered tables plus headline metrics for
-/// the `BENCH_e17.json` record.
+/// Runs E17, returning the rendered tables plus every row's figures and
+/// the profiled policy's progress bound for the `BENCH_e17.json` record.
 pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let results = compute(scale, opts);
     let mut metrics = Vec::new();
     for row in &results.policies {
-        metrics.push((format!("{}.ue_per_gib_day", row.label), row.ue_per_gib_day));
-        metrics.push((format!("{}.scrub_writes", row.label), row.scrub_writes));
+        let label = &row.label;
+        metrics.push((format!("{label}.ue_per_gib_day"), row.ue_per_gib_day));
+        metrics.push((format!("{label}.probes"), row.probes));
+        metrics.push((format!("{label}.scrub_writes"), row.scrub_writes));
+        metrics.push((format!("{label}.energy_uj"), row.energy_uj));
         if let Some(h) = row.hit_rate {
-            metrics.push((format!("{}.hit_rate", row.label), h));
+            metrics.push((format!("{label}.hit_rate"), h));
+        }
+        if let Some(b) = row.base_rate {
+            metrics.push((format!("{label}.base_rate"), b));
         }
     }
     for row in &results.codes {
-        metrics.push((format!("code.{}.ue_events", row.label), row.ue_events));
+        let label = &row.label;
+        metrics.push((format!("code.{label}.ue_per_gib_day"), row.ue_per_gib_day));
+        metrics.push((format!("code.{label}.ue_events"), row.ue_events));
     }
+    // The run-time progress bound for the profiled policy, the shadow of
+    // the tour's model-checked ScrubProgress property.
+    let bound = profiled_kind(scale, opts, THETA, BUDGET_FACTOR)
+        .build(scale.num_lines, 8, 0)
+        .and_then(|p| p.progress_bound_slots())
+        .expect("the profiled policy is budgeted");
+    metrics.push(("progress_bound_slots".to_string(), bound as f64));
     (render(&results), metrics)
 }
 
@@ -427,6 +409,7 @@ fn render(results: &E17Results) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scrub_telemetry as tel;
 
     fn tiny() -> Scale {
         Scale {

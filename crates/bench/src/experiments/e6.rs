@@ -47,9 +47,8 @@ impl Headline {
 /// Computes the headline comparison without rendering.
 ///
 /// Each suite is its own job grid. When the telemetry recorder is
-/// enabled, each runs under its own phase scope (crediting the total
-/// simulated span it covered) and the headline metrics are recorded as
-/// bit-exact `e6.*` values.
+/// enabled, each runs under its own phase scope, crediting the total
+/// simulated span it covered.
 pub fn compute(scale: &Scale, opts: &RunOptions) -> Headline {
     let dev = DeviceConfig::default();
     let suite_span_s = scale.horizon_s * (WorkloadId::all().len() as u32 * scale.reps) as f64;
@@ -61,35 +60,30 @@ pub fn compute(scale: &Scale, opts: &RunOptions) -> Headline {
     };
     let basic = suite("e6.basic_suite", baseline_policy());
     let combined = suite("e6.combined_suite", combined_policy());
-    let h = Headline { basic, combined };
-    if tel::enabled() {
-        for (prefix, m) in [("e6.basic", &h.basic), ("e6.combined", &h.combined)] {
-            tel::set_value(&format!("{prefix}.ue"), m.ue);
-            tel::set_value(&format!("{prefix}.scrub_writes"), m.scrub_writes);
-            tel::set_value(&format!("{prefix}.scrub_probes"), m.scrub_probes);
-            tel::set_value(&format!("{prefix}.scrub_energy_uj"), m.scrub_energy_uj);
-            tel::set_value(&format!("{prefix}.mean_wear"), m.mean_wear);
-        }
-        tel::set_value("e6.ue_reduction_pct", h.ue_reduction_pct());
-        tel::set_value("e6.write_ratio", h.write_ratio());
-        tel::set_value("e6.energy_reduction_pct", h.energy_reduction_pct());
-    }
-    h
+    Headline { basic, combined }
 }
 
 /// Runs E6, returning the rendered table (with paper-reported targets
-/// inline) plus the headline metrics for the `BENCH_e6.json` record.
+/// inline) plus the three ratios and both suites' averages for the
+/// `BENCH_e6.json` record.
 pub fn run(scale: &Scale, opts: &RunOptions) -> (String, Vec<(String, f64)>) {
     let h = compute(scale, opts);
-    let metrics = vec![
+    let mut metrics = vec![
         ("ue_reduction_pct".to_string(), h.ue_reduction_pct()),
         ("write_ratio".to_string(), h.write_ratio()),
         ("energy_reduction_pct".to_string(), h.energy_reduction_pct()),
-        ("basic_ue".to_string(), h.basic.ue),
-        ("combined_ue".to_string(), h.combined.ue),
-        ("basic_scrub_writes".to_string(), h.basic.scrub_writes),
-        ("combined_scrub_writes".to_string(), h.combined.scrub_writes),
     ];
+    for (suite, m) in [("basic", &h.basic), ("combined", &h.combined)] {
+        for (name, v) in [
+            ("ue", m.ue),
+            ("scrub_writes", m.scrub_writes),
+            ("scrub_probes", m.scrub_probes),
+            ("scrub_energy_uj", m.scrub_energy_uj),
+            ("mean_wear", m.mean_wear),
+        ] {
+            metrics.push((format!("{suite}.{name}"), v));
+        }
+    }
     (render(&h), metrics)
 }
 

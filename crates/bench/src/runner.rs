@@ -10,7 +10,9 @@
 //! 3. runs the experiment and prints its tables to stdout, and
 //! 4. writes a small JSON record — experiment id, thread count, wall-clock
 //!    seconds, scale, and any headline metrics — next to the working
-//!    directory (stderr announces the path, keeping stdout diffable).
+//!    directory (stderr announces the path, keeping stdout diffable), and
+//!    with `--telemetry-out`, the telemetry document, whose `values` are
+//!    the same metrics named `{exp}.{name}`.
 
 use std::time::Instant;
 
@@ -37,8 +39,8 @@ pub struct RunOptions {
     pub scrub_iops: Option<f64>,
 }
 
-/// An experiment's entry point: its stdout and its `(name, value)`
-/// headline metrics for the JSON record.
+/// An experiment's entry point: its stdout and every `(name, value)`
+/// number it publishes, for the JSON record and the telemetry values.
 pub type Run = fn(&Scale, &RunOptions) -> (String, Vec<(String, f64)>);
 
 struct Opts {
@@ -193,7 +195,8 @@ fn render_record(
 }
 
 /// Runs an experiment binary: parses the flags, runs `run` once, prints
-/// its stdout and writes its headline metrics to the JSON record.
+/// its stdout and writes its metrics to the JSON record and, as
+/// `{exp}.{name}` values, to the telemetry document.
 pub fn main(exp: &'static str, run: Run) {
     let opts = parse_opts(exp);
     // Validate the environment up front: a malformed SCRUBSIM_THREADS
@@ -249,11 +252,8 @@ pub fn main(exp: &'static str, run: Run) {
         Err(e) => eprintln!("[{exp}] could not write {path}: {e}"),
     }
     if let Some(tel_path) = opts.telemetry_out {
-        // Mirror the BENCH headline metrics into the document's value map
-        // so one file carries both the report numbers and the op-level
-        // counters they must reconcile with.
-        for (k, v) in &metrics {
-            tel::set_value(&format!("bench.{k}"), *v);
+        for (name, v) in &metrics {
+            tel::set_value(&format!("{exp}.{name}"), *v);
         }
         let doc = tel::snapshot();
         match std::fs::write(&tel_path, doc.to_json()) {

@@ -7,9 +7,10 @@
 //! not: it merges the demand trace with the slot grid and executes every
 //! slot through `ScrubEngine::step`, using public calls only. For every
 //! mechanism, under an active fault campaign, with demand traffic and
-//! without, the run must match the reference exactly — report, telemetry
-//! counters, and the multiset of write-back decision events — and split
-//! runs must match the straight run.
+//! without, the run must match the reference exactly — report, the
+//! telemetry counters the loop adds per operation, and the multiset of
+//! write-back decision events — and split runs must match the straight
+//! run.
 //!
 //! A batch runs its slots in slot order, so its decisions arrive in the
 //! order stepping emits them. Events are still compared as sorted
@@ -125,11 +126,15 @@ fn reference(config: &SimConfig, run: &SimReport) -> SimReport {
     }
 }
 
-/// What only `Simulation` emits, not the loop: the report mirrors and the
-/// campaign markers (the split runs below check the markers).
-fn is_report_level(name: &str) -> bool {
-    name.starts_with("report_") || name == "campaign_boundaries"
-}
+/// The counters the loop adds to per operation. `Simulation` publishes
+/// every other counter from the run's tallies, which the report carries,
+/// or counts campaign markers, which the split runs below check.
+const PER_OP_COUNTERS: [&str; 4] = [
+    "demand_write_notifies",
+    "region_passes",
+    "region_speedups",
+    "region_slowdowns",
+];
 
 /// Order-independent event fingerprint: (time bits, payload), sorted,
 /// optionally restricted to write-back decisions.
@@ -198,11 +203,7 @@ fn simulation_matches_the_slot_by_slot_reference() {
             let ref_doc = tel::snapshot();
 
             assert_eq!(run, expected, "{case}: report diverged from the reference");
-            let loop_counters = |doc: &tel::Document| {
-                let mut c = doc.counters.clone();
-                c.retain(|name, _| !is_report_level(name));
-                c
-            };
+            let loop_counters = |doc: &tel::Document| PER_OP_COUNTERS.map(|c| doc.counters[c]);
             assert_eq!(
                 loop_counters(&run_doc),
                 loop_counters(&ref_doc),

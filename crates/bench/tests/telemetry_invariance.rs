@@ -1,6 +1,6 @@
 //! Telemetry must be a pure observer: enabling, disabling, or never
 //! installing the recorder must not move a single bit of simulation
-//! output, and when enabled its counters/values/events must reconcile
+//! output, and when enabled its counters and events must reconcile
 //! exactly with the report the experiment prints.
 //!
 //! The recorder is process-global, so everything lives in ONE test
@@ -103,7 +103,7 @@ fn telemetry_is_invisible_and_reconciles() {
         "{profiled:?}"
     );
     // The profile tallies the rows carry, summed over both tables,
-    // reconcile exactly with the op-level profiler counters.
+    // reconcile exactly with the published profiler counters.
     let counter = |name: &str| e17_doc.counters.get(name).copied().unwrap_or(0);
     let counted = ProfileStats {
         hits: counter("profiler_hits"),
@@ -119,53 +119,50 @@ fn telemetry_is_invisible_and_reconciles() {
     assert!(summed.hits > 0, "no profiler hits");
     assert_eq!(summed, counted, "profile tallies disagree with counters");
 
-    // Recorded values mirror the headline bit-for-bit.
-    for (key, want) in [
-        ("e6.basic.ue", h_on.basic.ue),
-        ("e6.basic.scrub_writes", h_on.basic.scrub_writes),
-        ("e6.basic.scrub_probes", h_on.basic.scrub_probes),
-        ("e6.basic.scrub_energy_uj", h_on.basic.scrub_energy_uj),
-        ("e6.basic.mean_wear", h_on.basic.mean_wear),
-        ("e6.combined.ue", h_on.combined.ue),
-        ("e6.combined.scrub_writes", h_on.combined.scrub_writes),
-        ("e6.combined.scrub_probes", h_on.combined.scrub_probes),
-        ("e6.combined.scrub_energy_uj", h_on.combined.scrub_energy_uj),
-        ("e6.combined.mean_wear", h_on.combined.mean_wear),
-        ("e6.ue_reduction_pct", h_on.ue_reduction_pct()),
-        ("e6.write_ratio", h_on.write_ratio()),
-        ("e6.energy_reduction_pct", h_on.energy_reduction_pct()),
-    ] {
-        let got = *doc
-            .values
-            .get(key)
-            .unwrap_or_else(|| panic!("document is missing value {key}"));
-        assert_eq!(
-            got.to_bits(),
-            want.to_bits(),
-            "value {key}: {got} != {want}"
-        );
-    }
+    // Every finished run's SimDone event survives in the journal.
+    assert_eq!(doc.events_dropped, 0, "SimDone events were evicted");
 
-    // Op-level counters (incremented per memory operation) reconcile
-    // exactly with the report-level mirrors (summed per finished sim):
-    // integer adds commute, so the totals must match to the last event.
+    // Each run publishes its own tallies to the counters, so the counters
+    // equal the totals of the finished runs' reports, summed over their
+    // SimDone events: integer adds commute, so to the last event.
+    let mut reported = [0u64; 4];
+    for e in &doc.events {
+        if let tel::EventKind::SimDone {
+            scrub_probes,
+            scrub_writes,
+            ue,
+            demand_ue,
+            ..
+        } = e.kind
+        {
+            for (total, n) in reported
+                .iter_mut()
+                .zip([scrub_probes, scrub_writes, ue, demand_ue])
+            {
+                *total += n;
+            }
+        }
+    }
     let c = |name: &str| {
         *doc.counters
             .get(name)
             .unwrap_or_else(|| panic!("document is missing counter {name}"))
     };
     assert!(c("scrub_probes") > 0, "no scrub probes recorded");
-    assert_eq!(c("scrub_probes"), c("report_scrub_probes"));
-    assert_eq!(c("scrub_writebacks"), c("report_scrub_writebacks"));
     assert_eq!(
-        c("detected_ue") + c("miscorrections"),
-        c("report_uncorrectable"),
-        "op-level UE counters disagree with report totals"
+        [
+            c("scrub_probes"),
+            c("scrub_writebacks"),
+            c("detected_ue") + c("miscorrections"),
+            c("demand_ue"),
+        ],
+        reported,
+        "counters disagree with the summed report totals \
+         (probes, write-backs, UEs, demand UEs)"
     );
 
     // Event-journal reconciliation: recompute the suite averages from the
     // per-sim SimDone events and match the headline bit-for-bit.
-    assert_eq!(doc.events_dropped, 0, "SimDone events were evicted");
     let rows: Vec<SimRow> = doc
         .events
         .iter()

@@ -141,10 +141,7 @@ impl ScrubEngine {
             ScrubAction::Probe(addr) => self.probe_slot(mem, addr, now, |policy, result, mem| {
                 policy.wants_writeback(addr, result, &ScrubContext { now, mem })
             }),
-            ScrubAction::Idle => {
-                self.stats.idle_slots += 1;
-                tel::counter_add(tel::Counter::EngineIdleSlots, 1);
-            }
+            ScrubAction::Idle => self.stats.idle_slots += 1,
         }
         self.next_slot_tick += self.gap_ticks;
     }
@@ -195,7 +192,6 @@ impl ScrubEngine {
             self.next_slot_tick += self.gap_ticks;
         }
         self.stats.idle_slots += idle;
-        tel::counter_add(tel::Counter::EngineIdleSlots, idle);
         self.policy.end_batch(slots, idle);
         if SKEW_BATCH.load(Ordering::Relaxed) {
             self.next_slot_tick += self.gap_ticks;
@@ -215,7 +211,6 @@ impl ScrubEngine {
         wants: impl FnOnce(&mut ScrubPolicy, &AccessResult, &Memory) -> bool,
     ) {
         self.stats.probe_slots += 1;
-        tel::counter_add(tel::Counter::EngineProbeSlots, 1);
         let result = mem.scrub_probe(addr, now);
         let wants = wants(&mut self.policy, &result, mem);
         let forced = result.outcome.is_uncorrectable();
@@ -223,11 +218,9 @@ impl ScrubEngine {
             // Data restored from higher-level redundancy; the line
             // itself must be rewritten either way.
             self.stats.forced_writebacks += 1;
-            tel::counter_add(tel::Counter::EngineForcedWritebacks, 1);
             mem.scrub_writeback(addr, now);
         } else if wants {
             self.stats.policy_writebacks += 1;
-            tel::counter_add(tel::Counter::EnginePolicyWritebacks, 1);
             mem.scrub_writeback(addr, now);
         }
         if tel::enabled() {

@@ -173,6 +173,16 @@ impl RiskProfile {
         self.stats
     }
 
+    /// Risk-table evictions since the run began.
+    pub(crate) fn evictions(&self) -> u64 {
+        self.evictions
+    }
+
+    /// Extra probes the hot interleave granted since the run began.
+    pub(crate) fn hot_probes(&self) -> u64 {
+        self.hot_probes
+    }
+
     /// Current score of `addr`, zero if unprofiled.
     pub fn score(&self, addr: LineAddr) -> u32 {
         self.scores.get(addr.0 as usize).copied().unwrap_or(0)
@@ -190,9 +200,6 @@ impl RiskProfile {
         }
         let addr = self.next_hot()?;
         self.hot_probes += 1;
-        if tel::enabled() {
-            tel::counter_add(tel::Counter::ProfilerHotProbes, 1);
-        }
         Some(addr)
     }
 
@@ -236,21 +243,6 @@ impl RiskProfile {
         if dirty {
             self.stats.dirty_probes += 1;
         }
-        if tel::enabled() {
-            if dirty {
-                tel::counter_add(tel::Counter::ProfilerDirtyProbes, 1);
-            }
-            if was_profiled {
-                tel::counter_add(
-                    if dirty {
-                        tel::Counter::ProfilerHits
-                    } else {
-                        tel::Counter::ProfilerMisses
-                    },
-                    1,
-                );
-            }
-        }
         if was_profiled {
             if dirty {
                 self.stats.hits += 1;
@@ -290,9 +282,6 @@ impl RiskProfile {
                 .expect("table is non-empty past capacity");
             self.set_score(victim, 0);
             self.evictions += 1;
-            if tel::enabled() {
-                tel::counter_add(tel::Counter::ProfilerEvictions, 1);
-            }
         }
         if tel::enabled() {
             tel::gauge_max(tel::Gauge::ProfilerOccupancy, self.by_score.len() as u64);

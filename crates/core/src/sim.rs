@@ -12,8 +12,12 @@ use scrub_telemetry as tel;
 
 use crate::config::PolicyKind;
 use crate::engine::ScrubEngine;
-use crate::profiled::ProfileStats;
+use crate::profiled::{ProfileStats, RiskProfile};
 use crate::report::SimReport;
+use crate::tour::TourCursor;
+
+/// How many counters [`Simulation::tallies`] reads from the run.
+const TALLIED: usize = 26;
 
 /// Demand-traffic selection for a run.
 #[derive(Debug, Clone, PartialEq)]
@@ -645,8 +649,14 @@ impl Simulation {
     /// orders them. The payloads live in `pending` and the engine's slot
     /// clock, and the markers derive from the config and the segment
     /// bounds, so no loop state needs checkpointing.
+    ///
+    /// With telemetry on, the segment publishes what it added to the
+    /// run's tallies when it returns ([`Simulation::publish`]). The
+    /// tallies are checkpointed, so any split of a run publishes the
+    /// same totals as the straight run.
     fn advance_to(&mut self, stop: SimTime) {
         self.start();
+        let before = tel::enabled().then(|| self.tallies());
         let markers = match &self.config.fault_campaign {
             Some(spec) if tel::enabled() => campaign_boundaries(spec, self.clock, stop),
             _ => Vec::new(),
@@ -680,6 +690,69 @@ impl Simulation {
         }
         if stop > self.clock {
             self.clock = stop;
+        }
+        if let Some(before) = before {
+            self.publish(&before);
+        }
+    }
+
+    /// The run's running totals of every quantity a telemetry counter
+    /// counts, paired with that counter: the one map from the memory's,
+    /// the engine's, the tour's and the risk profile's tallies to
+    /// telemetry.
+    fn tallies(&self) -> [(tel::Counter, u64); TALLIED] {
+        use tel::Counter as C;
+        let m = self.memory.stats();
+        let e = self.engine.as_ref().map(|e| *e.stats()).unwrap_or_default();
+        let policy = self.engine.as_ref().map(ScrubEngine::policy);
+        let (throttled, forced) = policy
+            .and_then(|p| p.bucket())
+            .map_or((0, 0), |b| (b.throttled_slots(), b.forced_probes()));
+        let tours = policy
+            .and_then(|p| p.tour_cursor())
+            .map_or(0, TourCursor::tours_completed);
+        let profile = policy.and_then(|p| p.profile());
+        let p = profile.map(RiskProfile::stats).unwrap_or_default();
+        let (evictions, hot_probes) = profile.map_or((0, 0), |p| (p.evictions(), p.hot_probes()));
+        [
+            (C::DemandReads, m.demand_reads),
+            (C::DemandWrites, m.demand_writes),
+            (C::ScrubProbes, m.scrub_probes),
+            (C::ScrubWritebacks, m.scrub_writebacks),
+            (C::CorrectedBits, m.corrected_bits),
+            (C::DetectedUe, m.detected_ue),
+            (C::Miscorrections, m.miscorrections),
+            (C::DemandUe, m.demand_ue),
+            (C::WearLevelWrites, m.wear_level_writes),
+            (C::EcpRepairs, m.ecp_repairs),
+            (C::EcpCellsPatched, m.ecp_cells_patched),
+            (C::LinesRetired, m.lines_retired),
+            (C::UnrepairableUe, m.unrepairable_ue),
+            (C::UeRecoveries, m.recovered_ue),
+            (C::EngineProbeSlots, e.probe_slots),
+            (C::EngineIdleSlots, e.idle_slots),
+            (C::EnginePolicyWritebacks, e.policy_writebacks),
+            (C::EngineForcedWritebacks, e.forced_writebacks),
+            (C::BudgetThrottled, throttled),
+            (C::BudgetForcedProbes, forced),
+            (C::ToursCompleted, tours),
+            (C::ProfilerHits, p.hits),
+            (C::ProfilerMisses, p.misses),
+            (C::ProfilerDirtyProbes, p.dirty_probes),
+            (C::ProfilerEvictions, evictions),
+            (C::ProfilerHotProbes, hot_probes),
+        ]
+    }
+
+    /// Adds what the run tallied since `before` to the telemetry
+    /// counters, and raises the lag gauge to the longest tour so far.
+    fn publish(&self, before: &[(tel::Counter, u64); TALLIED]) {
+        for ((counter, now), (_, then)) in self.tallies().into_iter().zip(before) {
+            tel::counter_add(counter, now - then);
+        }
+        let bucket = self.engine.as_ref().and_then(|e| e.policy().bucket());
+        if let Some(bucket) = bucket {
+            tel::gauge_max(tel::Gauge::StarvationMaxLag, bucket.max_tour_slots());
         }
     }
 
@@ -723,8 +796,8 @@ impl Simulation {
         }
     }
 
-    /// Consumes the simulation and produces the final report (plus the
-    /// telemetry mirrors). Private: reached via `run`/`finish`.
+    /// Consumes the simulation and produces the final report (plus its
+    /// `sim_done` event). Private: reached via `run`/`finish`.
     fn into_report(self) -> SimReport {
         let window_ns = self.config.horizon_s * 1e9;
         let bw = self.memory.bandwidth();
@@ -749,15 +822,6 @@ impl Simulation {
             degraded_banks: self.memory.degraded_banks(),
         };
         if tel::enabled() {
-            // Report-level mirrors of the op-level counters: integer adds
-            // commute, so across any number of concurrent simulations the
-            // `report_*` totals reconcile exactly with the op-level ones.
-            tel::counter_add(tel::Counter::ReportScrubProbes, report.stats.scrub_probes);
-            tel::counter_add(
-                tel::Counter::ReportScrubWritebacks,
-                report.stats.scrub_writebacks,
-            );
-            tel::counter_add(tel::Counter::ReportUncorrectable, report.uncorrectable());
             tel::event(
                 self.config.horizon_s,
                 tel::EventKind::SimDone {

@@ -12,8 +12,9 @@
 //! That cap is the executable form of the TLA property `ScrubProgress`,
 //! and is checked three ways against this very implementation: an
 //! exhaustive search of a few-line tour's states
-//! ([`crate::modelcheck`]), stateful proptests, and the
-//! `starvation_max_lag` telemetry gauge at run time.
+//! ([`crate::modelcheck`]), stateful proptests, and at run time the
+//! bucket's longest tour, which the simulation publishes as the
+//! `starvation_max_lag` telemetry gauge.
 //!
 //! Each bank starts its share of the tour at a *randomized origin*
 //! (derived deterministically from the run seed), so a fleet of machines
@@ -21,7 +22,6 @@
 
 use pcm_memsim::{splitmix64, LineAddr, SimTime};
 use scrub_checkpoint::{CheckpointError, Reader, Writer};
-use scrub_telemetry as tel;
 
 /// The token-bucket parameters of a budgeted policy, as plain data.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -108,7 +108,6 @@ impl TourCursor {
         }
         self.pos = 0;
         self.tours_completed += 1;
-        tel::counter_add(tel::Counter::ToursCompleted, 1);
         (addr, true)
     }
 
@@ -224,6 +223,11 @@ impl TokenBucket {
         self.forced_probes
     }
 
+    /// Longest completed tour, in slots.
+    pub(crate) fn max_tour_slots(&self) -> u64 {
+        self.max_tour_slots
+    }
+
     pub(crate) fn set_unfair(&mut self, unfair: bool) {
         self.unfair = unfair;
     }
@@ -255,7 +259,6 @@ impl TokenBucket {
         }
         self.defer_streak += 1;
         self.throttled_slots += 1;
-        tel::counter_add(tel::Counter::BudgetThrottled, 1);
         None
     }
 
@@ -265,10 +268,7 @@ impl TokenBucket {
     pub(crate) fn spend(&mut self, grant: Grant) {
         match grant {
             Grant::Token => self.tokens -= 1.0,
-            Grant::Forced => {
-                self.forced_probes += 1;
-                tel::counter_add(tel::Counter::BudgetForcedProbes, 1);
-            }
+            Grant::Forced => self.forced_probes += 1,
         }
         self.defer_streak = 0;
     }
@@ -276,9 +276,6 @@ impl TokenBucket {
     /// Closes out a completed tour's lag window.
     pub(crate) fn end_tour(&mut self) {
         self.max_tour_slots = self.max_tour_slots.max(self.slots_this_tour);
-        if tel::enabled() {
-            tel::gauge_max(tel::Gauge::StarvationMaxLag, self.slots_this_tour);
-        }
         self.slots_this_tour = 0;
     }
 

@@ -203,7 +203,6 @@ impl OpCtx<'_> {
                     outcome = retry;
                     shard.stats.recovered_ue += 1;
                     if tel::enabled() {
-                        tel::counter_add(tel::Counter::UeRecoveries, 1);
                         tel::event(now.secs(), tel::EventKind::UeRecovered { addr, demand });
                     }
                 }
@@ -212,7 +211,6 @@ impl OpCtx<'_> {
         if let ClassifyOutcome::Corrected { bits } = outcome {
             shard.stats.corrected_bits += bits as u64;
             if tel::enabled() {
-                tel::counter_add(tel::Counter::CorrectedBits, bits as u64);
                 tel::event(now.secs(), tel::EventKind::Corrected { addr, bits, demand });
             }
         }
@@ -228,24 +226,12 @@ impl OpCtx<'_> {
                 shard.stats.demand_ue += 1;
             }
             if tel::enabled() {
-                let miscorrected = matches!(outcome, ClassifyOutcome::Miscorrected);
-                tel::counter_add(
-                    if miscorrected {
-                        tel::Counter::Miscorrections
-                    } else {
-                        tel::Counter::DetectedUe
-                    },
-                    1,
-                );
-                if demand {
-                    tel::counter_add(tel::Counter::DemandUe, 1);
-                }
                 tel::event(
                     now.secs(),
                     tel::EventKind::Uncorrectable {
                         addr,
                         demand,
-                        miscorrected,
+                        miscorrected: matches!(outcome, ClassifyOutcome::Miscorrected),
                     },
                 );
             }
@@ -295,8 +281,6 @@ impl OpCtx<'_> {
             shard.stats.ecp_repairs += 1;
             shard.stats.ecp_cells_patched += unpatched as u64;
             if tel::enabled() {
-                tel::counter_add(tel::Counter::EcpRepairs, 1);
-                tel::counter_add(tel::Counter::EcpCellsPatched, unpatched as u64);
                 tel::event(
                     now.secs(),
                     tel::EventKind::EcpRepair {
@@ -319,7 +303,6 @@ impl OpCtx<'_> {
             repair.remap.insert(orig_slot as u32, spare_slot);
             shard.stats.lines_retired += 1;
             if tel::enabled() {
-                tel::counter_add(tel::Counter::LinesRetired, 1);
                 tel::event(
                     now.secs(),
                     tel::EventKind::LineRetired {
@@ -334,11 +317,8 @@ impl OpCtx<'_> {
             let first = repair.record_unrepairable(now.secs());
             let bank = repair.bank;
             shard.stats.unrepairable_ue += 1;
-            if tel::enabled() {
-                tel::counter_add(tel::Counter::UnrepairableUe, 1);
-                if first {
-                    tel::event(now.secs(), tel::EventKind::BankDegraded { bank });
-                }
+            if first && tel::enabled() {
+                tel::event(now.secs(), tel::EventKind::BankDegraded { bank });
             }
         }
     }
@@ -352,7 +332,6 @@ impl OpCtx<'_> {
     ) -> AccessResult {
         let result = self.decode_line(shard, slot, addr, now, true);
         shard.stats.demand_reads += 1;
-        tel::counter_add(tel::Counter::DemandReads, 1);
         let e = self.device.energy();
         shard
             .energy
@@ -390,7 +369,6 @@ impl OpCtx<'_> {
             .add_demand_ns(self.timing.write_ns(self.mlc));
         shard.issue(now.secs() * 1e9, self.timing.write_ns(self.mlc));
         if tel::enabled() {
-            tel::counter_add(tel::Counter::DemandWrites, 1);
             tel::event(
                 now.secs(),
                 tel::EventKind::DemandWrite {
@@ -430,7 +408,6 @@ impl OpCtx<'_> {
         shard.bandwidth.add_scrub_ns(dur);
         shard.issue(now.secs() * 1e9, dur);
         if tel::enabled() {
-            tel::counter_add(tel::Counter::ScrubProbes, 1);
             tel::event(
                 now.secs(),
                 tel::EventKind::ScrubProbe {
@@ -453,7 +430,6 @@ impl OpCtx<'_> {
         shard.bandwidth.add_scrub_ns(self.timing.write_ns(self.mlc));
         shard.issue(now.secs() * 1e9, self.timing.write_ns(self.mlc));
         if tel::enabled() {
-            tel::counter_add(tel::Counter::ScrubWritebacks, 1);
             tel::event(
                 now.secs(),
                 tel::EventKind::ScrubWriteback {
@@ -978,7 +954,6 @@ impl Memory {
             .add_demand_write(e.line_write_pj(ctx.code.total_bits(), ctx.mlc) + e.encode_pj);
         shard.bandwidth.add_demand_ns(ctx.timing.write_ns(ctx.mlc));
         if tel::enabled() {
-            tel::counter_add(tel::Counter::WearLevelWrites, 1);
             tel::event(
                 now.secs(),
                 tel::EventKind::WearLevelRotate { addr: copied_to.0 },

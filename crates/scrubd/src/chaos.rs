@@ -96,11 +96,12 @@ pub struct ChaosSpec {
 impl ChaosSpec {
     /// Whether shard `shard`'s round job must panic at fleet round
     /// `round` (retry attempts inside the window fail too — that is how
-    /// a campaign drives a shard into quarantine).
+    /// a campaign drives a shard into quarantine). A window may reach
+    /// past `u64::MAX`; its end is never computed.
     pub fn panic_at(&self, shard: u32, round: u64) -> bool {
         self.panics
             .iter()
-            .any(|p| p.shard == shard && round >= p.from_round && round < p.from_round + p.rounds)
+            .any(|p| p.shard == shard && round >= p.from_round && round - p.from_round < p.rounds)
     }
 
     /// Whether shard `shard`'s round-`round` checkpoint bytes must be
@@ -269,6 +270,20 @@ mod tests {
         assert_eq!(spec.kill_point, KillPoint::Pre);
         assert!(spec.torn_status_at(5));
         assert!(!spec.torn_status_at(4));
+    }
+
+    /// A window that reaches past `u64::MAX` covers every round from its
+    /// start; summing its start and length would overflow.
+    #[test]
+    fn window_past_u64_max_covers_every_later_round() {
+        let spec: ChaosSpec = "panic_shard=0@1:18446744073709551615"
+            .parse()
+            .expect("parses");
+        assert!(!spec.panic_at(0, 0));
+        assert!(spec.panic_at(0, 1));
+        assert!(spec.panic_at(0, 5));
+        assert!(spec.panic_at(0, u64::MAX));
+        assert!(!spec.panic_at(1, 5), "only the named shard");
     }
 
     #[test]

@@ -45,13 +45,6 @@ pub enum Counter {
     ExecPools,
     /// Tasks executed by pool workers (the inline path counts none).
     ExecTasks,
-    /// Scrub probes as summed from finished simulation reports (should
-    /// reconcile exactly with [`Counter::ScrubProbes`]).
-    ReportScrubProbes,
-    /// Scrub write-backs as summed from finished simulation reports.
-    ReportScrubWritebacks,
-    /// Uncorrectable errors as summed from finished simulation reports.
-    ReportUncorrectable,
     /// Lines patched by assigning ECP entries to stuck cells.
     EcpRepairs,
     /// Individual stuck cells patched by ECP entries.
@@ -90,7 +83,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in slot order.
-    pub const ALL: [Counter; 36] = [
+    pub const ALL: [Counter; 33] = [
         Counter::DemandReads,
         Counter::DemandWrites,
         Counter::ScrubProbes,
@@ -110,9 +103,6 @@ impl Counter {
         Counter::RegionSlowdowns,
         Counter::ExecPools,
         Counter::ExecTasks,
-        Counter::ReportScrubProbes,
-        Counter::ReportScrubWritebacks,
-        Counter::ReportUncorrectable,
         Counter::EcpRepairs,
         Counter::EcpCellsPatched,
         Counter::LinesRetired,
@@ -154,9 +144,6 @@ impl Counter {
             Counter::RegionSlowdowns => "region_slowdowns",
             Counter::ExecPools => "exec_pools",
             Counter::ExecTasks => "exec_tasks",
-            Counter::ReportScrubProbes => "report_scrub_probes",
-            Counter::ReportScrubWritebacks => "report_scrub_writebacks",
-            Counter::ReportUncorrectable => "report_uncorrectable",
             Counter::EcpRepairs => "ecp_repairs",
             Counter::EcpCellsPatched => "ecp_cells_patched",
             Counter::LinesRetired => "lines_retired",

@@ -431,8 +431,8 @@ fn main() {
     );
 }
 
-/// Writes the snapshot-size metrics JSON the CI resume job guards with
-/// `jq` (flat keys, stable order, no dependencies).
+/// Writes the snapshot-size metrics JSON that `tests/cli_split_run.rs`
+/// checks (flat keys, stable order, no dependencies).
 fn write_bench(path: &str, args: &Args, snapshot_bytes: usize, clock_s: f64) {
     let json = format!(
         "{{\n  \"name\": \"resume\",\n  \"lines\": {},\n  \"policy\": \"{}\",\n  \
