@@ -6,7 +6,7 @@
 //! * [`Summary`] — mean/σ/95% CI of repeated runs;
 //! * [`percent_reduction`] / [`improvement_ratio`] — the paper's headline
 //!   metrics ("96.5% fewer UEs", "24.4× fewer scrub writes");
-//! * [`Table`] — fixed-width table and CSV rendering;
+//! * [`Table`] — fixed-width table rendering;
 //! * [`wilson_interval`] / [`clopper_pearson_interval`] /
 //!   [`chi_square_gof`] / [`ks_test`] / [`TestBattery`] — the statistical
 //!   machinery behind the oracle-vs-simulator agreement suite (see

@@ -1,4 +1,4 @@
-//! Fixed-width table rendering (and CSV export) for experiment output.
+//! Fixed-width table rendering for experiment output.
 
 use std::fmt::Write as _;
 
@@ -84,28 +84,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders as CSV (naive quoting: cells containing commas are
-    /// double-quoted).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        let header_line: Vec<String> = self.headers.iter().map(|h| esc(h)).collect();
-        out.push_str(&header_line.join(","));
-        out.push('\n');
-        for row in &self.rows {
-            let line: Vec<String> = row.iter().map(|c| esc(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Compact scientific/engineering formatting for counts and rates.
@@ -150,14 +128,6 @@ mod tests {
         // All lines same width.
         assert_eq!(lines[0].len(), lines[2].len());
         assert!(lines[3].ends_with("12345"));
-    }
-
-    #[test]
-    fn csv_quotes_commas() {
-        let mut t = Table::new(vec!["a", "b"]);
-        t.row(vec!["x,y".into(), "2".into()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\",2"));
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! The E13 binary end to end: a fault campaign drives the repair
 //! hierarchy into the telemetry document, whose `values` are the BENCH
-//! record's metrics, and a run split into checkpoint/resume segments
-//! prints what the continuous run prints.
+//! record's metrics and whose event journal repeats run to run on one
+//! thread, and a run split into checkpoint/resume segments prints what
+//! the continuous run prints.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use scrub_telemetry::{json, Document};
@@ -33,10 +34,11 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn campaign_reaches_the_document_and_values_mirror_the_record() {
-    let dir = temp_dir("campaign");
-    let (bench, telemetry) = (dir.join("bench.json"), dir.join("telemetry.json"));
+/// Runs quick E13 under [`CAMPAIGN`] with its record and document in
+/// `dir`, tagged `tag`; returns the record and the document's text.
+fn campaign_run(dir: &Path, tag: &str) -> (json::Value, String) {
+    let bench = dir.join(format!("bench-{tag}.json"));
+    let telemetry = dir.join(format!("telemetry-{tag}.json"));
     e13(&[
         "--fault-campaign",
         CAMPAIGN,
@@ -47,6 +49,14 @@ fn campaign_reaches_the_document_and_values_mirror_the_record() {
     ]);
     let record = json::parse(&std::fs::read_to_string(&bench).expect("record")).expect("JSON");
     let text = std::fs::read_to_string(&telemetry).expect("document");
+    (record, text)
+}
+
+#[test]
+fn campaign_reaches_the_document_and_values_mirror_the_record() {
+    let dir = temp_dir("campaign");
+    let (record, text) = campaign_run(&dir, "first");
+    let (_, again) = campaign_run(&dir, "again");
     std::fs::remove_dir_all(&dir).ok();
 
     // The schema: version 1, an event journal with its eviction count,
@@ -81,6 +91,14 @@ fn campaign_reaches_the_document_and_values_mirror_the_record() {
     }
     assert!(!doc.values.keys().any(|k| k.starts_with("bench.")));
     assert!(!doc.counters.keys().any(|k| k.starts_with("report_")));
+
+    // On one worker the journal repeats exactly, though its ring evicts.
+    let again = Document::from_json(&again).expect("document");
+    assert!(doc.events_dropped > 0, "the ring never evicted");
+    assert_eq!(again.events_dropped, doc.events_dropped);
+    let differs = |i: &usize| doc.events.get(*i) != again.events.get(*i);
+    let first = (0..doc.events.len().max(again.events.len())).find(differs);
+    assert_eq!(first, None, "the two journals differ from this entry on");
 }
 
 #[test]

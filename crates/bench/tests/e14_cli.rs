@@ -1,9 +1,12 @@
-//! Negative-path coverage for the bench runner's `--scrub-iops`,
-//! `--horizon-s` and `--checkpoint-every` flags on the E14 binary:
-//! malformed values die with exit 2 and a one-line stderr before any
-//! simulation starts.
+//! The E14 binary end to end: under a fault campaign and checkpoint
+//! resumes the token bucket throttles and the longest tour stays within
+//! the published progress bound; and the bench runner's `--scrub-iops`,
+//! `--horizon-s` and `--checkpoint-every` flags reject malformed values
+//! with exit 2 and a one-line stderr before any simulation starts.
 
 use std::process::Command;
+
+use scrub_telemetry::Document;
 
 fn run(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_exp_e14_budget"))
@@ -25,6 +28,55 @@ fn assert_rejected(args: &[&str], needle: &str) {
     );
     assert!(stderr.contains(needle), "{stderr}");
     assert!(out.stdout.is_empty(), "must fail before running");
+}
+
+/// Quick E14 at two threads under a stuck-cell and SEU campaign,
+/// checkpointed every 1,800 s: demand drains the bucket, so slots are
+/// throttled and probes forced, tours still complete, and no tour runs
+/// longer than the `ScrubProgress` bound E14 publishes.
+#[test]
+fn budget_throttles_and_starvation_stays_within_the_bound() {
+    let dir = std::env::temp_dir().join(format!("e14-cli-budget-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (bench, telemetry) = (dir.join("bench.json"), dir.join("telemetry.json"));
+    let out = run(&[
+        "--quick",
+        "--threads",
+        "2",
+        "--fault-campaign",
+        "seed=9;stuck=lines:64,cells:3;seu=lines:128,count:2,window:21600",
+        "--checkpoint-every",
+        "1800",
+        "--bench-out",
+        bench.to_str().expect("UTF-8 path"),
+        "--telemetry-out",
+        telemetry.to_str().expect("UTF-8 path"),
+    ]);
+    let text = std::fs::read_to_string(&telemetry);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        out.status.success(),
+        "exited {:?}: {}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = Document::from_json(&text.expect("document")).expect("document");
+    for counter in [
+        "budget_throttled",
+        "budget_forced_probes",
+        "tours_completed",
+    ] {
+        assert!(doc.counters[counter] > 0, "{counter}: {:?}", doc.counters);
+    }
+    let bound = *doc
+        .values
+        .get("e14.progress_bound_slots")
+        .expect("E14 publishes its progress bound");
+    let lag = doc.gauges["starvation_max_lag"];
+    assert!(
+        lag as f64 <= bound,
+        "longest tour {lag} slots, bound {bound}"
+    );
 }
 
 #[test]

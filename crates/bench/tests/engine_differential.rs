@@ -1,21 +1,17 @@
 //! The simulation loop against a slot-by-slot reference.
 //!
-//! `Simulation::run` takes one shortcut through the scrub-slot grid:
-//! batched sweeps (`ScrubPolicy::plan_batch` describes the sweep ahead,
-//! and `ScrubEngine::step_batch` runs its slots up to the next demand op
-//! without asking the policy slot by slot). The [`reference`] loop does
-//! not: it merges the demand trace with the slot grid and executes every
-//! slot through `ScrubEngine::step`, using public calls only. For every
-//! mechanism, under an active fault campaign, with demand traffic and
-//! without, the run must match the reference exactly — report, the
-//! telemetry counters the loop adds per operation, and the multiset of
-//! write-back decision events — and split runs must match the straight
-//! run.
+//! `Simulation::run` hands the engine each run of scrub slots that falls
+//! before the next demand op in one call. The [`reference`] loop
+//! interleaves one event at a time: it merges the demand trace with the
+//! slot grid and executes every slot through `ScrubEngine::step`, using
+//! public calls only. For every mechanism, under an active fault
+//! campaign, with demand traffic and without, the run must match the
+//! reference exactly — report, the telemetry counters the loop adds per
+//! operation, and the multiset of write-back decision events — and split
+//! runs must match the straight run.
 //!
-//! A batch runs its slots in slot order, so its decisions arrive in the
-//! order stepping emits them. Events are still compared as sorted
-//! multisets: sequence numbers and worker ids are scheduling artifacts,
-//! not results.
+//! Events are compared as sorted multisets: sequence numbers and worker
+//! ids are scheduling artifacts, not results.
 //!
 //! The telemetry recorder is process-global, so everything lives in ONE
 //! test function — this file being its own integration-test binary
@@ -24,8 +20,7 @@
 use pcm_memsim::{Memory, OpKind, SimTime, TraceSource};
 use scrub_bench::experiments::e13;
 use scrub_core::{
-    set_skewed_batch_for_test, DemandTraffic, PolicyKind, ScrubEngine, SimConfig, SimReport,
-    Simulation,
+    DemandTraffic, PolicyKind, ProfileParams, ScrubEngine, SimConfig, SimReport, Simulation,
 };
 use scrub_telemetry as tel;
 
@@ -55,8 +50,9 @@ fn config(policy: &PolicyKind, traffic: &DemandTraffic) -> SimConfig {
 /// The slot-by-slot reference: memory, policy, and trace built as
 /// `Simulation::new` builds them, demand ops and scrub slots merged in
 /// time order (demand first on ties), every slot stepped. Labels come
-/// from `run`, since the loop never touches them.
-fn reference(config: &SimConfig, run: &SimReport) -> SimReport {
+/// from `run`, since the loop never touches them. With `notify` off the
+/// policy never hears of demand ops: the tripwire's broken variant.
+fn reference(config: &SimConfig, run: &SimReport, notify: bool) -> SimReport {
     let geometry = config.geometry;
     let mut mem = Memory::new(
         geometry,
@@ -90,11 +86,15 @@ fn reference(config: &SimConfig, run: &SimReport) -> SimReport {
                 match op.kind {
                     OpKind::Read => {
                         mem.demand_read(op.addr, op.at);
-                        engine.notify_demand_read(op.addr, op.at);
+                        if notify {
+                            engine.notify_demand_read(op.addr, op.at);
+                        }
                     }
                     OpKind::Write => {
                         mem.demand_write(op.addr, op.at);
-                        engine.notify_demand_write(op.addr, op.at);
+                        if notify {
+                            engine.notify_demand_write(op.addr, op.at);
+                        }
                     }
                 }
                 pending = trace.as_mut().and_then(|t| t.next_op());
@@ -181,16 +181,45 @@ fn simulation_matches_the_slot_by_slot_reference() {
         DemandTraffic::suite(pcm_workloads::WorkloadId::KvCache),
         DemandTraffic::Idle,
     ];
-    // The E13 roster plus adaptive, E5's region-scheduled mechanism.
+    // The E13 roster, adaptive (E5's region-scheduled mechanism), and
+    // the budgeted tour and profiled tour. Their bucket refills at 2
+    // tokens/s, under kv-cache's 2.8 demand ops/s on 1,024 lines, so it
+    // throttles under demand.
+    let (iops, burst, max_defer) = (2.0, 8.0, 4);
+    let profile = ProfileParams::default();
+    let tour = PolicyKind::Tour {
+        interval_s: 900.0,
+        theta: 4,
+        iops,
+        burst,
+        max_defer,
+    };
     let mut policies = e13::roster();
-    policies.push((
-        "adaptive",
-        PolicyKind::Adaptive {
-            interval_s: 900.0,
-            theta: 4,
-            regions: 64,
-        },
-    ));
+    policies.extend([
+        (
+            "adaptive",
+            PolicyKind::Adaptive {
+                interval_s: 900.0,
+                theta: 4,
+                regions: 64,
+            },
+        ),
+        ("tour", tour.clone()),
+        (
+            "profiled",
+            PolicyKind::Profiled {
+                interval_s: 900.0,
+                theta: 4,
+                iops,
+                burst,
+                max_defer,
+                capacity: profile.capacity,
+                hot_stride: profile.hot_stride,
+                stretch: profile.stretch,
+                risk: profile.risk,
+            },
+        ),
+    ]);
     for (label, policy) in policies {
         for traffic in &traffics {
             let case = format!("{label}/{traffic:?}");
@@ -199,7 +228,7 @@ fn simulation_matches_the_slot_by_slot_reference() {
             let run = Simulation::new(cfg.clone()).run();
             let run_doc = tel::snapshot();
             tel::reset();
-            let expected = reference(&cfg, &run);
+            let expected = reference(&cfg, &run, true);
             let ref_doc = tel::snapshot();
 
             assert_eq!(run, expected, "{case}: report diverged from the reference");
@@ -235,28 +264,19 @@ fn simulation_matches_the_slot_by_slot_reference() {
         }
     }
 
-    // Tripwire: the harness must be able to fail. A deliberately skewed
-    // batch (leaves the slot clock one slot late) must diverge from the
-    // reference for a batching mechanism. The skew acts only inside a
-    // batch, so the divergence also shows that the basic/kv-cache case
-    // above ran the batch path.
+    // Tripwire: the harness must be able to fail. A reference that keeps
+    // demand ops from the policy must diverge for the tour under kv-cache,
+    // whose bucket throttles: demand no longer drains it.
     tel::set_enabled(false);
-    let cfg = config(&PolicyKind::Basic { interval_s: 900.0 }, &traffics[0]);
-    let expected = reference(&cfg, &Simulation::new(cfg.clone()).run());
-    set_skewed_batch_for_test(true);
-    let skewed = Simulation::new(cfg.clone()).run();
-    set_skewed_batch_for_test(false);
-    assert_ne!(
-        skewed, expected,
-        "a skewed batch still matched the reference: either the harness \
-         cannot detect an incorrect batch, or the basic/kv-cache case above \
-         never took the batch path"
+    let cfg = config(&tour, &traffics[0]);
+    let run = Simulation::new(cfg.clone()).run();
+    assert!(
+        run.engine.idle_slots > 0,
+        "the tour's bucket never throttled, so demand cannot change its slots"
     );
-    // With the skew cleared the run matches again, pinning the divergence
-    // on the skew rather than on ambient state.
-    let cleared = Simulation::new(cfg).run();
-    assert_eq!(
-        cleared, expected,
-        "run diverged from the reference after the skew cleared"
+    assert_ne!(
+        reference(&cfg, &run, false),
+        run,
+        "a reference that never tells the policy of demand still matched the run"
     );
 }

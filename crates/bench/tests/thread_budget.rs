@@ -3,9 +3,9 @@
 //!
 //! With a two-thread budget, an experiment's grid spawns exactly one
 //! worker pool, and a simulation spawns none, even an idle one whose
-//! whole horizon is one sweep batch. Pools are counted by the telemetry
-//! recorder's `exec_pools` counter, which is process-global, so
-//! everything lives in ONE test function in this binary.
+//! whole horizon is one run of scrub slots. Pools are counted by the
+//! telemetry recorder's `exec_pools` counter, which is process-global,
+//! so everything lives in ONE test function in this binary.
 
 use pcm_ecc::CodeSpec;
 use scrub_bench::experiments::e3;
@@ -48,7 +48,7 @@ fn threads_go_to_whole_simulations() {
     assert_eq!(pools, 1, "E3's 14 simulations are one grid");
 
     // With no demand, the 8,193 slots from t = 0 to the horizon are one
-    // batch, and basic scrub probes in every one.
+    // run of slots, and basic scrub probes in every one.
     let (pools, report) = pools_spawned(idle_basic);
     assert_eq!(pools, 0, "a simulation runs on the calling thread");
     assert_eq!(report.stats.scrub_probes, 8193);

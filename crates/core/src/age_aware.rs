@@ -13,7 +13,7 @@ use scrub_checkpoint::{CheckpointError, Reader, Writer};
 /// Admits only lines at least `min_age_s` old, counting the skips.
 #[derive(Debug, Clone)]
 pub(crate) struct AgeGate {
-    pub(crate) min_age_s: f64,
+    min_age_s: f64,
     /// Slots skipped so far (checkpointed).
     pub(crate) skipped: u64,
 }

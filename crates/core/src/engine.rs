@@ -1,26 +1,12 @@
-//! The scrub engine: drives a policy against a memory — one slot at a
-//! time, or whole batches of slots the policy can commit to in advance.
+//! The scrub engine: drives a policy against a memory, one slot at a
+//! time.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
-use pcm_memsim::{AccessResult, LineAddr, Memory, SimTime};
+use pcm_memsim::{LineAddr, Memory, SimTime};
 use scrub_checkpoint::{CheckpointError, Reader, Writer};
 use scrub_telemetry as tel;
 
 use crate::policy::{ScrubAction, ScrubContext, ScrubPolicy};
 use crate::tick;
-
-/// Test-only tripwire: when set, each batch leaves the slot clock one
-/// slot late — it skips a slot that slot-by-slot stepping executes. The
-/// differential harness flips this to prove it detects a skewed batch
-/// rather than vacuously passing.
-static SKEW_BATCH: AtomicBool = AtomicBool::new(false);
-
-/// Enables/disables the deliberate batch skew. Test-only.
-#[doc(hidden)]
-pub fn set_skewed_batch_for_test(on: bool) {
-    SKEW_BATCH.store(on, Ordering::Relaxed);
-}
 
 /// Engine-side counters (memory-side counters live in
 /// [`pcm_memsim::MemStats`]).
@@ -68,9 +54,6 @@ pub struct ScrubEngine {
     /// drifts one ulp per slot.
     next_slot_tick: u64,
     stats: EngineStats,
-    /// The policy declined a batch plan, so it never batches: later slots
-    /// skip counting the slot grid up to the next demand op.
-    batches_declined: bool,
 }
 
 impl ScrubEngine {
@@ -86,18 +69,12 @@ impl ScrubEngine {
             policy,
             next_slot_tick: 0,
             stats: EngineStats::default(),
-            batches_declined: false,
         }
     }
 
     /// When the next scrub slot is due.
     pub fn next_slot(&self) -> SimTime {
         tick::time_from_ticks(self.next_slot_tick)
-    }
-
-    /// The next slot as a raw tick on the engine's nanosecond grid.
-    pub fn next_slot_tick(&self) -> u64 {
-        self.next_slot_tick
     }
 
     /// Engine counters.
@@ -132,87 +109,51 @@ impl ScrubEngine {
     /// Executes the slot at [`ScrubEngine::next_slot`] and schedules the
     /// following one.
     pub fn step(&mut self, mem: &mut Memory) {
-        let now = self.next_slot();
+        self.step_at(mem, self.next_slot());
+    }
+
+    /// Steps every slot from [`ScrubEngine::next_slot`] up to `until` and
+    /// strictly before `demand_due`: a demand op due at a slot's time runs
+    /// first.
+    pub(crate) fn step_until(
+        &mut self,
+        mem: &mut Memory,
+        until: SimTime,
+        demand_due: Option<SimTime>,
+    ) {
+        loop {
+            let now = self.next_slot();
+            if now > until || demand_due.is_some_and(|d| d <= now) {
+                break;
+            }
+            self.step_at(mem, now);
+        }
+    }
+
+    /// [`ScrubEngine::step`] for the slot due at `now`, the engine's
+    /// [`ScrubEngine::next_slot`].
+    fn step_at(&mut self, mem: &mut Memory, now: SimTime) {
         let action = {
             let ctx = ScrubContext { now, mem };
             self.policy.next_action(&ctx)
         };
         match action {
-            ScrubAction::Probe(addr) => self.probe_slot(mem, addr, now, |policy, result, mem| {
-                policy.wants_writeback(addr, result, &ScrubContext { now, mem })
-            }),
+            ScrubAction::Probe(addr) => self.probe_slot(mem, addr, now),
             ScrubAction::Idle => self.stats.idle_slots += 1,
         }
         self.next_slot_tick += self.gap_ticks;
     }
 
-    /// Executes every slot from [`ScrubEngine::next_slot`] up to `horizon`
-    /// (and strictly before `demand_due`, which takes priority on ties) as
-    /// one batch, if the policy supports batch planning.
-    ///
-    /// Returns `false` — executing nothing — when the policy cannot batch;
-    /// the caller falls back to [`ScrubEngine::step`]. When it returns
-    /// `true`, the memory, the policy's cursor, and the engine counters are
-    /// in exactly the state the equivalent sequence of `step` calls would
-    /// have produced.
-    pub fn step_batch(
-        &mut self,
-        mem: &mut Memory,
-        horizon: SimTime,
-        demand_due: Option<SimTime>,
-    ) -> bool {
-        let due = |t: SimTime| t <= horizon && demand_due.is_none_or(|d| t < d);
-        if self.batches_declined || !due(self.next_slot()) {
-            return false;
-        }
-        let Some(plan) = self.policy.plan_batch() else {
-            self.batches_declined = true;
-            return false;
-        };
-        let rule = plan.rule;
-        let lines = mem.geometry().num_lines();
-        let mut line = plan.first.0;
-        let (mut slots, mut idle) = (0, 0);
-        // The slots on the tick grid `step` walks, while they stay due.
-        loop {
-            let now = self.next_slot();
-            if !due(now) {
-                break;
-            }
-            let addr = LineAddr(line);
-            // The age gate reads the line's write time and draws nothing,
-            // as the policy's `MinAge` gate does when stepping.
-            if mem.line(addr).age_at(now) < plan.min_age_s {
-                idle += 1;
-            } else {
-                self.probe_slot(mem, addr, now, |_, result, _| rule.fires(result));
-            }
-            line = if line + 1 == lines { 0 } else { line + 1 };
-            slots += 1;
-            self.next_slot_tick += self.gap_ticks;
-        }
-        self.stats.idle_slots += idle;
-        self.policy.end_batch(slots, idle);
-        if SKEW_BATCH.load(Ordering::Relaxed) {
-            self.next_slot_tick += self.gap_ticks;
-        }
-        true
-    }
-
     /// Runs one probed slot: the probe, the write-back that an
-    /// uncorrectable result forces or `wants` chooses, the counters, and
-    /// the decision event. `wants` sees every result, forced or not, so
-    /// a policy observes each probe exactly once.
-    fn probe_slot(
-        &mut self,
-        mem: &mut Memory,
-        addr: LineAddr,
-        now: SimTime,
-        wants: impl FnOnce(&mut ScrubPolicy, &AccessResult, &Memory) -> bool,
-    ) {
+    /// uncorrectable result forces or the policy chooses, the counters,
+    /// and the decision event. The policy sees every result, forced or
+    /// not, so it observes each probe exactly once.
+    fn probe_slot(&mut self, mem: &mut Memory, addr: LineAddr, now: SimTime) {
         self.stats.probe_slots += 1;
         let result = mem.scrub_probe(addr, now);
-        let wants = wants(&mut self.policy, &result, mem);
+        let wants = self
+            .policy
+            .wants_writeback(addr, &result, &ScrubContext { now, mem });
         let forced = result.outcome.is_uncorrectable();
         if forced {
             // Data restored from higher-level redundancy; the line
@@ -282,7 +223,7 @@ impl ScrubEngine {
 mod tests {
     use super::*;
     use pcm_ecc::CodeSpec;
-    use pcm_memsim::{LineState, MemGeometry};
+    use pcm_memsim::MemGeometry;
     use pcm_model::DeviceConfig;
 
     fn mem(code: CodeSpec, lines: u32, seed: u64) -> Memory {
@@ -340,95 +281,6 @@ mod tests {
             lazy_wb * 3 < basic_wb.max(3),
             "lazy {lazy_wb} vs basic {basic_wb} write-backs"
         );
-    }
-
-    /// Steps every slot up to `horizon` one at a time.
-    fn step_to(engine: &mut ScrubEngine, mem: &mut Memory, horizon: SimTime) {
-        while engine.next_slot() <= horizon {
-            engine.step(mem);
-        }
-    }
-
-    /// Asserts that two memories hold the same counters, energy and lines.
-    fn assert_same_memory(a: &Memory, b: &Memory) {
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.energy(), b.energy());
-        for addr in a.geometry().iter_lines() {
-            assert_eq!(a.line(addr), b.line(addr), "line {addr}");
-        }
-    }
-
-    /// The determinism contract at engine granularity: a batch leaves
-    /// memory, policy, and counters bit-identical to slot-at-a-time
-    /// stepping.
-    #[test]
-    fn step_batch_matches_sequential_steps_exactly() {
-        let policies = [
-            ScrubPolicy::basic(7200.0, 64),
-            ScrubPolicy::threshold(7200.0, 64, 4),
-            ScrubPolicy::age_aware(7200.0, 64, 4, 1800.0),
-        ];
-        // 5,121 slots at 112.5 s: with no demand one batch holds them all.
-        let horizon = SimTime::from_secs(160.0 * 3600.0);
-        for policy in &policies {
-            let mut seq_mem = mem(CodeSpec::bch_line(6), 64, 90);
-            let mut seq = ScrubEngine::new(policy.clone());
-            step_to(&mut seq, &mut seq_mem, horizon);
-            let mut bat_mem = mem(CodeSpec::bch_line(6), 64, 90);
-            let mut bat = ScrubEngine::new(policy.clone());
-            assert!(bat.step_batch(&mut bat_mem, horizon, None));
-            assert!(bat.next_slot() > horizon, "one batch holds every slot");
-            assert_eq!(bat.stats(), seq.stats());
-            assert_eq!(bat.next_slot(), seq.next_slot());
-            assert_same_memory(&bat_mem, &seq_mem);
-        }
-    }
-
-    /// A batch of an age-aware policy over freshly written lines idles
-    /// them and draws nothing for them: they keep the state their demand
-    /// write left, and the memory ends equal to stepping's.
-    #[test]
-    fn batch_age_filter_skips_young_lines_without_draws() {
-        // Slot k probes line k at 10k s. Each odd line is rewritten 5 s
-        // before its slot; the even lines below 60 are under 600 s old.
-        let policy = ScrubPolicy::age_aware(2560.0, 256, 2, 600.0);
-        let horizon = SimTime::from_secs(2550.0);
-        let odd = || (1..256u32).step_by(2).map(LineAddr);
-        let fresh = || {
-            let mut m = mem(CodeSpec::bch_line(6), 256, 92);
-            for addr in odd() {
-                m.demand_write(addr, SimTime::from_secs(10.0 * f64::from(addr.0) - 5.0));
-            }
-            m
-        };
-        let mut seq_mem = fresh();
-        let mut seq = ScrubEngine::new(policy.clone());
-        step_to(&mut seq, &mut seq_mem, horizon);
-        let mut bat_mem = fresh();
-        let written: Vec<LineState> = odd().map(|a| *bat_mem.line(a)).collect();
-        let mut bat = ScrubEngine::new(policy);
-        assert!(bat.step_batch(&mut bat_mem, horizon, None));
-        assert_eq!(bat.stats().idle_slots, 128 + 30);
-        assert_eq!(bat_mem.stats().scrub_probes, 98);
-        for (addr, state) in odd().zip(&written) {
-            assert_eq!(bat_mem.line(addr), state, "line {addr}");
-        }
-        assert_eq!(bat.stats(), seq.stats());
-        assert_same_memory(&bat_mem, &seq_mem);
-    }
-
-    #[test]
-    fn step_batch_respects_demand_due_and_tie_priority() {
-        let mut m = mem(CodeSpec::bch_line(4), 16, 91);
-        let mut e = ScrubEngine::new(ScrubPolicy::basic(160.0, 16));
-        // Slots at t = 0, 10, 20, ...; demand due exactly at t = 30 (a tie
-        // goes to demand, so slot 30 must NOT run).
-        let due = Some(SimTime::from_secs(30.0));
-        assert!(e.step_batch(&mut m, SimTime::from_secs(1000.0), due));
-        assert_eq!(e.stats().probe_slots, 3);
-        assert_eq!(e.next_slot(), SimTime::from_secs(30.0));
-        // With the demand due *at* next_slot, there is nothing to batch.
-        assert!(!e.step_batch(&mut m, SimTime::from_secs(1000.0), due));
     }
 
     #[test]

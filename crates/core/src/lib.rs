@@ -61,10 +61,9 @@ mod tour;
 
 pub use checkpoint::{run_split, SplitRunOutcome};
 pub use config::PolicyKind;
-pub use engine::{set_skewed_batch_for_test, EngineStats, ScrubEngine};
-pub use policy::{BatchPlan, ScrubAction, ScrubContext, ScrubPolicy, SweepCursor};
+pub use engine::{EngineStats, ScrubEngine};
+pub use policy::{ScrubAction, ScrubContext, ScrubPolicy, SweepCursor};
 pub use profiled::{ProfileParams, ProfileStats, RiskProfile};
 pub use report::SimReport;
 pub use sim::{DemandTraffic, SimConfig, SimConfigBuilder, Simulation};
-pub use threshold::SweepRule;
 pub use tour::{TokenBucket, TourBudget, TourCursor};

@@ -25,24 +25,6 @@ pub struct ScrubContext<'a> {
     pub mem: &'a Memory,
 }
 
-/// A policy's description of a whole run of upcoming slots, produced by
-/// [`ScrubPolicy::plan_batch`]. Only a sweep without a token bucket can
-/// express itself this way: its slot decisions are *local* (fixed
-/// cadence, cursor order, per-line probe/write-back rules with no
-/// cross-line feedback), so the engine runs the batch without asking the
-/// policy slot by slot, with results bit-identical to the slot-at-a-time
-/// path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchPlan {
-    /// Line targeted by the first slot of the batch; subsequent slots
-    /// advance the sweep cursor by one each, wrapping.
-    pub first: LineAddr,
-    /// Minimum data age for a probe (0 = probe unconditionally).
-    pub min_age_s: f64,
-    /// Per-line write-back rule for correctable lines.
-    pub rule: SweepRule,
-}
-
 /// What the policy wants to do with its next scrub slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScrubAction {
@@ -87,9 +69,9 @@ enum Gate {
 /// * the **gate** says whether the slot may probe now: always, only
 ///   lines at least `min_age_s` old, or only with a token from the bucket
 ///   shared with demand traffic ([`TokenBucket`]);
-/// * the **write-back rule** says what a detection triggers: a
-///   [`SweepRule`], plus an unconditional write-back on uncorrectable
-///   results.
+/// * the **write-back rule** says what a detection triggers: write back
+///   on any error or once persistent errors reach θ, plus an
+///   unconditional write-back on uncorrectable results.
 ///
 /// An optional risk profile ([`RiskProfile`]) steers a tour toward
 /// error-prone lines and relaxes the rule by one error for lines it has
@@ -121,11 +103,9 @@ enum Gate {
 /// use scrub_core::ScrubPolicy;
 /// // The paper's combined mechanism: region pacing, an age gate, and
 /// // lazy write-back at 4 errors.
-/// let mut p = ScrubPolicy::combined(900.0, 4096, 4, 64, 600.0);
+/// let p = ScrubPolicy::combined(900.0, 4096, 4, 64, 600.0);
 /// assert_eq!(p.name(), "combined");
 /// assert_eq!(p.slot_gap_s(), 900.0 / 4096.0);
-/// // Region feedback crosses lines, so it never batches.
-/// assert!(p.plan_batch().is_none());
 /// ```
 #[derive(Debug, Clone)]
 pub struct ScrubPolicy {
@@ -548,39 +528,6 @@ impl ScrubPolicy {
         }
     }
 
-    /// Describes a batch starting at the next slot for the engine to run,
-    /// which then commits it through [`ScrubPolicy::end_batch`]. Only a
-    /// sweep without a token bucket plans batches; the other kinds
-    /// return `None` — on every call, so after one `None` the engine
-    /// stops asking.
-    pub fn plan_batch(&self) -> Option<BatchPlan> {
-        let Schedule::Sweep(cursor) = &self.schedule else {
-            return None;
-        };
-        let min_age_s = match &self.gate {
-            Gate::Open => 0.0,
-            Gate::MinAge(gate) => gate.min_age_s,
-            Gate::Bucket(_) => return None,
-        };
-        Some(BatchPlan {
-            first: LineAddr(cursor.position()),
-            min_age_s,
-            rule: self.rule,
-        })
-    }
-
-    /// Commits a planned batch the engine ran: advances the sweep cursor
-    /// past its `slots` slots and counts the `idle` ones the age gate
-    /// skipped.
-    pub fn end_batch(&mut self, slots: u64, idle: u64) {
-        if let Schedule::Sweep(cursor) = &mut self.schedule {
-            cursor.advance_by(slots, self.num_lines);
-        }
-        if let Gate::MinAge(gate) = &mut self.gate {
-            gate.skipped += idle;
-        }
-    }
-
     /// Serializes the policy's *mutable* state for checkpointing:
     /// schedule, gate, profile, then the tour's origins. Configuration
     /// is not written: a resume rebuilds the policy from the run config
@@ -663,20 +610,16 @@ impl SweepCursor {
         Self::default()
     }
 
-    /// Returns the current line and advances, wrapping at `num_lines`.
-    /// Also reports whether this call completed a full sweep.
+    /// Returns the current line and advances, wrapping at `num_lines`,
+    /// which every call must pass unchanged. Also reports whether this
+    /// call completed a full sweep.
     pub fn advance(&mut self, num_lines: u32) -> (LineAddr, bool) {
         let addr = LineAddr(self.next);
-        self.next = (self.next + 1) % num_lines;
+        self.next += 1;
+        if self.next == num_lines {
+            self.next = 0;
+        }
         (addr, self.next == 0)
-    }
-
-    /// Returns the current line and advances by `n` slots at once (batch
-    /// commit), wrapping at `num_lines`.
-    pub fn advance_by(&mut self, n: u64, num_lines: u32) -> LineAddr {
-        let addr = LineAddr(self.next);
-        self.next = ((self.next as u64 + n) % num_lines as u64) as u32;
-        addr
     }
 
     /// The line the next slot will probe (for checkpointing).
@@ -741,20 +684,6 @@ mod tests {
         assert!(end2);
         let (a3, _) = c.advance(3);
         assert_eq!(a3, LineAddr(0));
-    }
-
-    #[test]
-    fn advance_by_matches_repeated_advance() {
-        let mut one = SweepCursor::new();
-        let mut batch = SweepCursor::new();
-        let first = batch.advance_by(7, 5);
-        assert_eq!(first, LineAddr(0));
-        for _ in 0..7 {
-            one.advance(5);
-        }
-        assert_eq!(one, batch);
-        // A second batch starts where the first left off: 7 mod 5 = 2.
-        assert_eq!(batch.advance_by(1, 5), LineAddr(2));
     }
 
     #[test]

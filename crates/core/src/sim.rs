@@ -400,10 +400,8 @@ impl Simulation {
     ///
     /// The event loop merges the demand-trace stream with scrub slots in
     /// timestamp order, so policies see a realistic interleaving of
-    /// drift-clock resets and probes. Runs of scrub slots with no demand
-    /// op in between are executed as batches when the policy supports
-    /// batch planning, bit-identical to executing every slot through
-    /// [`ScrubEngine::step`].
+    /// drift-clock resets and probes. Every slot, for every policy, runs
+    /// through [`ScrubEngine::step`].
     pub fn run(self) -> SimReport {
         self.finish()
     }
@@ -682,7 +680,7 @@ impl Simulation {
             }
             match demand {
                 Some(op) => self.exec_demand_op(op),
-                None => self.exec_scrub_slot(stop),
+                None => self.exec_scrub_slots(stop),
             }
         }
         for (t, label) in markers {
@@ -782,18 +780,15 @@ impl Simulation {
         self.pending = self.trace.as_mut().and_then(|t| t.next_op());
     }
 
-    /// Executes the scrub slot at the engine's clock: the slots before the
-    /// next demand op run as one batch if the policy can plan one, else
-    /// this one slot steps.
-    fn exec_scrub_slot(&mut self, stop: SimTime) {
+    /// Steps the due scrub slot at the engine's clock and every later slot
+    /// up to `stop` that comes before the next demand op (demand wins a
+    /// tie). Campaign markers due inside that run are emitted after it.
+    fn exec_scrub_slots(&mut self, stop: SimTime) {
         let demand_due = self.pending.map(|op| op.at);
-        let engine = self
-            .engine
+        self.engine
             .as_mut()
-            .expect("a due scrub slot implies an engine");
-        if !engine.step_batch(&mut self.memory, stop, demand_due) {
-            engine.step(&mut self.memory);
-        }
+            .expect("a due scrub slot implies an engine")
+            .step_until(&mut self.memory, stop, demand_due);
     }
 
     /// Consumes the simulation and produces the final report (plus its

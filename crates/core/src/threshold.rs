@@ -12,10 +12,8 @@ use pcm_ecc::ClassifyOutcome;
 use pcm_memsim::AccessResult;
 
 /// The write-back rule a probed line that was not uncorrectable follows.
-/// Uncorrectable lines are always written back (forced) before this rule
-/// is consulted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepRule {
+pub(crate) enum SweepRule {
     /// Write back on any decoder activity (the Basic policy's rule).
     AnyError,
     /// Write back when persistent errors reach `theta` (lazy write-back).
@@ -23,17 +21,6 @@ pub enum SweepRule {
         /// Persistent-bit-error threshold.
         theta: u32,
     },
-}
-
-impl SweepRule {
-    /// Whether this rule requests a write-back for a probe result that was
-    /// not uncorrectable.
-    pub fn fires(&self, result: &AccessResult) -> bool {
-        match *self {
-            SweepRule::AnyError => !matches!(result.outcome, ClassifyOutcome::Clean),
-            SweepRule::Threshold { theta } => result.persistent_bits >= theta,
-        }
-    }
 }
 
 /// Lazy write-back at `theta` accumulated persistent errors.
@@ -50,7 +37,11 @@ pub(crate) fn lazy(theta: u32) -> SweepRule {
 /// write back (the data is restored from higher-level redundancy), the
 /// rest follow `rule`.
 pub(crate) fn fires(rule: SweepRule, result: &AccessResult) -> bool {
-    result.outcome.is_uncorrectable() || rule.fires(result)
+    result.outcome.is_uncorrectable()
+        || match rule {
+            SweepRule::AnyError => !matches!(result.outcome, ClassifyOutcome::Clean),
+            SweepRule::Threshold { theta } => result.persistent_bits >= theta,
+        }
 }
 
 #[cfg(test)]
@@ -69,15 +60,15 @@ mod tests {
     #[test]
     fn any_error_fires_on_corrected_not_clean() {
         let r = SweepRule::AnyError;
-        assert!(!r.fires(&res(0, ClassifyOutcome::Clean)));
-        assert!(r.fires(&res(1, ClassifyOutcome::Corrected { bits: 1 })));
+        assert!(!fires(r, &res(0, ClassifyOutcome::Clean)));
+        assert!(fires(r, &res(1, ClassifyOutcome::Corrected { bits: 1 })));
     }
 
     #[test]
     fn threshold_fires_on_persistent_count() {
         let r = SweepRule::Threshold { theta: 3 };
-        assert!(!r.fires(&res(2, ClassifyOutcome::Corrected { bits: 2 })));
-        assert!(r.fires(&res(3, ClassifyOutcome::Corrected { bits: 3 })));
+        assert!(!fires(r, &res(2, ClassifyOutcome::Corrected { bits: 2 })));
+        assert!(fires(r, &res(3, ClassifyOutcome::Corrected { bits: 3 })));
     }
 
     #[test]

@@ -96,18 +96,6 @@ impl BitBuf {
         self.words[i / 64] ^= 1u64 << (i % 64);
     }
 
-    /// XORs `other` into `self`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn xor_with(&mut self, other: &BitBuf) {
-        assert_eq!(self.len, other.len, "xor length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a ^= b;
-        }
-    }
-
     /// Population count.
     pub fn count_ones(&self) -> u32 {
         self.words.iter().map(|w| w.count_ones()).sum()
@@ -182,7 +170,9 @@ mod tests {
         a.set(5, true);
         b.set(5, true);
         b.set(69, true);
-        a.xor_with(&b);
+        for i in b.ones() {
+            a.flip(i);
+        }
         assert_eq!(a.ones(), vec![69]);
         a.flip(69);
         assert_eq!(a.count_ones(), 0);

@@ -64,11 +64,6 @@ impl EnergyLedger {
         self.demand_read_pj + self.demand_write_pj + self.demand_decode_pj
     }
 
-    /// Grand total.
-    pub fn total_pj(&self) -> f64 {
-        self.scrub_total_pj() + self.demand_total_pj()
-    }
-
     /// Scrub probe (read) component.
     pub fn scrub_probe_pj(&self) -> f64 {
         self.scrub_probe_pj
@@ -138,11 +133,11 @@ mod tests {
         e.add_scrub_decode(6.0);
         assert_eq!(e.demand_total_pj(), 6.0);
         assert_eq!(e.scrub_total_pj(), 15.0);
-        assert_eq!(e.total_pj(), 21.0);
     }
 
     #[test]
     fn default_is_zero() {
-        assert_eq!(EnergyLedger::default().total_pj(), 0.0);
+        let e = EnergyLedger::default();
+        assert_eq!(e.demand_total_pj() + e.scrub_total_pj(), 0.0);
     }
 }

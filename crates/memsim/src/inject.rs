@@ -11,9 +11,9 @@
 //! dedicated RNG seeded by the spec's own seed, at attach time, in fixed
 //! address order. The per-bank RNG streams are never touched, so a run
 //! with no campaign is byte-identical to a run built without this module,
-//! and a run with a fixed campaign seed is byte-identical however its
-//! slots are batched. At runtime the injector is read-only: injected error bits are a
-//! pure function of `(address, last-write time, current time)`.
+//! and a run with a fixed campaign seed repeats byte for byte. At runtime
+//! the injector is read-only: injected error bits are a pure function of
+//! `(address, last-write time, current time)`.
 //!
 //! # Spec grammar
 //!

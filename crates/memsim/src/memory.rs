@@ -8,11 +8,9 @@
 //! and every stochastic draw an operation makes comes from the stream of
 //! the bank the target line lives in. Because draws are keyed to the bank
 //! rather than to global execution order, a line's outcome depends only
-//! on the operations its own bank has seen: the scrub engine's batched
-//! sweeps and slot-by-slot stepping produce bit-identical results.
-//! Counters and energy ledgers are likewise kept per bank and merged in
-//! fixed bank order at read time, so floating-point accumulation is
-//! order-stable too.
+//! on the operations its own bank has seen, in order. Counters and energy
+//! ledgers are likewise kept per bank and merged in fixed bank order at
+//! read time, so floating-point accumulation is order-stable too.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -138,7 +136,8 @@ impl BankShard {
     }
 }
 
-/// Immutable model state shared by every bank worker during an operation.
+/// Immutable model state an operation reads beside the bank shard it
+/// mutates.
 #[derive(Clone, Copy)]
 struct OpCtx<'a> {
     engine: &'a FaultEngine,

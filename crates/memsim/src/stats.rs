@@ -44,11 +44,6 @@ impl MemStats {
         self.detected_ue + self.miscorrections
     }
 
-    /// Total line writes from any source (demand + scrub).
-    pub fn total_writes(&self) -> u64 {
-        self.demand_writes + self.scrub_writebacks
-    }
-
     /// Folds another counter set into this one (merging per-bank shards).
     pub fn absorb(&mut self, other: &MemStats) {
         self.demand_reads += other.demand_reads;
@@ -83,6 +78,5 @@ mod tests {
             ..MemStats::default()
         };
         assert_eq!(s.uncorrectable(), 5);
-        assert_eq!(s.total_writes(), 15);
     }
 }

@@ -105,15 +105,6 @@ impl BandwidthTracker {
         }
     }
 
-    /// Fraction of the window busy with anything.
-    pub fn total_utilization(&self, window_ns: f64) -> f64 {
-        if window_ns <= 0.0 {
-            0.0
-        } else {
-            ((self.demand_busy_ns + self.scrub_busy_ns) / window_ns).min(1.0)
-        }
-    }
-
     /// Folds another tracker into this one (merging per-bank shards); call
     /// in a fixed shard order to keep float sums bit-deterministic.
     pub fn absorb(&mut self, other: &BandwidthTracker) {
@@ -148,7 +139,6 @@ mod tests {
         bw.add_demand_ns(100.0);
         bw.add_scrub_ns(300.0);
         assert!((bw.scrub_utilization(1000.0) - 0.3).abs() < 1e-12);
-        assert!((bw.total_utilization(1000.0) - 0.4).abs() < 1e-12);
         assert_eq!(bw.scrub_utilization(0.0), 0.0);
     }
 

@@ -141,8 +141,8 @@ fn interp_levels(flat: &[f64], points: usize, levels: usize, l: f64, out: &mut [
 }
 
 /// Re-lays per-level LUTs (`luts[lv][i]`) into the point-major interleaved
-/// buffer [`interp_levels`] reads. Values are copied verbatim, so flat and
-/// per-level lookups agree bit for bit.
+/// buffer [`interp_levels`] and [`DriftModel::p_up`] read, copying the
+/// values verbatim.
 fn flatten_luts(luts: &[Vec<f64>], points: usize) -> Vec<f64> {
     let mut flat = Vec::with_capacity(points * luts.len());
     for i in 0..points {
@@ -179,14 +179,12 @@ pub struct DriftModel {
     gh_nu: GaussHermite,
     gh_read: GaussHermite,
     sensing: SensingMode,
-    /// Per level: `p_up` persistent-up-crossing LUT over the log-age grid
-    /// (for the configured sensing mode).
-    lut_up: Vec<Vec<f64>>,
-    /// Per level: transient (read-noise) misread LUT over the same grid.
-    lut_tr: Vec<Vec<f64>>,
-    /// `lut_up` in point-major interleaved layout for the batched lookups.
+    /// The `p_up` persistent-up-crossing LUT over the log-age grid (for
+    /// the configured sensing mode), every level's entries for one point
+    /// together: `flat_up[i·levels + lv]`.
     flat_up: Vec<f64>,
-    /// `lut_tr` in point-major interleaved layout for the batched lookups.
+    /// The transient (read-noise) misread LUT over the same grid, in the
+    /// same layout.
     flat_tr: Vec<f64>,
 }
 
@@ -230,12 +228,10 @@ impl DriftModel {
             sensing,
             gh_nu: GaussHermite::new(GH_ORDER_NU),
             gh_read: GaussHermite::new(GH_ORDER_READ),
-            lut_up: Vec::new(),
-            lut_tr: Vec::new(),
             flat_up: Vec::new(),
             flat_tr: Vec::new(),
         };
-        model.lut_up = (0..model.stack.num_levels())
+        let mut lut_up: Vec<Vec<f64>> = (0..model.stack.num_levels())
             .map(|lv| {
                 (0..LUT_POINTS)
                     .map(|i| {
@@ -246,7 +242,7 @@ impl DriftModel {
                     .collect()
             })
             .collect();
-        model.lut_tr = (0..model.stack.num_levels())
+        let lut_tr: Vec<Vec<f64>> = (0..model.stack.num_levels())
             .map(|lv| {
                 (0..TR_LUT_POINTS)
                     .map(|i| {
@@ -258,15 +254,15 @@ impl DriftModel {
             })
             .collect();
         // Enforce monotonicity against any residual quadrature wiggle.
-        for lut in &mut model.lut_up {
+        for lut in &mut lut_up {
             for i in 1..lut.len() {
                 if lut[i] < lut[i - 1] {
                     lut[i] = lut[i - 1];
                 }
             }
         }
-        model.flat_up = flatten_luts(&model.lut_up, LUT_POINTS);
-        model.flat_tr = flatten_luts(&model.lut_tr, TR_LUT_POINTS);
+        model.flat_up = flatten_luts(&lut_up, LUT_POINTS);
+        model.flat_tr = flatten_luts(&lut_tr, TR_LUT_POINTS);
         model
     }
 
@@ -399,18 +395,19 @@ impl DriftModel {
     /// Guaranteed nondecreasing in `t_s` — the fault engine's correctness
     /// depends on this.
     pub fn p_up(&self, level: usize, t_s: f64) -> f64 {
-        let lut = &self.lut_up[level];
+        let levels = self.stack.num_levels();
+        let at = |i: usize| self.flat_up[i * levels + level];
         let l = self.params.log_time_factor(t_s);
         if l <= 0.0 {
-            return lut[0];
+            return at(0);
         }
         let pos = (l / LUT_DECADES) * (LUT_POINTS - 1) as f64;
         if pos >= (LUT_POINTS - 1) as f64 {
-            return lut[LUT_POINTS - 1];
+            return at(LUT_POINTS - 1);
         }
         let i = pos as usize;
         let frac = pos - i as f64;
-        lut[i] + (lut[i + 1] - lut[i]) * frac
+        at(i) + (at(i + 1) - at(i)) * frac
     }
 
     /// Fast persistent up-crossing probabilities for *all* levels at once:
@@ -448,9 +445,9 @@ impl DriftModel {
         interp_levels(&self.flat_tr, TR_LUT_POINTS, levels, l, &mut tr[..levels]);
     }
 
-    /// Fast transient misread probabilities for all levels at once (the
-    /// [`DriftModel::p_transient_fast`] analogue of
-    /// [`DriftModel::p_up_levels`]). Fills `out[0..num_levels]`.
+    /// Fast transient misread probabilities for all levels at once via the
+    /// precomputed LUT (the analogue of [`DriftModel::p_up_levels`]).
+    /// Fills `out[0..num_levels]`.
     ///
     /// # Panics
     ///
@@ -512,42 +509,6 @@ impl DriftModel {
         (self.p_misread(level, t_s) - self.p_up_exact(level, t_s) - self.p_down(level, t_s))
             .max(0.0)
     }
-
-    /// Fast transient misread probability via the precomputed LUT
-    /// (linear interpolation on the log-age grid).
-    pub fn p_transient_fast(&self, level: usize, t_s: f64) -> f64 {
-        let lut = &self.lut_tr[level];
-        let l = self.params.log_time_factor(t_s);
-        if l <= 0.0 {
-            return lut[0];
-        }
-        let pos = (l / LUT_DECADES) * (TR_LUT_POINTS - 1) as f64;
-        if pos >= (TR_LUT_POINTS - 1) as f64 {
-            return lut[TR_LUT_POINTS - 1];
-        }
-        let i = pos as usize;
-        let frac = pos - i as f64;
-        lut[i] + (lut[i + 1] - lut[i]) * frac
-    }
-
-    /// Raw bit-error rate of a single read at age `t_s` for data whose
-    /// cells are distributed over levels per `occupancy` (must sum to ≈1).
-    /// Each misread is costed at one bit (adjacent-level transitions
-    /// dominate and Gray coding makes them single-bit).
-    pub fn raw_ber(&self, occupancy: &[f64], t_s: f64) -> f64 {
-        assert_eq!(
-            occupancy.len(),
-            self.stack.num_levels(),
-            "occupancy arity mismatch"
-        );
-        let bits = self.stack.bits_per_cell() as f64;
-        occupancy
-            .iter()
-            .enumerate()
-            .map(|(lv, &w)| w * self.p_misread(lv, t_s))
-            .sum::<f64>()
-            / bits
-    }
 }
 
 /// Shared implementation of the age-compensated boundary shift, usable by
@@ -585,6 +546,13 @@ mod tests {
         let noise = NoiseParams::default();
         let th = ThresholdPlacement::Midpoint.build(&stack, &noise, 1.0);
         DriftModel::new(stack, noise, th, DriftParams::default())
+    }
+
+    /// One level's transient misread probability from the LUT.
+    fn transient_lut(m: &DriftModel, level: usize, t_s: f64) -> f64 {
+        let mut out = [0.0; 4];
+        m.p_transient_levels(t_s, &mut out);
+        out[level]
     }
 
     #[test]
@@ -668,7 +636,7 @@ mod tests {
             for i in 0..TR_LUT_POINTS - 1 {
                 let l = (i as f64 + 0.5) * step;
                 let t = m.params().t0_s * 10f64.powf(l);
-                let fast = m.p_transient_fast(lv, t);
+                let fast = transient_lut(&m, lv, t);
                 let exact = m.p_transient(lv, t);
                 assert!(
                     (fast - exact).abs() <= 5e-5 + 8e-2 * exact,
@@ -688,10 +656,10 @@ mod tests {
             assert_eq!(m.p_up(lv, 1e-6), m.p_up(lv, m.params().t0_s));
             assert_eq!(m.p_up(lv, 1e15), m.p_up(lv, 1e13));
             assert_eq!(
-                m.p_transient_fast(lv, 1e-6),
-                m.p_transient_fast(lv, m.params().t0_s)
+                transient_lut(&m, lv, 1e-6),
+                transient_lut(&m, lv, m.params().t0_s)
             );
-            assert_eq!(m.p_transient_fast(lv, 1e15), m.p_transient_fast(lv, 1e13));
+            assert_eq!(transient_lut(&m, lv, 1e15), transient_lut(&m, lv, 1e13));
         }
     }
 
@@ -765,7 +733,7 @@ mod tests {
         let m = model();
         for lv in 0..4 {
             for t in [1.0, 3600.0, 86_400.0] {
-                let fast = m.p_transient_fast(lv, t);
+                let fast = transient_lut(&m, lv, t);
                 let exact = m.p_transient(lv, t);
                 assert!(
                     (fast - exact).abs() <= 1e-9 + exact * 0.05,
@@ -814,18 +782,6 @@ mod tests {
     #[should_panic(expected = "outside the calibrated")]
     fn temperature_range_checked() {
         DriftParams::default().with_temperature_c(200.0);
-    }
-
-    #[test]
-    fn raw_ber_uniform_occupancy() {
-        let m = model();
-        let occ = [0.25; 4];
-        let early = m.raw_ber(&occ, 1.0);
-        let late = m.raw_ber(&occ, 86_400.0);
-        assert!(
-            late > early * 10.0,
-            "BER should grow strongly: {early} -> {late}"
-        );
     }
 
     fn model_with_sensing(sensing: SensingMode) -> DriftModel {

@@ -10,7 +10,7 @@ mod sample;
 pub use erf::{erf, erfc, norm_cdf, norm_pdf, norm_ppf, norm_sf};
 pub use gauss::GaussHermite;
 pub use sample::{
-    sample_binomial, sample_binomial4, sample_distinct_indices, sample_lognormal,
-    sample_multinomial, sample_multinomial_into, sample_normal, sample_normal_inv,
-    sample_std_normal, sample_truncated_normal, PrecomputedMultinomial,
+    sample_binomial, sample_binomial4, sample_lognormal, sample_multinomial,
+    sample_multinomial_into, sample_normal, sample_std_normal, sample_truncated_normal,
+    PrecomputedMultinomial,
 };

@@ -9,8 +9,6 @@ use std::sync::OnceLock;
 
 use rand::Rng;
 
-use super::erf::norm_ppf;
-
 /// Samples a standard normal deviate via the polar Box–Muller method.
 ///
 /// # Examples
@@ -637,48 +635,6 @@ impl PrecomputedCategory {
     }
 }
 
-/// Samples without replacement: picks `k` distinct indices from `0..n`
-/// (Floyd's algorithm), returned in unspecified order.
-///
-/// # Panics
-///
-/// Panics if `k > n`.
-pub fn sample_distinct_indices<R: Rng + ?Sized>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
-    assert!(k <= n, "cannot sample {k} distinct from {n}");
-    let mut out = Vec::with_capacity(k);
-    if k <= 32 {
-        // Small draws (the ECC error-spreading hot path): membership via a
-        // linear scan of the output beats a hash set by a wide margin.
-        for j in (n - k)..n {
-            let t = rng.gen_range(0..=j);
-            let pick = if out.contains(&t) { j } else { t };
-            out.push(pick);
-        }
-        return out;
-    }
-    let mut chosen = std::collections::HashSet::with_capacity(k);
-    for j in (n - k)..n {
-        let t = rng.gen_range(0..=j);
-        let pick = if chosen.contains(&t) { j } else { t };
-        chosen.insert(pick);
-        out.push(pick);
-    }
-    out
-}
-
-/// Deviate from `N(mu, sigma²)` computed by inversion from a single uniform —
-/// useful when exactly one RNG draw per sample is required for
-/// counter-based reproducibility.
-pub fn sample_normal_inv<R: Rng + ?Sized>(rng: &mut R, mu: f64, sigma: f64) -> f64 {
-    let u: f64 = loop {
-        let u = rng.gen::<f64>();
-        if u > 0.0 && u < 1.0 {
-            break u;
-        }
-    };
-    mu + sigma * norm_ppf(u)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1196,17 +1152,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_indices_are_distinct() {
-        let mut rng = StdRng::seed_from_u64(47);
-        for _ in 0..100 {
-            let v = sample_distinct_indices(&mut rng, 50, 20);
-            let set: std::collections::HashSet<_> = v.iter().collect();
-            assert_eq!(set.len(), 20);
-            assert!(v.iter().all(|&i| i < 50));
-        }
-    }
-
-    #[test]
     fn lognormal_median() {
         let mut rng = StdRng::seed_from_u64(48);
         let mut vals: Vec<f64> = (0..9_999)
@@ -1215,15 +1160,5 @@ mod tests {
         vals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         let median = vals[vals.len() / 2];
         assert!((median - 0.04).abs() / 0.04 < 0.05, "median {median}");
-    }
-
-    #[test]
-    fn normal_inv_matches_moments() {
-        let mut rng = StdRng::seed_from_u64(49);
-        let mut sum = 0.0;
-        for _ in 0..20_000 {
-            sum += sample_normal_inv(&mut rng, 1.5, 0.5);
-        }
-        assert!((sum / 20_000.0 - 1.5).abs() < 0.02);
     }
 }

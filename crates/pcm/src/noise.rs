@@ -60,11 +60,6 @@ impl NoiseParams {
         self.verify_half_band = Some(half_band);
         self
     }
-
-    /// Combined one-shot read spread `√(σ_w² + σ_r²)`.
-    pub fn sigma_effective(&self) -> f64 {
-        (self.sigma_write * self.sigma_write + self.sigma_read * self.sigma_read).sqrt()
-    }
 }
 
 impl Default for NoiseParams {
@@ -83,7 +78,6 @@ mod tests {
         assert_eq!(n.sigma_write, 0.10);
         assert_eq!(n.sigma_read, 0.03);
         assert!(n.verify_half_band.is_none());
-        assert!(n.sigma_effective() > n.sigma_write);
     }
 
     #[test]

@@ -499,9 +499,9 @@ impl Fleet {
     /// Drains `shard` to a checkpoint and resumes it on `to_worker` (or
     /// the next worker round-robin) — the destination rebuilds the
     /// simulation from config and overlays the drained state, continuing
-    /// bit-identically. Fails on an unknown shard id, a shard that is
-    /// not healthy, or a checkpoint error; the shard is untouched on
-    /// failure.
+    /// bit-identically. Fails on an unknown shard id, a worker outside
+    /// the pool, a shard that is not healthy, or a checkpoint error; the
+    /// shard is untouched on failure.
     pub fn migrate(&mut self, shard: u32, to_worker: Option<u32>) -> Result<Migration, String> {
         self.migrate_impl(shard, to_worker, false)
     }
@@ -536,6 +536,11 @@ impl Fleet {
             return Err(format!(
                 "cannot migrate shard {shard}: shard is {}",
                 self.shards[idx].health.name()
+            ));
+        }
+        if let Some(to) = to_worker.filter(|&to| to >= workers) {
+            return Err(format!(
+                "cannot migrate shard {shard}: worker {to} is outside the {workers}-worker pool"
             ));
         }
         let from_worker = self.shards[idx].worker;
@@ -808,6 +813,24 @@ mod tests {
         }
         assert_eq!(migrated.migrations(), 1);
         assert_eq!(continuous.rollup().to_json(), migrated.rollup().to_json());
+    }
+
+    /// A worker outside the pool is refused and leaves the shard where it
+    /// was, so a later round-robin move starts from a worker the pool has.
+    #[test]
+    fn migrate_rejects_a_worker_outside_the_pool() {
+        let mut fleet = Fleet::new(tiny_config());
+        let err = fleet
+            .migrate(0, Some(u32::MAX))
+            .expect_err("worker outside the pool");
+        assert!(
+            err.contains("worker 4294967295") && err.contains("2-worker pool"),
+            "{err}"
+        );
+        assert_eq!(fleet.shards()[0].worker, 0);
+        assert_eq!(fleet.migrations(), 0);
+        let m = fleet.migrate(0, None).expect("round-robin move");
+        assert_eq!((m.from_worker, m.to_worker), (0, 1));
     }
 
     /// Shards smaller than the combined policy's 64 regions scrub

@@ -14,12 +14,18 @@
 //!
 //! # Determinism of the record
 //!
-//! Counters are relaxed atomic integer adds: totals are exact and
-//! independent of thread scheduling. Events go to per-thread journals
-//! and are merged into one global order sorted by simulated time, then
-//! per-journal sequence, then worker id, so the merged stream is a pure
-//! function of what was recorded. Floating-point metrics are *set once*
-//! (never accumulated across threads), keeping them bit-exact.
+//! Counters are relaxed atomic integer adds and gauges atomic maxima:
+//! totals are exact and independent of thread scheduling. Floating-point
+//! metrics are *set once* (never accumulated across threads), keeping
+//! them bit-exact. Counters, gauges and values are therefore exact at any
+//! thread count.
+//!
+//! Events go to per-thread journals, bounded rings that keep the newest
+//! entries, and are merged into one global order sorted by simulated
+//! time, then per-journal sequence, then worker id. The merged journal
+//! repeats exactly with one worker, or when no ring evicts. With more
+//! workers a full ring keeps the tail of whichever jobs its worker took
+//! from the shared queue, and that depends on scheduling.
 //!
 //! # Usage
 //!

@@ -61,11 +61,6 @@ impl RecordedTrace {
         self.ops.is_empty()
     }
 
-    /// Rewinds the replay cursor.
-    pub fn rewind(&mut self) {
-        self.pos = 0;
-    }
-
     /// The raw ops.
     pub fn ops(&self) -> &[MemOp] {
         &self.ops
@@ -102,16 +97,6 @@ mod tests {
             assert_eq!(r1.next_op(), r2.next_op());
         }
         assert!(r1.next_op().is_none(), "exhausted after len ops");
-    }
-
-    #[test]
-    fn rewind_restarts() {
-        let mut gen = WorkloadId::Stream.build(128, 1.0, 4);
-        let mut rec = RecordedTrace::capture("snap", &mut gen, 10);
-        let first = rec.next_op();
-        while rec.next_op().is_some() {}
-        rec.rewind();
-        assert_eq!(rec.next_op(), first);
     }
 
     #[test]
